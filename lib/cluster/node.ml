@@ -121,11 +121,6 @@ let handle_envelope t (env : Msg.t Netsim.Network.envelope) =
 (* Protocol context                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let address_of t slot =
-  match List.nth_opt (Netsim.Network.endpoints t.sv.network) slot with
-  | Some a -> a
-  | None -> invalid_arg "Node.address_of: unknown server slot"
-
 (* Attribute a log write to the transaction of its first record — every
    force/append in the protocols carries records of a single txn. *)
 let txn_of_records = function
@@ -140,7 +135,7 @@ let make_context t =
     Acp.Context.engine = t.sv.engine;
     self = t.address;
     self_server = t.server;
-    address_of = address_of t;
+    address_of = Netsim.Network.address_at t.sv.network;
     send =
       (fun ~dst wire ->
         guard (fun () ->
@@ -304,7 +299,9 @@ let create sv ~server ~root =
   holder := Some t;
   t
 
-let rec heartbeat_loop t epoch =
+(* [peers] is computed once per incarnation: the endpoint set is fixed
+   once the cluster is assembled. *)
+let rec heartbeat_loop t epoch peers =
   if t.up && t.epoch = epoch then begin
     if Storage.San.is_fenced t.sv.san t.address then begin
       (* Disk-lease check. Fencing assumes a STONITH follows, but when
@@ -326,11 +323,11 @@ let rec heartbeat_loop t epoch =
         (fun peer ->
           Netsim.Network.send t.sv.network ~src:t.address ~dst:peer
             Msg.Heartbeat)
-        (peers t);
+        peers;
       ignore
         (Simkit.Engine.schedule t.sv.engine ~label:label_heartbeat
            ~after:t.sv.config.Config.heartbeat_interval (fun () ->
-             heartbeat_loop t epoch))
+             heartbeat_loop t epoch peers))
     end
   end
 
@@ -355,6 +352,7 @@ let bring_up ?(on_recovered = fun () -> ()) t ~recover =
   t.primary <- Some primary;
   t.fallback <- fallback;
   let epoch = t.epoch in
+  let peers = peers t in
   let on_suspect peer =
     if t.up && t.epoch = epoch then begin
       if Simkit.Trace.is_recording t.sv.trace then
@@ -372,11 +370,11 @@ let bring_up ?(on_recovered = fun () -> ()) t ~recover =
   let detector =
     Netsim.Failure_detector.create ~engine:t.sv.engine
       ~timeout:t.sv.config.Config.detector_timeout
-      ~peers:(peers t) ~on_suspect ()
+      ~peers ~on_suspect ()
   in
   t.detector <- Some detector;
   Netsim.Failure_detector.start detector;
-  heartbeat_loop t epoch;
+  heartbeat_loop t epoch peers;
   if not recover then begin
     t.serving <- true;
     journal_node t Obs.Journal.Serving

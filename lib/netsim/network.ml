@@ -245,6 +245,10 @@ let register t ~name handler =
 let endpoints t =
   List.init t.n (fun i -> t.eps.(i).address)
 
+let address_at t i =
+  if i < 0 || i >= t.n then invalid_arg "Network.address_at: no such endpoint";
+  t.eps.(i).address
+
 let endpoint t a =
   let i = Address.index a in
   if i < 0 || i >= t.n then invalid_arg "Network: foreign address";

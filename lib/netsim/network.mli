@@ -135,6 +135,10 @@ val register : 'msg t -> name:string -> ('msg envelope -> unit) -> Address.t
 val endpoints : 'msg t -> Address.t list
 (** All registered endpoints, in registration order. *)
 
+val address_at : 'msg t -> int -> Address.t
+(** [address_at t i] is the [i]-th registered endpoint (from 0), in O(1).
+    @raise Invalid_argument if fewer than [i + 1] endpoints exist. *)
+
 val send : 'msg t -> src:Address.t -> dst:Address.t -> 'msg -> unit
 (** Queue a message. Loss, partitions and down-state are evaluated at both
     send time and delivery time (a node that crashes while a message is in

@@ -44,7 +44,10 @@ val defer : t -> ?label:Label.t -> (unit -> unit) -> handle
 
 val cancel : handle -> unit
 (** Cancel the event if it has not been dispatched yet; otherwise a no-op.
-    Idempotent. *)
+    Idempotent. The event leaves the queue at once, in O(log n) for [n]
+    pending events, so the queue drops its reference to the callback
+    (the handle itself still holds it while the caller keeps the
+    handle). *)
 
 val is_pending : handle -> bool
 (** Whether the event is still scheduled (neither dispatched nor
@@ -71,8 +74,8 @@ val dispatched : t -> int
 (** Total events dispatched since creation. *)
 
 val pending_high_water : t -> int
-(** High-water mark of the raw heap occupancy (cancelled-but-unpopped
-    tombstones included) since creation or the last
+(** High-water mark of {!pending} — live events only, since [cancel]
+    leaves no tombstones — since creation or the last
     {!reset_pending_high_water}. *)
 
 val reset_pending_high_water : t -> unit

@@ -208,7 +208,16 @@ let test_endpoints () =
     (List.map Address.name (Network.endpoints net));
   Alcotest.(check int) "indices" 0 (Address.index a);
   Alcotest.(check int) "indices" 1 (Address.index b);
-  Alcotest.(check bool) "distinct" false (Address.equal a b)
+  Alcotest.(check bool) "distinct" false (Address.equal a b);
+  Alcotest.(check bool) "address_at 1" true
+    (Address.equal b (Network.address_at net 1));
+  List.iter
+    (fun i ->
+      Alcotest.check_raises
+        (Printf.sprintf "address_at %d" i)
+        (Invalid_argument "Network.address_at: no such endpoint") (fun () ->
+          ignore (Network.address_at net i)))
+    [ -1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Failure detector                                                    *)

@@ -395,6 +395,198 @@ let prop_engine_fifo_ties =
       in
       ran = expected)
 
+(* Model test for the indexed heap: random interleavings of scheduling
+   (with timestamp ties), cancellation, stepping and bounded runs,
+   checked against a sorted-list reference after every operation. *)
+type engine_op =
+  | Sched of int  (** [schedule ~after] *)
+  | Sched_at of int  (** [schedule_at], [now + d] *)
+  | Sched_canceller of int * int
+      (** as [Sched_at d]; the callback cancels the [k]-th handle
+          created before it (mod their count) *)
+  | Cancel of int  (** the [k]-th handle ever created (mod count) *)
+  | Cancel_rank of int
+      (** the [r]-th pending event in dispatch order: 0 is the root *)
+  | Cancel_last  (** the pending event that dispatches last *)
+  | Step
+  | Run_until of int  (** [run ~until:(now + d)] *)
+
+let engine_op_print = function
+  | Sched d -> Printf.sprintf "Sched %d" d
+  | Sched_at d -> Printf.sprintf "Sched_at %d" d
+  | Sched_canceller (d, k) -> Printf.sprintf "Sched_canceller (%d, %d)" d k
+  | Cancel k -> Printf.sprintf "Cancel %d" k
+  | Cancel_rank r -> Printf.sprintf "Cancel_rank %d" r
+  | Cancel_last -> "Cancel_last"
+  | Step -> "Step"
+  | Run_until d -> Printf.sprintf "Run_until %d" d
+
+let engine_op_gen =
+  let open QCheck2.Gen in
+  let delay = int_bound 3 in
+  frequency
+    [
+      (4, map (fun d -> Sched d) delay);
+      (2, map (fun d -> Sched_at d) delay);
+      (1, map2 (fun d k -> Sched_canceller (d, k)) delay small_nat);
+      (2, map (fun k -> Cancel k) small_nat);
+      (2, map (fun r -> Cancel_rank r) (int_bound 6));
+      (1, pure Cancel_last);
+      (3, pure Step);
+      (1, map (fun d -> Run_until d) delay);
+    ]
+
+(* Runs [ops] on a real engine and on the reference — a list of pending
+   [(at, id)] sorted by dispatch order, ids being creation order and so
+   the engine's tie-break — and checks the dispatch log, [pending] and
+   [pending_high_water] after each operation. *)
+let engine_matches_model ops =
+  let e = Engine.create () in
+  let handles = Hashtbl.create 64 in
+  let created = ref 0 in
+  let log = ref [] in
+  (* Reference state. *)
+  let clock = ref 0 in
+  let live = ref [] in
+  let targets = Hashtbl.create 8 in
+  let ref_log = ref [] in
+  let ref_hwm = ref 0 in
+  let ref_remove id = live := List.filter (fun (_, i) -> i <> id) !live in
+  let ref_add at id =
+    live := List.merge compare !live [ (at, id) ];
+    ref_hwm := max !ref_hwm (List.length !live)
+  in
+  let ref_dispatch () =
+    match !live with
+    | [] -> ()
+    | (at, id) :: rest ->
+        live := rest;
+        clock := at;
+        ref_log := id :: !ref_log;
+        Option.iter ref_remove (Hashtbl.find_opt targets id)
+  in
+  let add ?target ~at_ns schedule =
+    let id = !created in
+    incr created;
+    let callback () =
+      log := id :: !log;
+      Option.iter (fun k -> Engine.cancel (Hashtbl.find handles k)) target
+    in
+    Hashtbl.replace handles id (schedule callback);
+    Option.iter (Hashtbl.replace targets id) target;
+    ref_add at_ns id
+  in
+  let add_at ?target d =
+    let at_ns = !clock + d in
+    add ?target ~at_ns (Engine.schedule_at e ~at:(Time.of_ns at_ns))
+  in
+  let cancel_id id =
+    Engine.cancel (Hashtbl.find handles id);
+    ref_remove id
+  in
+  let apply = function
+    | Sched d ->
+        add ~at_ns:(!clock + d) (Engine.schedule e ~after:(Time.span_ns d))
+    | Sched_at d -> add_at d
+    | Sched_canceller (d, k) ->
+        let target = if !created = 0 then None else Some (k mod !created) in
+        add_at ?target d
+    | Cancel k -> if !created > 0 then cancel_id (k mod !created)
+    | Cancel_rank r -> (
+        match List.nth_opt !live r with
+        | Some (_, id) -> cancel_id id
+        | None -> ())
+    | Cancel_last -> (
+        match List.rev !live with (_, id) :: _ -> cancel_id id | [] -> ())
+    | Step ->
+        let stepped = Engine.step e in
+        if stepped <> (!live <> []) then failwith "step disagrees";
+        ref_dispatch ()
+    | Run_until d ->
+        let stop = !clock + d in
+        ignore (Engine.run ~until:(Time.of_ns stop) e);
+        let rec drain () =
+          match !live with
+          | (at, _) :: _ when at <= stop ->
+              ref_dispatch ();
+              drain ()
+          | _ -> ()
+        in
+        drain ();
+        clock := stop
+  in
+  List.for_all
+    (fun op ->
+      apply op;
+      !log = !ref_log
+      && Time.to_ns (Engine.now e) = !clock
+      && Engine.pending e = List.length !live
+      && Engine.pending_high_water e <= !ref_hwm
+      && List.for_all
+           (fun (_, id) -> Engine.is_pending (Hashtbl.find handles id))
+           !live)
+    ops
+  &&
+  (* Whatever is left drains in reference order. *)
+  (ignore (Engine.run e);
+   while !live <> [] do
+     ref_dispatch ()
+   done;
+   !log = !ref_log && Engine.pending e = 0)
+
+let prop_engine_model =
+  QCheck2.Test.make ~name:"indexed heap matches sorted-list model" ~count:500
+    ~print:QCheck2.Print.(list engine_op_print)
+    QCheck2.Gen.(list_size (int_bound 60) engine_op_gen)
+    engine_matches_model
+
+(* The shapes the model property must not leave to chance, spelled out:
+   cancelling the root, the last slot (increasing keys never sift, so
+   the newest event sits there), an interior slot, an already-dispatched
+   handle and the same handle twice, and a callback that cancels
+   another pending event. *)
+let test_engine_model_directed () =
+  let fill = List.init 12 (fun i -> Sched_at (i + 1)) in
+  List.iter
+    (fun (name, ops) ->
+      Alcotest.(check bool) name true (engine_matches_model ops))
+    [
+      ("root", fill @ [ Cancel_rank 0; Step; Step ]);
+      ("last slot", fill @ [ Cancel 11; Sched 0; Step ]);
+      ("interior slot", fill @ [ Cancel 5; Cancel_rank 3; Step; Step; Step ]);
+      ("dispatched handle", fill @ [ Step; Cancel 0; Step ]);
+      ("twice", fill @ [ Cancel 4; Cancel 4; Run_until 3 ]);
+      ( "callback cancels",
+        fill @ [ Sched_canceller (0, 7); Sched_canceller (0, 0); Step; Step ] );
+      ("ties", [ Sched 1; Sched 1; Sched_at 1; Cancel 1; Sched 1; Run_until 2 ]);
+    ]
+
+(* The queue holds no reference to cancelled events: 10,000 cancelled
+   60 s timers must leave nothing reachable before their instant. *)
+let test_engine_cancel_releases () =
+  let n = 10_000 in
+  let e = Engine.create () in
+  let weak = Weak.create n in
+  let[@inline never] schedule_and_cancel () =
+    let hs =
+      Array.init n (fun i ->
+          let block = Bytes.create 64 in
+          Weak.set weak i (Some block);
+          Engine.schedule e ~after:(Time.span_s 60) (fun () ->
+              ignore (Sys.opaque_identity block)))
+    in
+    Array.iter Engine.cancel hs
+  in
+  schedule_and_cancel ();
+  Gc.full_major ();
+  let retained = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check weak i then incr retained
+  done;
+  Alcotest.(check int) "blocks still reachable" 0 !retained;
+  Alcotest.(check int) "pending" 0 (Engine.pending e);
+  Alcotest.(check bool) "drained" true (Engine.run e = Engine.Drained)
+
 (* ------------------------------------------------------------------ *)
 (* Trace                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -587,8 +779,17 @@ let () =
           Alcotest.test_case "max events" `Quick test_engine_max_events;
           Alcotest.test_case "past raises" `Quick test_engine_past_raises;
           Alcotest.test_case "event failure" `Quick test_engine_event_failure;
+          Alcotest.test_case "model, directed" `Quick
+            test_engine_model_directed;
+          Alcotest.test_case "cancel releases" `Quick
+            test_engine_cancel_releases;
         ]
-        @ qsuite [ prop_engine_monotone_clock; prop_engine_fifo_ties ] );
+        @ qsuite
+            [
+              prop_engine_monotone_clock;
+              prop_engine_fifo_ties;
+              prop_engine_model;
+            ] );
       ( "trace",
         [
           Alcotest.test_case "basics" `Quick test_trace_basics;
