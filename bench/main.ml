@@ -610,17 +610,6 @@ let faults () =
 let micro () =
   section "micro-benchmarks (Bechamel; real time per run)";
   let open Bechamel in
-  let heap_churn =
-    Test.make ~name:"simkit: heap push/pop x1000"
-      (Staged.stage (fun () ->
-           let h = Opc.Simkit.Heap.create ~cmp:Int.compare () in
-           for i = 0 to 999 do
-             Opc.Simkit.Heap.push h ((i * 7919) mod 1000)
-           done;
-           while not (Opc.Simkit.Heap.is_empty h) do
-             ignore (Opc.Simkit.Heap.pop h)
-           done))
-  in
   let engine_events =
     Test.make ~name:"simkit: engine 1000 events"
       (Staged.stage (fun () ->
@@ -659,7 +648,7 @@ let micro () =
   in
   let tests =
     Test.make_grouped ~name:"opc"
-      ([ heap_churn; engine_events ] @ List.map txn_of Opc.Acp.Protocol.all)
+      (engine_events :: List.map txn_of Opc.Acp.Protocol.all)
   in
   let benchmark () =
     let instances = Toolkit.Instance.[ monotonic_clock ] in

@@ -1,15 +1,24 @@
 type t = {
   mutable clock : Time.t;
-  (* Inline 4-ary min-heap of pending events, ordered by (at, seq). The
-     heap is specialized here rather than using the generic {!Heap} so
-     the hot loop compares the two int fields directly — no comparator
-     closure, no [option] boxing on pop. It is indexed: every queued
-     handle records its slot, so [cancel] removes the event at once and
-     the heap holds live events only. Slots at and beyond [qlen] hold
-     [vacant], so no dispatched or cancelled closure stays reachable
-     from the queue. *)
+  (* Pending events, grouped in runs. A run is a FIFO of events for one
+     instant, doubly linked through [next] and [prev]; only its head sits
+     in [q], an inline 4-ary min-heap ordered by (at, seq). An event joins
+     the run of [tail], the last event enqueued, when that event is still
+     queued and due at the same instant, so a burst of same-instant
+     events costs one heap entry, not one sift per event. The heap is
+     specialized here so the hot loop compares the two int fields
+     directly — no comparator closure, no [option] boxing on pop. It is
+     indexed: every head records its slot, so [cancel] removes an event
+     at once and the queue holds live events only. Slots at and beyond
+     [qlen] hold [vacant], and a handle's links are reset when it
+     leaves, so no dispatched or cancelled closure stays reachable from
+     the queue. *)
   mutable q : handle array;
-  mutable qlen : int;
+  mutable qlen : int;  (* run heads in [q] *)
+  (* The last event enqueued while it is queued. When it leaves, its
+     predecessor in its run takes over, or [vacant]. *)
+  mutable tail : handle;
+  mutable live : int;  (* queued events, run members included *)
   mutable next_seq : int;
   mutable dispatched : int;
   (* Clock-advance observer: called with the target time just before the
@@ -34,9 +43,9 @@ type t = {
      contract and same one-load-one-branch disabled cost. *)
   mutable has_dispatch_tap : bool;
   mutable dispatch_tap : Time.t -> Label.t -> unit;
-  (* High-water mark of [qlen] (live events) since creation or the last
+  (* High-water mark of [live] since creation or the last
      [reset_pending_high_water]. *)
-  mutable qlen_hwm : int;
+  mutable live_hwm : int;
 }
 
 and handle = {
@@ -45,27 +54,55 @@ and handle = {
   seq : int;
   label : Label.t;
   callback : unit -> unit;
-  (* Index of the handle in [owner.q] while it is queued; [-1] once it
+  (* Index of the handle in [owner.q] while it heads a run; [follower]
+     while it is queued behind another event of its run; [-1] once it
      has been dispatched or cancelled. *)
   mutable slot : int;
+  (* Neighbours in the run; [vacant] at either end and once the handle
+     has left the queue. *)
+  mutable next : handle;
+  mutable prev : handle;
 }
 
 exception Event_failure of string * exn
 
+let follower = -2
+
 (* Events order by (timestamp, sequence number): FIFO among equal
    timestamps, hence full determinism. [seq] is unique, so this is a
-   strict total order and the heap's pop sequence is independent of the
-   heap's internal layout — removing an event early cannot reorder the
-   others. *)
+   strict total order and the pop sequence is independent of the heap's
+   internal layout — removing an event early cannot reorder the others.
+   Every enqueue moves [tail], so the seqs of a run are consecutive
+   apart from cancelled events and no other live event sorts between two
+   neighbours in a run: a head's successor can take over the head's heap
+   slot with no sift. *)
 let before a b =
   let c = Time.compare a.at b.at in
   if c <> 0 then c < 0 else a.seq < b.seq
 
-let create () =
+(* [vacant] fills every heap slot at or beyond [qlen], ends every run
+   and is the [tail] of an engine with nothing queued. It is never
+   queued and never handed out. Its owner [idle] never runs; [create]
+   copies it. *)
+let rec vacant =
+  {
+    owner = idle;
+    at = Time.zero;
+    seq = -1;
+    label = Label.event;
+    callback = (fun () -> ());
+    slot = -1;
+    next = vacant;
+    prev = vacant;
+  }
+
+and idle =
   {
     clock = Time.zero;
     q = [||];
     qlen = 0;
+    tail = vacant;
+    live = 0;
     next_seq = 0;
     dispatched = 0;
     has_observer = false;
@@ -75,20 +112,10 @@ let create () =
     after_dispatch = (fun _ -> ());
     has_dispatch_tap = false;
     dispatch_tap = (fun _ _ -> ());
-    qlen_hwm = 0;
+    live_hwm = 0;
   }
 
-(* Filler for every heap slot at or beyond [qlen]. Never queued, never
-   handed out. *)
-let vacant =
-  {
-    owner = create ();
-    at = Time.zero;
-    seq = -1;
-    label = Label.event;
-    callback = (fun () -> ());
-    slot = -1;
-  }
+let create () = { idle with clock = Time.zero }
 
 let now t = t.clock
 
@@ -112,9 +139,9 @@ let advance_clock t at =
   t.clock <- at
 
 (* Growth first promotes the queued handles with a minor collection, so
-   the blit copies old-to-old pointers. Building a 64-server cluster
-   grows the heap five times during boot; without the collection that
-   set-up measured about 15% slower on a 2-core x86-64 host. *)
+   the blit copies old-to-old pointers. Without it, a cluster set-up
+   that grew the heap five times measured about 15% slower on a 2-core
+   x86-64 host. *)
 let ensure_capacity t =
   if t.qlen = Array.length t.q then begin
     if t.qlen > 0 then Gc.minor ();
@@ -170,14 +197,12 @@ let heap_push t h =
   ensure_capacity t;
   let i = t.qlen in
   t.qlen <- i + 1;
-  if t.qlen > t.qlen_hwm then t.qlen_hwm <- t.qlen;
   sift_up t.q i h
 
-(* Remove the handle at slot [i]: the last element moves into the hole
-   and sifts whichever way restores the heap. *)
+(* Empty slot [i]: the last element moves into the hole and sifts
+   whichever way restores the heap. *)
 let remove_at t i =
   let q = t.q in
-  let h = q.(i) in
   let n = t.qlen - 1 in
   t.qlen <- n;
   let last = q.(n) in
@@ -185,13 +210,57 @@ let remove_at t i =
   if i < n then begin
     if i > 0 && before last q.((i - 1) lsr 2) then sift_up q i last
     else sift_down q n i last
+  end
+
+(* Take queued [h] off the queue. A head's successor inherits its heap
+   slot with no sift, a head without one leaves through [remove_at], and
+   a follower is unlinked in O(1). *)
+let unqueue t h =
+  let s = h.next in
+  if t.tail == h then t.tail <- h.prev;
+  if h.slot >= 0 then begin
+    if s == vacant then remove_at t h.slot
+    else begin
+      s.prev <- vacant;
+      h.next <- vacant;
+      place t.q h.slot s
+    end
+  end
+  else begin
+    let p = h.prev in
+    p.next <- s;
+    if s != vacant then begin
+      s.prev <- p;
+      h.next <- vacant
+    end;
+    h.prev <- vacant
   end;
-  h.slot <- -1
+  h.slot <- -1;
+  t.live <- t.live - 1
 
 let enqueue t ~at ~label callback =
-  let h = { owner = t; at; seq = t.next_seq; label; callback; slot = -1 } in
+  let h =
+    {
+      owner = t;
+      at;
+      seq = t.next_seq;
+      label;
+      callback;
+      slot = follower;
+      next = vacant;
+      prev = vacant;
+    }
+  in
   t.next_seq <- t.next_seq + 1;
-  heap_push t h;
+  let tl = t.tail in
+  if tl.slot <> -1 && Time.equal tl.at at then begin
+    tl.next <- h;
+    h.prev <- tl
+  end
+  else heap_push t h;
+  t.tail <- h;
+  t.live <- t.live + 1;
+  if t.live > t.live_hwm then t.live_hwm <- t.live;
   h
 
 let schedule t ?(label = Label.event) ~after f =
@@ -204,17 +273,17 @@ let schedule_at t ?(label = Label.event) ~at f =
 
 let defer t ?(label = Label.deferred) f = enqueue t ~at:t.clock ~label f
 
-let cancel h = if h.slot >= 0 then remove_at h.owner h.slot
+let cancel h = if h.slot <> -1 then unqueue h.owner h
 
-let is_pending h = h.slot >= 0
+let is_pending h = h.slot <> -1
 
-let pending t = t.qlen
+let pending t = t.live
 let dispatched t = t.dispatched
-let pending_high_water t = t.qlen_hwm
-let reset_pending_high_water t = t.qlen_hwm <- t.qlen
+let pending_high_water t = t.live_hwm
+let reset_pending_high_water t = t.live_hwm <- t.live
 
-(* [h] has already left the heap (its slot is [-1]), so a callback that
-   cancels its own event is a no-op. *)
+(* [h] has already left the queue (its slot is [-1]), so a callback
+   that cancels its own event is a no-op. *)
 let dispatch t h =
   advance_clock t h.at;
   t.dispatched <- t.dispatched + 1;
@@ -237,7 +306,7 @@ let step t =
   if t.qlen = 0 then false
   else begin
     let h = t.q.(0) in
-    remove_at t 0;
+    unqueue t h;
     dispatch t h;
     true
   end
@@ -256,7 +325,7 @@ let run ?until ?max_events t =
           advance_clock t stop;
           Reached_until
       | _ ->
-          remove_at t 0;
+          unqueue t h;
           dispatch t h;
           if !budget > 0 then decr budget;
           loop ()

@@ -10,7 +10,13 @@
     Callbacks must not raise: an escaping exception aborts the run and is
     re-raised to the caller of [run] wrapped in [Event_failure] with the
     event's label, because a half-dispatched simulation has no meaningful
-    state to continue from. *)
+    state to continue from.
+
+    Events scheduled back to back for one instant — a heartbeat burst,
+    say — form a run: a FIFO that takes a single entry of the queue's
+    heap. Only the run's first enqueue and its last exit sift the heap;
+    every other enqueue, dispatch or cancel in it is O(1). Runs show to
+    callers in those costs only. *)
 
 type t
 
@@ -44,10 +50,11 @@ val defer : t -> ?label:Label.t -> (unit -> unit) -> handle
 
 val cancel : handle -> unit
 (** Cancel the event if it has not been dispatched yet; otherwise a no-op.
-    Idempotent. The event leaves the queue at once, in O(log n) for [n]
-    pending events, so the queue drops its reference to the callback
-    (the handle itself still holds it while the caller keeps the
-    handle). *)
+    Idempotent. The event leaves the queue at once, so the queue drops
+    its reference to the callback (the handle itself still holds it
+    while the caller keeps the handle). That costs O(1) for a run's
+    member, or for its head while it has followers, and O(log n) for
+    [n] runs otherwise. *)
 
 val is_pending : handle -> bool
 (** Whether the event is still scheduled (neither dispatched nor
@@ -68,15 +75,16 @@ val step : t -> bool
 (** Dispatch exactly one event. [false] if the queue was empty. *)
 
 val pending : t -> int
-(** Number of scheduled, not-yet-cancelled events. *)
+(** Number of scheduled, not-yet-cancelled events, every member of a
+    run included. *)
 
 val dispatched : t -> int
 (** Total events dispatched since creation. *)
 
 val pending_high_water : t -> int
-(** High-water mark of {!pending} — live events only, since [cancel]
-    leaves no tombstones — since creation or the last
-    {!reset_pending_high_water}. *)
+(** High-water mark of {!pending} — live events, run members included
+    and no tombstones, since [cancel] leaves none — since creation or
+    the last {!reset_pending_high_water}. *)
 
 val reset_pending_high_water : t -> unit
 (** Reset the high-water mark to the current occupancy, so periodic

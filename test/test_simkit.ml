@@ -42,118 +42,6 @@ let test_time_pp () =
     (String.length (str (Time.span_us 3)) > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_heap_basic () =
-  let h = Heap.create ~cmp:Int.compare () in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  List.iter (Heap.push h) [ 5; 1; 4; 2; 3 ];
-  Alcotest.(check int) "length" 5 (Heap.length h);
-  Alcotest.(check (option int)) "peek" (Some 1) (Heap.peek h);
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ] (Heap.to_sorted_list h);
-  Alcotest.(check int) "pop" 1 (Heap.pop_exn h);
-  Alcotest.(check int) "pop" 2 (Heap.pop_exn h);
-  Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h)
-
-let test_heap_duplicates () =
-  let h = Heap.create ~cmp:Int.compare () in
-  List.iter (Heap.push h) [ 2; 2; 1; 1; 3 ];
-  Alcotest.(check (list int)) "dups kept" [ 1; 1; 2; 2; 3 ]
-    (Heap.to_sorted_list h)
-
-let test_heap_fold () =
-  let h = Heap.create ~cmp:Int.compare () in
-  List.iter (Heap.push h) [ 3; 1; 2 ];
-  Alcotest.(check int) "sum" 6 (Heap.fold_unordered ( + ) 0 h);
-  Alcotest.(check int) "undisturbed" 3 (Heap.length h)
-
-let prop_heap_sorts =
-  QCheck2.Test.make ~name:"heap extraction is sorted" ~count:300
-    QCheck2.Gen.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:Int.compare () in
-      List.iter (Heap.push h) xs;
-      let drained =
-        List.init (List.length xs) (fun _ -> Heap.pop_exn h)
-      in
-      drained = List.sort Int.compare xs && Heap.is_empty h)
-
-let prop_heap_interleaved =
-  QCheck2.Test.make ~name:"interleaved push/pop respects order" ~count:200
-    QCheck2.Gen.(list (pair bool small_int))
-    (fun script ->
-      let h = Heap.create ~cmp:Int.compare () in
-      let model = ref [] in
-      List.for_all
-        (fun (is_push, x) ->
-          if is_push then begin
-            Heap.push h x;
-            model := List.sort Int.compare (x :: !model);
-            true
-          end
-          else
-            match (Heap.pop h, !model) with
-            | None, [] -> true
-            | Some v, m :: rest ->
-                model := rest;
-                v = m
-            | Some _, [] | None, _ :: _ -> false)
-        script)
-
-(* Keyed like the engine's queue — (time, stamp) with stamps unique and
-   increasing — heavy on key collisions so the 4-ary sift's handling of
-   equal keys is exercised, not just its happy path. *)
-let prop_heap_stable_under_ties =
-  QCheck2.Test.make ~name:"equal keys pop in stamp order" ~count:300
-    QCheck2.Gen.(list (int_bound 8))
-    (fun keys ->
-      let cmp (ka, sa) (kb, sb) =
-        let c = Int.compare ka kb in
-        if c <> 0 then c else Int.compare sa sb
-      in
-      let h = Heap.create ~cmp () in
-      let stamped = List.mapi (fun stamp k -> (k, stamp)) keys in
-      List.iter (Heap.push h) stamped;
-      let drained =
-        List.init (List.length stamped) (fun _ -> Heap.pop_exn h)
-      in
-      drained = List.sort cmp stamped)
-
-(* Random interleaving of pushes and pops against the same reference
-   model, with colliding keys throughout. *)
-let prop_heap_ties_interleaved =
-  QCheck2.Test.make ~name:"interleaved ties respect stamp order" ~count:200
-    QCheck2.Gen.(list (pair bool (int_bound 4)))
-    (fun script ->
-      let cmp (ka, sa) (kb, sb) =
-        let c = Int.compare ka kb in
-        if c <> 0 then c else Int.compare sa sb
-      in
-      let h = Heap.create ~cmp () in
-      let model = ref [] in
-      let stamp = ref 0 in
-      List.for_all
-        (fun (is_push, key) ->
-          if is_push then begin
-            let x = (key, !stamp) in
-            incr stamp;
-            Heap.push h x;
-            model := List.sort cmp (x :: !model);
-            true
-          end
-          else
-            match (Heap.pop h, !model) with
-            | None, [] -> true
-            | Some v, m :: rest ->
-                model := rest;
-                v = m
-            | Some _, [] | None, _ :: _ -> false)
-        script)
-
-(* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -395,31 +283,40 @@ let prop_engine_fifo_ties =
       in
       ran = expected)
 
-(* Model test for the indexed heap: random interleavings of scheduling
-   (with timestamp ties), cancellation, stepping and bounded runs,
-   checked against a sorted-list reference after every operation. *)
+(* Model test for the event queue: random interleavings of scheduling
+   (with timestamp ties and same-instant bursts, which the engine queues
+   as runs), cancellation, stepping and bounded runs, checked against a
+   sorted-list reference after every operation. *)
 type engine_op =
   | Sched of int  (** [schedule ~after] *)
   | Sched_at of int  (** [schedule_at], [now + d] *)
+  | Burst of int * int  (** [n] back-to-back [Sched_at d] *)
   | Sched_canceller of int * int
       (** as [Sched_at d]; the callback cancels the [k]-th handle
           created before it (mod their count) *)
+  | Sched_deferrer of int
+      (** as [Sched_at d]; the callback [defer]s an event at its own
+          instant *)
   | Cancel of int  (** the [k]-th handle ever created (mod count) *)
   | Cancel_rank of int
       (** the [r]-th pending event in dispatch order: 0 is the root *)
   | Cancel_last  (** the pending event that dispatches last *)
   | Step
   | Run_until of int  (** [run ~until:(now + d)] *)
+  | Run_max of int  (** [run ~max_events:k] *)
 
 let engine_op_print = function
   | Sched d -> Printf.sprintf "Sched %d" d
   | Sched_at d -> Printf.sprintf "Sched_at %d" d
+  | Burst (n, d) -> Printf.sprintf "Burst (%d, %d)" n d
   | Sched_canceller (d, k) -> Printf.sprintf "Sched_canceller (%d, %d)" d k
+  | Sched_deferrer d -> Printf.sprintf "Sched_deferrer %d" d
   | Cancel k -> Printf.sprintf "Cancel %d" k
   | Cancel_rank r -> Printf.sprintf "Cancel_rank %d" r
   | Cancel_last -> "Cancel_last"
   | Step -> "Step"
   | Run_until d -> Printf.sprintf "Run_until %d" d
+  | Run_max k -> Printf.sprintf "Run_max %d" k
 
 let engine_op_gen =
   let open QCheck2.Gen in
@@ -428,18 +325,22 @@ let engine_op_gen =
     [
       (4, map (fun d -> Sched d) delay);
       (2, map (fun d -> Sched_at d) delay);
+      (2, map2 (fun n d -> Burst (n, d)) (int_range 1 8) delay);
       (1, map2 (fun d k -> Sched_canceller (d, k)) delay small_nat);
+      (1, map (fun d -> Sched_deferrer d) delay);
       (2, map (fun k -> Cancel k) small_nat);
-      (2, map (fun r -> Cancel_rank r) (int_bound 6));
+      (2, map (fun r -> Cancel_rank r) (int_bound 10));
       (1, pure Cancel_last);
       (3, pure Step);
       (1, map (fun d -> Run_until d) delay);
+      (1, map (fun k -> Run_max k) (int_bound 5));
     ]
 
 (* Runs [ops] on a real engine and on the reference — a list of pending
    [(at, id)] sorted by dispatch order, ids being creation order and so
-   the engine's tie-break — and checks the dispatch log, [pending] and
-   [pending_high_water] after each operation. *)
+   the engine's tie-break — and checks the dispatch log, [pending],
+   [pending_high_water] and every handle's [is_pending] after each
+   operation. *)
 let engine_matches_model ops =
   let e = Engine.create () in
   let handles = Hashtbl.create 64 in
@@ -449,6 +350,8 @@ let engine_matches_model ops =
   let clock = ref 0 in
   let live = ref [] in
   let targets = Hashtbl.create 8 in
+  (* Deferrer id -> id of the event its callback deferred. *)
+  let spawned = Hashtbl.create 8 in
   let ref_log = ref [] in
   let ref_hwm = ref 0 in
   let ref_remove id = live := List.filter (fun (_, i) -> i <> id) !live in
@@ -463,22 +366,35 @@ let engine_matches_model ops =
         live := rest;
         clock := at;
         ref_log := id :: !ref_log;
-        Option.iter ref_remove (Hashtbl.find_opt targets id)
+        Option.iter ref_remove (Hashtbl.find_opt targets id);
+        Option.iter (ref_add at) (Hashtbl.find_opt spawned id)
   in
-  let add ?target ~at_ns schedule =
+  let fresh_id () =
     let id = !created in
     incr created;
+    id
+  in
+  (* Called from the callback of [parent]; the reference adds the event
+     when it dispatches [parent]. *)
+  let defer_from parent =
+    let id = fresh_id () in
+    Hashtbl.replace handles id (Engine.defer e (fun () -> log := id :: !log));
+    Hashtbl.replace spawned parent id
+  in
+  let add ?target ?(defers = false) ~at_ns schedule =
+    let id = fresh_id () in
     let callback () =
       log := id :: !log;
-      Option.iter (fun k -> Engine.cancel (Hashtbl.find handles k)) target
+      Option.iter (fun k -> Engine.cancel (Hashtbl.find handles k)) target;
+      if defers then defer_from id
     in
     Hashtbl.replace handles id (schedule callback);
     Option.iter (Hashtbl.replace targets id) target;
     ref_add at_ns id
   in
-  let add_at ?target d =
+  let add_at ?target ?defers d =
     let at_ns = !clock + d in
-    add ?target ~at_ns (Engine.schedule_at e ~at:(Time.of_ns at_ns))
+    add ?target ?defers ~at_ns (Engine.schedule_at e ~at:(Time.of_ns at_ns))
   in
   let cancel_id id =
     Engine.cancel (Hashtbl.find handles id);
@@ -488,9 +404,14 @@ let engine_matches_model ops =
     | Sched d ->
         add ~at_ns:(!clock + d) (Engine.schedule e ~after:(Time.span_ns d))
     | Sched_at d -> add_at d
+    | Burst (n, d) ->
+        for _ = 1 to n do
+          add_at d
+        done
     | Sched_canceller (d, k) ->
         let target = if !created = 0 then None else Some (k mod !created) in
         add_at ?target d
+    | Sched_deferrer d -> add_at ~defers:true d
     | Cancel k -> if !created > 0 then cancel_id (k mod !created)
     | Cancel_rank r -> (
         match List.nth_opt !live r with
@@ -514,6 +435,17 @@ let engine_matches_model ops =
         in
         drain ();
         clock := stop
+    | Run_max k ->
+        ignore (Engine.run ~max_events:k e);
+        for _ = 1 to k do
+          ref_dispatch ()
+        done
+  in
+  let pending_agrees () =
+    Hashtbl.fold
+      (fun id h ok ->
+        ok && Engine.is_pending h = List.exists (fun (_, i) -> i = id) !live)
+      handles true
   in
   List.for_all
     (fun op ->
@@ -521,10 +453,8 @@ let engine_matches_model ops =
       !log = !ref_log
       && Time.to_ns (Engine.now e) = !clock
       && Engine.pending e = List.length !live
-      && Engine.pending_high_water e <= !ref_hwm
-      && List.for_all
-           (fun (_, id) -> Engine.is_pending (Hashtbl.find handles id))
-           !live)
+      && Engine.pending_high_water e = !ref_hwm
+      && pending_agrees ())
     ops
   &&
   (* Whatever is left drains in reference order. *)
@@ -540,6 +470,12 @@ let prop_engine_model =
     QCheck2.Gen.(list_size (int_bound 60) engine_op_gen)
     engine_matches_model
 
+let check_model cases =
+  List.iter
+    (fun (name, ops) ->
+      Alcotest.(check bool) name true (engine_matches_model ops))
+    cases
+
 (* The shapes the model property must not leave to chance, spelled out:
    cancelling the root, the last slot (increasing keys never sift, so
    the newest event sits there), an interior slot, an already-dispatched
@@ -547,9 +483,7 @@ let prop_engine_model =
    another pending event. *)
 let test_engine_model_directed () =
   let fill = List.init 12 (fun i -> Sched_at (i + 1)) in
-  List.iter
-    (fun (name, ops) ->
-      Alcotest.(check bool) name true (engine_matches_model ops))
+  check_model
     [
       ("root", fill @ [ Cancel_rank 0; Step; Step ]);
       ("last slot", fill @ [ Cancel 11; Sched 0; Step ]);
@@ -561,31 +495,75 @@ let test_engine_model_directed () =
       ("ties", [ Sched 1; Sched 1; Sched_at 1; Cancel 1; Sched 1; Run_until 2 ]);
     ]
 
-(* The queue holds no reference to cancelled events: 10,000 cancelled
-   60 s timers must leave nothing reachable before their instant. *)
+(* The same for runs — events enqueued back to back for one instant,
+   which share a heap entry: the head cancelled while it has followers,
+   a middle member, the tail followed by a new event for its instant,
+   two runs for one instant split by an event for another, a bounded
+   run that stops inside a run, and callbacks that defer or cancel
+   inside one. *)
+let test_engine_runs_directed () =
+  check_model
+    [
+      ( "head with followers",
+        [ Sched_at 1; Burst (4, 2); Cancel 1; Cancel_rank 0; Step; Cancel_rank 0; Step ]
+      );
+      ("middle member", [ Burst (5, 1); Cancel 2; Cancel 3; Step; Step; Step ]);
+      ( "tail, then its instant again",
+        [ Burst (3, 1); Cancel 2; Sched_at 1; Cancel_last; Burst (2, 1); Step ]
+      );
+      ( "two runs, one instant",
+        [ Burst (3, 2); Sched_at 1; Burst (3, 2); Sched_at 3; Run_until 3 ] );
+      ( "stop mid-run",
+        [ Burst (6, 1); Run_max 2; Burst (2, 0); Run_max 3; Cancel_rank 1; Step ]
+      );
+      ( "defer inside a run",
+        [ Burst (2, 1); Sched_deferrer 1; Burst (2, 1); Run_until 1 ] );
+      ("defer from the tail", [ Burst (2, 1); Sched_deferrer 1; Run_max 3; Step ]);
+      ( "callback cancels its follower",
+        [ Burst (2, 1); Sched_canceller (1, 3); Sched_at 1; Run_until 1 ] );
+    ]
+
+(* The queue holds no reference to events that have left it: 10,000
+   cancelled 60 s timers must leave nothing reachable before their
+   instant, and neither may dispatched ones. The timers share one
+   instant, so they queue as one run; with every other one cancelled
+   out of the middle of it, the survivors still dispatch in order. The
+   caller keeps the handle of timer 1, the run's head once timer 0 is
+   gone, and it may keep only its own callback alive. *)
 let test_engine_cancel_releases () =
   let n = 10_000 in
   let e = Engine.create () in
   let weak = Weak.create n in
-  let[@inline never] schedule_and_cancel () =
+  let log = ref [] in
+  let[@inline never] schedule_and_cancel ~keep =
     let hs =
       Array.init n (fun i ->
           let block = Bytes.create 64 in
           Weak.set weak i (Some block);
           Engine.schedule e ~after:(Time.span_s 60) (fun () ->
-              ignore (Sys.opaque_identity block)))
+              ignore (Sys.opaque_identity block);
+              log := i :: !log))
     in
-    Array.iter Engine.cancel hs
+    Array.iteri (fun i h -> if not (keep i) then Engine.cancel h) hs;
+    hs.(1)
   in
-  schedule_and_cancel ();
-  Gc.full_major ();
-  let retained = ref 0 in
-  for i = 0 to n - 1 do
-    if Weak.check weak i then incr retained
-  done;
-  Alcotest.(check int) "blocks still reachable" 0 !retained;
+  let reachable () =
+    Gc.full_major ();
+    List.filter (Weak.check weak) (List.init n Fun.id)
+  in
+  let held = schedule_and_cancel ~keep:(fun _ -> false) in
+  Alcotest.(check (list int)) "cancelled blocks reachable" [ 1 ] (reachable ());
   Alcotest.(check int) "pending" 0 (Engine.pending e);
-  Alcotest.(check bool) "drained" true (Engine.run e = Engine.Drained)
+  Alcotest.(check bool) "drained" true (Engine.run e = Engine.Drained);
+  let odd i = i mod 2 = 1 in
+  let held' = schedule_and_cancel ~keep:odd in
+  let survivors = List.filter odd (List.init n Fun.id) in
+  Alcotest.(check (list int)) "reachable: the survivors" survivors (reachable ());
+  Alcotest.(check int) "pending survivors" (n / 2) (Engine.pending e);
+  Alcotest.(check bool) "drained again" true (Engine.run e = Engine.Drained);
+  Alcotest.(check (list int)) "survivors in order" survivors (List.rev !log);
+  Alcotest.(check (list int)) "dispatched blocks reachable" [ 1 ] (reachable ());
+  ignore (Sys.opaque_identity (held, held'))
 
 (* ------------------------------------------------------------------ *)
 (* Trace                                                               *)
@@ -745,19 +723,6 @@ let () =
           Alcotest.test_case "invalid" `Quick test_time_invalid;
           Alcotest.test_case "pp" `Quick test_time_pp;
         ] );
-      ( "heap",
-        [
-          Alcotest.test_case "basic" `Quick test_heap_basic;
-          Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
-          Alcotest.test_case "fold" `Quick test_heap_fold;
-        ]
-        @ qsuite
-            [
-              prop_heap_sorts;
-              prop_heap_interleaved;
-              prop_heap_stable_under_ties;
-              prop_heap_ties_interleaved;
-            ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
@@ -781,6 +746,7 @@ let () =
           Alcotest.test_case "event failure" `Quick test_engine_event_failure;
           Alcotest.test_case "model, directed" `Quick
             test_engine_model_directed;
+          Alcotest.test_case "runs, directed" `Quick test_engine_runs_directed;
           Alcotest.test_case "cancel releases" `Quick
             test_engine_cancel_releases;
         ]
