@@ -1,257 +1,5 @@
-(** Shared JSON value type, emitter and strict reader for the bench
-    harness. Lives in its own library (rather than inside [main.ml])
-    so the test suite can round-trip {!Obs.Json_str.escape} output
-    through the exact parser that consumes the benchmark artifacts. *)
-
-(* Hand-rolled emitter (no JSON library in the tree): every subcommand
-   builds one of these and [--json <path>] writes it out, so CI and
-   plotting scripts consume machine-readable results instead of
-   scraping the tables. *)
-module Json = struct
-  type t =
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  (* One escaper for the whole tree (Chrome traces, journal JSONL,
-     speedscope, this emitter) — see Obs.Json_str. *)
-  let escape = Obs.Json_str.escape
-
-  let float_repr f =
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.1f" f
-    else Printf.sprintf "%.6g" f
-
-  let rec write buf = function
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int n -> Buffer.add_string buf (string_of_int n)
-    | Float f -> Buffer.add_string buf (float_repr f)
-    | Str s ->
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape s);
-        Buffer.add_char buf '"'
-    | List xs ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_char buf ',';
-            write buf x)
-          xs;
-        Buffer.add_char buf ']'
-    | Obj fields ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char buf ',';
-            write buf (Str k);
-            Buffer.add_char buf ':';
-            write buf v)
-          fields;
-        Buffer.add_char buf '}'
-
-  let to_string j =
-    let buf = Buffer.create 4096 in
-    write buf j;
-    Buffer.add_char buf '\n';
-    Buffer.contents buf
-
-  (* [--json some/new/dir/out.json] must not fail on the missing
-     directory — CI drops artifacts into per-run folders. *)
-  let rec mkdirs dir =
-    if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir)
-    then begin
-      mkdirs (Filename.dirname dir);
-      Sys.mkdir dir 0o755
-    end
-
-  let to_file path j =
-    mkdirs (Filename.dirname path);
-    let oc = open_out path in
-    output_string oc (to_string j);
-    close_out oc
-end
-
-(* Minimal JSON reader for our own emitter's output (the tree has no
-   JSON library). Accepts standard JSON; \u escapes outside the Latin-1
-   range are rejected — our emitter never produces them. *)
-module Json_in = struct
-  exception Parse_error of string
-
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg =
-      raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos))
-    in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let skip_ws () =
-      while
-        !pos < n
-        && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-      do
-        incr pos
-      done
-    in
-    let expect c =
-      if !pos < n && s.[!pos] = c then incr pos
-      else fail (Printf.sprintf "expected %C" c)
-    in
-    let lit word v =
-      let len = String.length word in
-      if !pos + len <= n && String.sub s !pos len = word then begin
-        pos := !pos + len;
-        v
-      end
-      else fail ("expected " ^ word)
-    in
-    let string_lit () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string";
-        match s.[!pos] with
-        | '"' ->
-            incr pos;
-            Buffer.contents buf
-        | '\\' ->
-            incr pos;
-            if !pos >= n then fail "truncated escape";
-            (match s.[!pos] with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | '/' -> Buffer.add_char buf '/'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'r' -> Buffer.add_char buf '\r'
-            | 'b' -> Buffer.add_char buf '\b'
-            | 'f' -> Buffer.add_char buf '\012'
-            | 'u' ->
-                if !pos + 4 >= n then fail "truncated \\u escape";
-                let code =
-                  match
-                    int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4)
-                  with
-                  | Some c -> c
-                  | None -> fail "bad \\u escape"
-                in
-                if code > 0xff then fail "\\u escape beyond Latin-1";
-                Buffer.add_char buf (Char.chr code);
-                pos := !pos + 4
-            | c -> fail (Printf.sprintf "bad escape \\%c" c));
-            incr pos;
-            go ()
-        | c ->
-            Buffer.add_char buf c;
-            incr pos;
-            go ()
-      in
-      go ()
-    in
-    let number () =
-      let start = !pos in
-      let is_num = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while !pos < n && is_num s.[!pos] do
-        incr pos
-      done;
-      if !pos = start then fail "expected a value";
-      let tok = String.sub s start (!pos - start) in
-      match int_of_string_opt tok with
-      | Some i -> Json.Int i
-      | None -> (
-          match float_of_string_opt tok with
-          | Some f -> Json.Float f
-          | None -> fail ("bad number " ^ tok))
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' -> obj ()
-      | Some '[' -> arr ()
-      | Some '"' -> Json.Str (string_lit ())
-      | Some 't' -> lit "true" (Json.Bool true)
-      | Some 'f' -> lit "false" (Json.Bool false)
-      | Some 'n' -> lit "null" (Json.Obj [])
-      | Some _ -> number ()
-      | None -> fail "unexpected end of input"
-    and arr () =
-      expect '[';
-      skip_ws ();
-      if peek () = Some ']' then begin
-        incr pos;
-        Json.List []
-      end
-      else begin
-        let items = ref [] in
-        let rec go () =
-          items := value () :: !items;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-              incr pos;
-              go ()
-          | Some ']' -> incr pos
-          | _ -> fail "expected ',' or ']'"
-        in
-        go ();
-        Json.List (List.rev !items)
-      end
-    and obj () =
-      expect '{';
-      skip_ws ();
-      if peek () = Some '}' then begin
-        incr pos;
-        Json.Obj []
-      end
-      else begin
-        let fields = ref [] in
-        let rec go () =
-          skip_ws ();
-          let k = string_lit () in
-          skip_ws ();
-          expect ':';
-          let v = value () in
-          fields := (k, v) :: !fields;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-              incr pos;
-              go ()
-          | Some '}' -> incr pos
-          | _ -> fail "expected ',' or '}'"
-        in
-        go ();
-        Json.Obj (List.rev !fields)
-      end
-    in
-    let v = value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing input";
-    v
-
-  let of_file path =
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    parse s
-
-  let member k = function Json.Obj fields -> List.assoc_opt k fields | _ -> None
-
-  let to_int = function
-    | Some (Json.Int i) -> Some i
-    | Some (Json.Float f) when Float.is_integer f -> Some (int_of_float f)
-    | _ -> None
-
-  let to_float = function
-    | Some (Json.Float f) -> Some f
-    | Some (Json.Int i) -> Some (float_of_int i)
-    | _ -> None
-
-  let to_str = function Some (Json.Str s) -> Some s | _ -> None
-end
+(* Kept only because benchmark/ names this library and its two modules;
+   that directory changes only with the benchmark itself. Everything
+   else uses Obs.Json directly. *)
+module Json = Obs.Json
+module Json_in = Obs.Json

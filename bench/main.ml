@@ -26,8 +26,9 @@
 
    Every subcommand writes its results as machine-readable JSON — to
    BENCH_<name>.json by default, or wherever [--json PATH] points
-   (creating missing parent directories) — and prints the path on
-   success; schemas in EXPERIMENTS.md. [scale] additionally takes
+   (creating missing parent directories) — reads it back through the
+   strict Obs.Json reader (exit 1 if it does not parse) and prints the
+   path on success; schemas in EXPERIMENTS.md. [scale] additionally takes
    [--smoke] (tiny sweep for CI), [--seeds N] and [--txns N].
    [breakdown] drops one Chrome trace per protocol under BENCH_traces/
    and exits nonzero if the measured critical-path force/message counts
@@ -50,11 +51,16 @@ let section title =
 (* JSON output                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* JSON emitter + strict reader, shared with the test suite (see
-   bench/bench_json.ml). Aliased so the subcommands below read as
-   before. *)
-module Json = Bench_json.Json
-module Json_in = Bench_json.Json_in
+module Json = Obs.Json
+
+(* Every artifact the bench writes must read back through the strict
+   reader; a failure names the file. *)
+let reads_back path =
+  match Json.of_file path with
+  | _ -> true
+  | exception Json.Parse_error msg ->
+      Fmt.epr "bench: %s is invalid JSON: %s@." path msg;
+      false
 
 (* ------------------------------------------------------------------ *)
 (* E1 — Table I                                                        *)
@@ -534,73 +540,31 @@ let faults () =
   section
     "A5: crash-point outcomes (one CREATE, crash every 2ms; every cell \
      passed atomicity + invariant checks)";
-  let grid = List.init 31 (fun i -> 2 * i) in
-  let rows = ref [] in
-  List.iter
-    (fun protocol ->
-      List.iter
-        (fun server ->
-          let cells =
-            List.map
-              (fun ms ->
-                let config =
-                  {
-                    Opc.Config.default with
-                    servers = 2;
-                    protocol;
-                    placement = Opc.Mds.Placement.Spread;
-                    txn_timeout = Opc.Simkit.Time.span_ms 300;
-                    heartbeat_interval = Opc.Simkit.Time.span_ms 20;
-                    detector_timeout = Opc.Simkit.Time.span_ms 100;
-                    restart_delay = Opc.Simkit.Time.span_ms 50;
-                  }
-                in
-                let cluster = Opc.Cluster.create config in
-                let dir =
-                  Opc.Cluster.add_directory cluster
-                    ~parent:(Opc.Cluster.root cluster)
-                    ~name:"d" ~server:0 ()
-                in
-                let outcome = ref None in
-                Opc.Cluster.submit cluster
-                  (Opc.Mds.Op.create_file ~parent:dir ~name:"f")
-                  ~on_done:(fun o -> outcome := Some o);
-                Opc.Fault.crash_at cluster ~server
-                  ~at:(Opc.Simkit.Time.of_ns (ms * 1_000_000));
-                (match Opc.Cluster.settle cluster with
-                | Opc.Cluster.Quiescent -> ()
-                | _ -> failwith "faults: did not settle");
-                (match Opc.Cluster.check_invariants cluster with
-                | [] -> ()
-                | _ -> failwith "faults: invariant violation");
-                match !outcome with
-                | Some Opc.Acp.Txn.Committed -> "C"
-                | Some (Opc.Acp.Txn.Aborted _) -> "A"
-                | None -> failwith "faults: no reply")
-              grid
-          in
-          Fmt.pr "%-4s crash %s  %s@."
-            (Opc.Acp.Protocol.name protocol)
-            (if server = 0 then "coord " else "worker")
-            (String.concat "" cells);
-          rows :=
-            Json.Obj
-              [
-                ("protocol", Json.Str (Opc.Acp.Protocol.name protocol));
-                ( "crashed",
-                  Json.Str (if server = 0 then "coordinator" else "worker") );
-                ("outcomes", Json.Str (String.concat "" cells));
-              ]
-            :: !rows)
-        [ 0; 1 ])
-    Opc.Acp.Protocol.all;
+  let rows =
+    List.map
+      (fun (protocol, server, cells) ->
+        let name = Opc.Acp.Protocol.name protocol in
+        Fmt.pr "%-4s crash %s  %s@." name
+          (if server = 0 then "coord " else "worker")
+          cells;
+        Json.Obj
+          [
+            ("protocol", Json.Str name);
+            ( "crashed",
+              Json.Str (if server = 0 then "coordinator" else "worker") );
+            ("outcomes", Json.Str cells);
+          ])
+      (Opc.Experiment.run_fault_matrix ())
+  in
   Fmt.pr "(time axis: 0..60ms in 2ms steps; 1PC always commits because \
           the coordinator re-executes from its REDO record)@.";
   Json.Obj
     [
       ("benchmark", Json.Str "faults");
-      ("grid_ms", Json.List (List.map (fun ms -> Json.Int ms) grid));
-      ("rows", Json.List (List.rev !rows));
+      ( "grid_ms",
+        Json.List
+          (List.map (fun ms -> Json.Int ms) Opc.Experiment.fault_grid_ms) );
+      ("rows", Json.List rows);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -777,13 +741,8 @@ let profile ~smoke ~txns () =
         Obs.Prof.speedscope_to_file ~path:speedscope
           ~name:(Fmt.str "%s scale point (%d servers)" name servers)
           r;
-        (* The speedscope file must itself be JSON our own strict parser
-           accepts — catches escaping bugs at bench time, not in the
-           browser. *)
-        (try ignore (Json_in.of_file speedscope)
-         with Json_in.Parse_error msg ->
-           Fmt.epr "profile: %s is invalid JSON: %s@." speedscope msg;
-           ok := false);
+        (* Catches escaping bugs at bench time, not in the browser. *)
+        if not (reads_back speedscope) then ok := false;
         Fmt.pr "wrote %s@." speedscope;
         Json.Obj
           [
@@ -955,14 +914,6 @@ let scale ~smoke ~seeds ~txns () =
 (* Timeline — recovery journal, gauges, MTTR                           *)
 (* ------------------------------------------------------------------ *)
 
-let write_jsonl path entries =
-  Json.mkdirs (Filename.dirname path);
-  let oc = open_out path in
-  List.iter
-    (fun e -> output_string oc (Fmt.str "%a\n" Obs.Journal.pp_entry e))
-    entries;
-  close_out oc
-
 let series_json series =
   let rows = ref [] in
   Obs.Timeseries.iter
@@ -1052,7 +1003,7 @@ let timeline ~smoke () =
               ])
           p.windows;
         let journal_path = Fmt.str "BENCH_timeline.%s.jsonl" name in
-        write_jsonl journal_path p.journal;
+        Json.lines_to_file journal_path (List.map Obs.Journal.to_json p.journal);
         Json.Obj
           [
             ("protocol", Json.Str name);
@@ -1242,13 +1193,13 @@ let regression_check ~against ~tolerance () =
     exit 2
   end;
   let baseline =
-    try Json_in.of_file against
-    with Json_in.Parse_error msg ->
+    try Json.of_file against
+    with Json.Parse_error msg ->
       Fmt.epr "bench check: cannot parse %s: %s@." against msg;
       exit 2
   in
   let points =
-    match Json_in.member "points" baseline with
+    match Json.member "points" baseline with
     | Some (Json.List l) -> l
     | _ ->
         Fmt.epr "bench check: %s has no \"points\" array@." against;
@@ -1263,16 +1214,16 @@ let regression_check ~against ~tolerance () =
            events_per_s is the fallback for baselines predating the
            field. *)
         let eps_field =
-          match Json_in.(to_float (member "events_per_cpu_s" p)) with
+          match Json.(to_float (member "events_per_cpu_s" p)) with
           | Some _ as v -> v
-          | None -> Json_in.(to_float (member "events_per_s" p))
+          | None -> Json.(to_float (member "events_per_s" p))
         in
         match
-          ( Json_in.(to_str (member "protocol" p)),
-            Json_in.(to_int (member "servers" p)),
-            Json_in.(to_int (member "seed" p)),
-            Json_in.(to_int (member "txns" p)),
-            Json_in.(to_int (member "events" p)),
+          ( Json.(to_str (member "protocol" p)),
+            Json.(to_int (member "servers" p)),
+            Json.(to_int (member "seed" p)),
+            Json.(to_int (member "txns" p)),
+            Json.(to_int (member "events" p)),
             eps_field )
         with
         | Some proto, Some servers, Some seed, Some txns, Some events, Some eps
@@ -1340,7 +1291,7 @@ let regression_check ~against ~tolerance () =
       let attribution =
         if ok then []
         else
-          match Json_in.member "profile" baseline with
+          match Json.member "profile" baseline with
           | None ->
               Fmt.pr
                 "  subsystem attribution unavailable: baseline has no \
@@ -1349,20 +1300,20 @@ let regression_check ~against ~tolerance () =
           | Some bprof -> (
               let base_prof_events =
                 Option.value ~default:base_events
-                  Json_in.(to_int (member "events" bprof))
+                  Json.(to_int (member "events" bprof))
               in
               let base_total_cpu =
                 Option.value ~default:0
-                  Json_in.(to_int (member "total_cpu_ns" bprof))
+                  Json.(to_int (member "total_cpu_ns" bprof))
               in
               let base_subs =
-                match Json_in.member "subsystems" bprof with
+                match Json.member "subsystems" bprof with
                 | Some (Json.List l) ->
                     List.filter_map
                       (fun s ->
                         match
-                          ( Json_in.(to_str (member "subsystem" s)),
-                            Json_in.(to_int (member "cpu_ns" s)) )
+                          ( Json.(to_str (member "subsystem" s)),
+                            Json.(to_int (member "cpu_ns" s)) )
                         with
                         | Some name, Some cpu -> Some (name, cpu)
                         | _ -> None)
@@ -2168,198 +2119,127 @@ let all () =
   Json.Obj
     (List.map (fun (name, f) -> (name, f ())) (Lazy.force subcommands))
 
-let usage () =
-  Fmt.epr
-    "usage: bench [SUBCOMMAND] [--json PATH] [--smoke] [--seeds N] \
-     [--txns N] [--against PATH] [--tolerance F] \
-     [--unbounded] [--impossible-slo] [--inflated-floors]@.subcommands: \
-     all (default) | scale | breakdown | timeline | profile | check | \
-     overload | drill | coverage | \
-     %s@.scale flags: --smoke (tiny sweep), --seeds N (default 2), \
-     --txns N per point (default 20000)@.breakdown flags: --smoke (5 \
-     txns/protocol), --txns N per protocol (default 20), \
-     --wrong-l1pc-row (negative control: corrupt the expected L1PC row \
-     so the gate must trip)@.timeline \
-     flags: --smoke (1PC only)@.profile flags: --smoke (4 servers), \
-     --txns N per protocol (default 20000)@.check flags: --against \
-     PATH (default BENCH_scale.json), --tolerance F (default \
-     0.15)@.overload flags: --smoke (shorter sweep), --unbounded \
-     (disable admission control; the graceful-degradation gate should \
-     then fail)@.drill flags: --smoke (1PC and L1PC only, 3 seeds), \
-     --seeds N drills per protocol (default 5), --impossible-slo \
-     (negative control: zero budgets so the gate must trip)@.coverage \
-     flags: --smoke (4 seeds/protocol), --seeds N chaos seeds per \
-     protocol (default 25), --inflated-floors (negative control: \
-     floors past 100%% so the gate must trip, naming never-hit \
-     edges)@.every \
-     subcommand writes BENCH_<name>.json (override \
-     with --json) and prints the path@."
-    (String.concat " | " (List.map fst (Lazy.force subcommands)))
-
 let () =
-  let command = ref None in
-  let json_path = ref None in
-  let smoke = ref false in
-  let seeds = ref 2 in
-  let seeds_set = ref false in
-  let txns = ref 20_000 in
-  let txns_set = ref false in
-  let impossible_slo = ref false in
-  let against = ref "BENCH_scale.json" in
-  let tolerance = ref 0.15 in
-  let unbounded = ref false in
-  let wrong_l1pc_row = ref false in
-  let inflated_floors = ref false in
-  let bad fmt =
-    Fmt.kstr
-      (fun msg ->
-        Fmt.epr "bench: %s@." msg;
-        usage ();
-        exit 2)
-      fmt
+  let command = ref None and json_path = ref None and smoke = ref false in
+  let seeds = ref None and txns = ref None in
+  let against = ref "BENCH_scale.json" and tolerance = ref 0.15 in
+  let unbounded = ref false and impossible_slo = ref false in
+  let wrong_l1pc_row = ref false and inflated_floors = ref false in
+  let positive flag r =
+    Arg.Int
+      (fun n ->
+        if n > 0 then r := Some n
+        else
+          raise
+            (Arg.Bad (Fmt.str "%s expects a positive integer, got %d" flag n)))
   in
-  let int_arg name v =
-    match int_of_string_opt v with
-    | Some n when n > 0 -> n
-    | _ -> bad "%s expects a positive integer, got %S" name v
+  let specs =
+    Arg.align
+      [
+        ( "--json",
+          Arg.String (fun p -> json_path := Some p),
+          "PATH write the artifact here (default BENCH_<name>.json)" );
+        ( "--smoke",
+          Arg.Set smoke,
+          " CI-sized run: scale (tiny sweep), breakdown (5 txns/protocol), \
+           timeline (1PC only), profile (4 servers), overload (shorter \
+           sweep), drill (1PC and L1PC, 3 seeds), coverage (4 \
+           seeds/protocol)" );
+        ( "--seeds",
+          positive "--seeds" seeds,
+          "N scale seeds (default 2), drills per protocol (default 5) or \
+           chaos seeds per protocol for coverage (default 25)" );
+        ( "--txns",
+          positive "--txns" txns,
+          "N txns per scale point (default 20000), per breakdown protocol \
+           (default 20) or per profile protocol (default 20000)" );
+        ( "--against",
+          Arg.Set_string against,
+          "PATH check: the baseline (default BENCH_scale.json)" );
+        ( "--tolerance",
+          Arg.Float
+            (fun f ->
+              if f >= 0.0 && f < 1.0 then tolerance := f
+              else
+                raise
+                  (Arg.Bad
+                     (Fmt.str "--tolerance expects a float in [0, 1), got %g"
+                        f))),
+          "F check: allowed events/s drop (default 0.15)" );
+        ( "--unbounded",
+          Arg.Set unbounded,
+          " overload: disable admission control (the gate must then fail)" );
+        ( "--wrong-l1pc-row",
+          Arg.Set wrong_l1pc_row,
+          " breakdown negative control: corrupt the expected L1PC row" );
+        ( "--impossible-slo",
+          Arg.Set impossible_slo,
+          " drill negative control: zero budgets so the gate must trip" );
+        ( "--inflated-floors",
+          Arg.Set inflated_floors,
+          " coverage negative control: floors past 100%, naming never-hit \
+           edges" );
+      ]
   in
-  let rec parse i =
-    if i < Array.length Sys.argv then begin
-      let next_value name =
-        if i + 1 >= Array.length Sys.argv then bad "%s needs a value" name
-        else Sys.argv.(i + 1)
-      in
-      match Sys.argv.(i) with
-      | "--json" ->
-          json_path := Some (next_value "--json");
-          parse (i + 2)
-      | "--smoke" ->
-          smoke := true;
-          parse (i + 1)
-      | "--unbounded" ->
-          unbounded := true;
-          parse (i + 1)
-      | "--wrong-l1pc-row" ->
-          wrong_l1pc_row := true;
-          parse (i + 1)
-      | "--inflated-floors" ->
-          inflated_floors := true;
-          parse (i + 1)
-      | "--seeds" ->
-          seeds := int_arg "--seeds" (next_value "--seeds");
-          seeds_set := true;
-          parse (i + 2)
-      | "--impossible-slo" ->
-          impossible_slo := true;
-          parse (i + 1)
-      | "--txns" ->
-          txns := int_arg "--txns" (next_value "--txns");
-          txns_set := true;
-          parse (i + 2)
-      | "--against" ->
-          against := next_value "--against";
-          parse (i + 2)
-      | "--tolerance" ->
-          (match float_of_string_opt (next_value "--tolerance") with
-          | Some f when f >= 0.0 && f < 1.0 -> tolerance := f
-          | _ ->
-              bad "--tolerance expects a float in [0, 1), got %S"
-                (next_value "--tolerance"));
-          parse (i + 2)
-      | arg when String.length arg > 0 && arg.[0] = '-' ->
-          bad "unknown flag %S" arg
-      | arg -> (
-          match !command with
-          | None ->
-              command := Some arg;
-              parse (i + 1)
-          | Some _ -> bad "more than one subcommand (%S)" arg)
-    end
+  let usage =
+    Fmt.str
+      "usage: bench [SUBCOMMAND] [FLAGS]\n\
+       subcommands: all (default) | scale | breakdown | timeline | profile \
+       | check | overload | drill | coverage | %s\n\
+       every subcommand writes BENCH_<name>.json and prints the path"
+      (String.concat " | " (List.map fst (Lazy.force subcommands)))
   in
-  parse 1;
-  (* Every subcommand leaves a JSON artifact and says where it went —
-     CI and scripts never have to guess the default path. *)
-  let emit ~default json =
-    let path = Option.value !json_path ~default in
-    Json.to_file path json;
-    Fmt.pr "wrote %s@." path
+  Arg.parse specs
+    (fun arg ->
+      if !command = None then command := Some arg
+      else raise (Arg.Bad (Fmt.str "more than one subcommand (%S)" arg)))
+    usage;
+  let smoke = !smoke in
+  let pick r ~smoke:small ~full =
+    match r with Some n -> n | None -> if smoke then small else full
   in
-  match Option.value !command ~default:"all" with
-  | "all" -> emit ~default:"BENCH_all.json" (all ())
-  | "scale" ->
-      (* 10k txns keeps the smoke sweep a few seconds while making each
-         timed window ~0.3 s — long enough for `bench check` to
-         re-measure a point without transients dominating. *)
-      if !smoke then txns := min !txns 10_000;
-      if !smoke then seeds := 1;
-      emit ~default:"BENCH_scale.json"
-        (scale ~smoke:!smoke ~seeds:!seeds ~txns:!txns ())
-  | "breakdown" ->
-      let count =
-        if !txns_set then !txns else if !smoke then 5 else 20
-      in
-      let json, ok = breakdown ~wrong_l1pc_row:!wrong_l1pc_row ~count () in
-      emit ~default:"BENCH_breakdown.json" json;
-      if not ok then exit 1
-  | "timeline" ->
-      let json, ok = timeline ~smoke:!smoke () in
-      emit ~default:"BENCH_timeline.json" json;
-      if not ok then exit 1
-  | "profile" ->
-      if !smoke && not !txns_set then txns := 10_000;
-      let json, ok = profile ~smoke:!smoke ~txns:!txns () in
-      emit ~default:"BENCH_profile.json" json;
-      (* Round-trip the artifact through our own strict parser, like the
-         per-protocol speedscope files above. *)
-      let path = Option.value !json_path ~default:"BENCH_profile.json" in
-      (try ignore (Json_in.of_file path)
-       with Json_in.Parse_error msg ->
-         Fmt.epr "profile: %s is invalid JSON: %s@." path msg;
-         exit 1);
-      if not ok then exit 1
-  | "check" ->
-      let json, ok =
-        regression_check ~against:!against ~tolerance:!tolerance ()
-      in
-      emit ~default:"BENCH_check.json" json;
-      if not ok then exit 1
-  | "overload" ->
-      let json, ok = overload ~smoke:!smoke ~unbounded:!unbounded () in
-      emit ~default:"BENCH_overload.json" json;
-      (* Round-trip the artifact through our own strict parser. *)
-      let path = Option.value !json_path ~default:"BENCH_overload.json" in
-      (try ignore (Json_in.of_file path)
-       with Json_in.Parse_error msg ->
-         Fmt.epr "overload: %s is invalid JSON: %s@." path msg;
-         exit 1);
-      if not ok then exit 1
-  | "drill" ->
-      let drill_seeds =
-        if !seeds_set then !seeds else if !smoke then 3 else 5
-      in
-      let json, ok =
-        drill ~smoke:!smoke ~seeds:drill_seeds
+  let name = Option.value !command ~default:"all" in
+  let json, ok =
+    match name with
+    | "all" -> (all (), true)
+    | "scale" ->
+        (* 10k txns keeps the smoke sweep a few seconds while making each
+           timed window ~0.3 s — long enough for `bench check` to
+           re-measure a point without transients dominating. *)
+        let txns = Option.value !txns ~default:20_000 in
+        ( scale ~smoke
+            ~seeds:(if smoke then 1 else Option.value !seeds ~default:2)
+            ~txns:(if smoke then min txns 10_000 else txns)
+            (),
+          true )
+    | "breakdown" ->
+        breakdown ~wrong_l1pc_row:!wrong_l1pc_row
+          ~count:(pick !txns ~smoke:5 ~full:20)
+          ()
+    | "timeline" -> timeline ~smoke ()
+    | "profile" ->
+        profile ~smoke ~txns:(pick !txns ~smoke:10_000 ~full:20_000) ()
+    | "check" -> regression_check ~against:!against ~tolerance:!tolerance ()
+    | "overload" -> overload ~smoke ~unbounded:!unbounded ()
+    | "drill" ->
+        drill ~smoke
+          ~seeds:(pick !seeds ~smoke:3 ~full:5)
           ~impossible_slo:!impossible_slo ()
-      in
-      emit ~default:"BENCH_drill.json" json;
-      if not ok then exit 1
-  | "coverage" ->
-      let cov_seeds =
-        if !seeds_set then !seeds else if !smoke then 4 else 25
-      in
-      let json, ok =
-        coverage ~smoke:!smoke ~seeds:cov_seeds
+    | "coverage" ->
+        coverage ~smoke
+          ~seeds:(pick !seeds ~smoke:4 ~full:25)
           ~inflated_floors:!inflated_floors ()
-      in
-      emit ~default:"BENCH_coverage.json" json;
-      (* Round-trip the artifact through our own strict parser. *)
-      let path = Option.value !json_path ~default:"BENCH_coverage.json" in
-      (try ignore (Json_in.of_file path)
-       with Json_in.Parse_error msg ->
-         Fmt.epr "coverage: %s is invalid JSON: %s@." path msg;
-         exit 1);
-      if not ok then exit 1
-  | name -> (
-      match List.assoc_opt name (Lazy.force subcommands) with
-      | Some f -> emit ~default:("BENCH_" ^ name ^ ".json") (f ())
-      | None -> bad "unknown experiment %S" name)
+    | name -> (
+        match List.assoc_opt name (Lazy.force subcommands) with
+        | Some f -> (f (), true)
+        | None ->
+            Fmt.epr "bench: unknown experiment %S@." name;
+            Arg.usage specs usage;
+            exit 2)
+  in
+  (* Every subcommand leaves a JSON artifact and says where it went. *)
+  let path = Option.value !json_path ~default:("BENCH_" ^ name ^ ".json") in
+  Json.to_file path json;
+  if not (reads_back path) then exit 1;
+  Fmt.pr "wrote %s@." path;
+  if not ok then exit 1

@@ -310,56 +310,13 @@ let faults () =
      2 ms,@.coordinator and worker, all protocols. C = committed, A = \
      aborted;@.every cell also passed the atomicity and invariant \
      checks.@.@.";
-  let grid = List.init 31 (fun i -> 2 * i) in
   List.iter
-    (fun protocol ->
-      List.iter
-        (fun server ->
-          let cells =
-            List.map
-              (fun ms ->
-                let config =
-                  {
-                    Opc.Config.default with
-                    servers = 2;
-                    protocol;
-                    placement = Opc.Mds.Placement.Spread;
-                    txn_timeout = Opc.Simkit.Time.span_ms 300;
-                    heartbeat_interval = Opc.Simkit.Time.span_ms 20;
-                    detector_timeout = Opc.Simkit.Time.span_ms 100;
-                    restart_delay = Opc.Simkit.Time.span_ms 50;
-                  }
-                in
-                let cluster = Opc.Cluster.create config in
-                let dir =
-                  Opc.Cluster.add_directory cluster
-                    ~parent:(Opc.Cluster.root cluster)
-                    ~name:"d" ~server:0 ()
-                in
-                let outcome = ref None in
-                Opc.Cluster.submit cluster
-                  (Opc.Mds.Op.create_file ~parent:dir ~name:"f")
-                  ~on_done:(fun o -> outcome := Some o);
-                Opc.Fault.crash_at cluster ~server
-                  ~at:(Opc.Simkit.Time.of_ns (ms * 1_000_000));
-                (match Opc.Cluster.settle cluster with
-                | Opc.Cluster.Quiescent -> ()
-                | _ -> failwith "faults: did not settle");
-                (match Opc.Cluster.check_invariants cluster with
-                | [] -> ()
-                | _ -> failwith "faults: invariant violation");
-                match !outcome with
-                | Some Opc.Acp.Txn.Committed -> "C"
-                | Some (Opc.Acp.Txn.Aborted _) -> "A"
-                | None -> failwith "faults: no reply")
-              grid
-          in
-          Fmt.pr "%-4s crash %s  %s@."
-            (Opc.Acp.Protocol.name protocol)
-            (if server = 0 then "coord " else "worker")
-            (String.concat "" cells))
-        [ 0; 1 ])
-    Opc.Acp.Protocol.all;
+    (fun (protocol, server, cells) ->
+      Fmt.pr "%-4s crash %s  %s@."
+        (Opc.Acp.Protocol.name protocol)
+        (if server = 0 then "coord " else "worker")
+        cells)
+    (Opc.Experiment.run_fault_matrix ());
   Fmt.pr "@.(time axis: 0ms .. 60ms in 2ms steps)@."
 
 let faults_cmd =

@@ -19,7 +19,8 @@
 # 6. profile smoke: one host-profiled scale point per protocol; the
 #    bench exits nonzero unless every profile has buckets and telescopes
 #    exactly (buckets + residual == total CPU), and both BENCH_profile.json
-#    and the speedscope files re-parse through its own JSON reader;
+#    and the speedscope files re-parse through Obs.Json (every bench
+#    artifact does);
 # 7. perf-regression gate: re-measures the heaviest 1PC point from the
 #    BENCH_scale.json written in step 3 (same machine, same run) and
 #    fails if events/s drops more than 15% (a tighter bound sits inside
@@ -40,8 +41,8 @@
 # 10. autopsy smoke: force an oracle failure (unmeetable settle
 #    deadline) through bin/chaos --autopsy, demand a complete incident
 #    bundle (manifest, ring tail, journal, trace slice, MTTR, repro
-#    line) — the runner re-parses the bundle through its own reader
-#    before exiting, so a bundle that does not validate exits nonzero;
+#    line) — the runner re-parses the bundle through Obs.Json before
+#    exiting, so a bundle that does not validate exits nonzero;
 # 11. coverage gate: the full protocol-coverage observatory — chaos
 #    campaign + directed supplements + deterministic probes merged into
 #    one per-protocol transition bitmap; fails unless all five
@@ -52,6 +53,33 @@
 set -eu
 
 cd "$(dirname "$0")"
+
+# The negative controls' temp files; removed on exit, pass or fail.
+trap 'rm -rf BENCH_*.negative.* BENCH_*.inflated.json BENCH_*.unbounded.json AUTOPSY_smoke*' EXIT
+
+# must_print OUT PATTERN: file OUT must hold a line matching the grep
+# pattern PATTERN; the matching lines are echoed.
+must_print() {
+  if ! grep "$2" "$1"; then
+    cat "$1"
+    echo "FAIL: no line matching '$2' in $1" >&2
+    exit 1
+  fi
+}
+
+# must_trip OUT PATTERN CMD...: a negative control. CMD must exit
+# nonzero, and its output, kept in OUT, must match PATTERN.
+must_trip() {
+  out=$1 pattern=$2
+  shift 2
+  if "$@" > "$out" 2>&1; then
+    cat "$out"
+    echo "FAIL: negative control exited 0: $*" >&2
+    exit 1
+  fi
+  must_print "$out" "$pattern"
+  echo "the gate trips as expected"
+}
 
 echo "== dune build && dune runtest =="
 dune build
@@ -70,21 +98,9 @@ echo "== bench breakdown negative test (wrong L1PC row must fail) =="
 # A deliberately corrupted expected row for L1PC must trip the
 # cross-check: nonzero exit and a named mismatch. Proves the gate
 # compares instead of rubber-stamping.
-if dune exec bench/main.exe -- breakdown --smoke --wrong-l1pc-row \
-     --json BENCH_breakdown.negative.json > BENCH_breakdown.negative.out 2>&1; then
-  cat BENCH_breakdown.negative.out
-  rm -f BENCH_breakdown.negative.json BENCH_breakdown.negative.out
-  echo "FAIL: breakdown gate accepted a wrong L1PC cost row" >&2
-  exit 1
-fi
-if ! grep -q "L1PC.*mismatch" BENCH_breakdown.negative.out; then
-  cat BENCH_breakdown.negative.out
-  rm -f BENCH_breakdown.negative.json BENCH_breakdown.negative.out
-  echo "FAIL: tripped breakdown gate named no L1PC mismatch" >&2
-  exit 1
-fi
-rm -f BENCH_breakdown.negative.json BENCH_breakdown.negative.out
-echo "breakdown gate trips on a wrong L1PC row as expected"
+must_trip BENCH_breakdown.negative.out "L1PC.*mismatch" \
+  dune exec bench/main.exe -- breakdown --smoke --wrong-l1pc-row \
+    --json BENCH_breakdown.negative.json
 
 echo "== bench timeline --smoke (recovery journal + MTTR decomposition) =="
 dune exec bench/main.exe -- timeline --smoke
@@ -92,7 +108,7 @@ dune exec bench/main.exe -- timeline --smoke
 echo "== bench profile --smoke (host CPU/alloc attribution) =="
 # The bench self-validates: nonempty buckets per protocol, exact
 # telescoping, and both BENCH_profile.json and the speedscope files
-# re-parsed through its own strict JSON reader. Any violation exits 1.
+# re-parsed through the strict Obs.Json reader. Any violation exits 1.
 dune exec bench/main.exe -- profile --smoke
 
 echo "== bench check negative test (inflated baseline must fail) =="
@@ -104,21 +120,8 @@ echo "== bench check negative test (inflated baseline must fail) =="
 # whose self-time per event grew most.
 awk '{ gsub(/"events_per_cpu_s":[0-9.eE+-]+/, "\"events_per_cpu_s\":999999999"); print }' \
   BENCH_scale.json > BENCH_scale.inflated.json
-if dune exec bench/main.exe -- check --against BENCH_scale.inflated.json --tolerance 0.15 \
-     > BENCH_check.negative.out 2>&1; then
-  cat BENCH_check.negative.out
-  rm -f BENCH_scale.inflated.json BENCH_check.negative.out
-  echo "FAIL: regression gate accepted an inflated baseline" >&2
-  exit 1
-fi
-cat BENCH_check.negative.out
-if ! grep -q "subsystem attribution" BENCH_check.negative.out; then
-  rm -f BENCH_scale.inflated.json BENCH_check.negative.out
-  echo "FAIL: tripped gate printed no subsystem attribution" >&2
-  exit 1
-fi
-rm -f BENCH_scale.inflated.json BENCH_check.negative.out
-echo "regression gate trips and attributes as expected"
+must_trip BENCH_check.negative.out "subsystem attribution" \
+  dune exec bench/main.exe -- check --against BENCH_scale.inflated.json --tolerance 0.15
 
 echo "== bench check (perf-regression gate vs freshly written baseline) =="
 dune exec bench/main.exe -- check --against BENCH_scale.json --tolerance 0.15
@@ -126,28 +129,15 @@ dune exec bench/main.exe -- check --against BENCH_scale.json --tolerance 0.15
 echo "== bench overload --smoke (goodput across the knee, gated) =="
 # Sweeps offered load past the capacity knee for every protocol and
 # exits 1 unless every protocol holds >= 25% of its peak goodput at the
-# heaviest offered load with zero oracle violations. The artifact is
-# re-parsed through the bench's own strict JSON reader.
+# heaviest offered load with zero oracle violations.
 dune exec bench/main.exe -- overload --smoke
 
 echo "== bench overload negative test (unbounded admission must fail) =="
 # With admission control disabled the open-loop retry storm drives
 # goodput toward zero: the graceful-degradation gate must trip.
-if dune exec bench/main.exe -- overload --smoke --unbounded \
-     --json BENCH_overload.unbounded.json > BENCH_overload.negative.out 2>&1; then
-  cat BENCH_overload.negative.out
-  rm -f BENCH_overload.unbounded.json BENCH_overload.negative.out
-  echo "FAIL: overload gate accepted an unbounded-admission collapse" >&2
-  exit 1
-fi
-if ! grep -q "FAILS graceful degradation" BENCH_overload.negative.out; then
-  cat BENCH_overload.negative.out
-  rm -f BENCH_overload.unbounded.json BENCH_overload.negative.out
-  echo "FAIL: tripped overload gate named no protocol" >&2
-  exit 1
-fi
-rm -f BENCH_overload.unbounded.json BENCH_overload.negative.out
-echo "overload gate trips on unbounded admission as expected"
+must_trip BENCH_overload.negative.out "FAILS graceful degradation" \
+  dune exec bench/main.exe -- overload --smoke --unbounded \
+    --json BENCH_overload.unbounded.json
 
 echo "== overload chaos campaign: 8 seeds x 5 protocols (retry storms + faults) =="
 dune exec bin/chaos.exe -- --overload --seeds 8 --first-seed 1
@@ -162,56 +152,27 @@ echo "== bench drill negative test (impossible SLO must fail) =="
 # Zeroed budgets are unmeetable by construction: the gate must trip,
 # exit nonzero and name the SLO it failed. Proves the drill gate
 # compares instead of rubber-stamping.
-if dune exec bench/main.exe -- drill --smoke --impossible-slo \
-     --json BENCH_drill.negative.json > BENCH_drill.negative.out 2>&1; then
-  cat BENCH_drill.negative.out
-  rm -f BENCH_drill.negative.json BENCH_drill.negative.out
-  echo "FAIL: drill gate accepted impossible recovery SLOs" >&2
-  exit 1
-fi
-if ! grep -q "FAILS recovery SLO" BENCH_drill.negative.out; then
-  cat BENCH_drill.negative.out
-  rm -f BENCH_drill.negative.json BENCH_drill.negative.out
-  echo "FAIL: tripped drill gate named no recovery SLO" >&2
-  exit 1
-fi
-rm -f BENCH_drill.negative.json BENCH_drill.negative.out
-echo "drill gate trips on impossible SLOs as expected"
+must_trip BENCH_drill.negative.out "FAILS recovery SLO" \
+  dune exec bench/main.exe -- drill --smoke --impossible-slo \
+    --json BENCH_drill.negative.json
 
 echo "== autopsy smoke: forced failure must produce a valid incident bundle =="
 # An unmeetable settle deadline fails the liveness oracle on a healthy
 # run; --autopsy must then shrink it, replay it fully observed and
-# write an incident bundle that its own reader re-parses (the runner
+# write an incident bundle that Obs.Json re-parses (the runner
 # exits nonzero on a bundle that fails validation). The repro line is
 # printed verbatim for every failed seed.
 rm -rf AUTOPSY_smoke
-if dune exec bin/chaos.exe -- -p 1pc --seeds 1 --first-seed 1 \
-     --settle-deadline 1 --autopsy AUTOPSY_smoke > AUTOPSY_smoke.out 2>&1; then
-  cat AUTOPSY_smoke.out
-  rm -rf AUTOPSY_smoke AUTOPSY_smoke.out
-  echo "FAIL: chaos run with an unmeetable settle deadline passed" >&2
-  exit 1
-fi
-if ! grep -q "incident bundle: AUTOPSY_smoke/INCIDENT_1PC_1" AUTOPSY_smoke.out; then
-  cat AUTOPSY_smoke.out
-  rm -rf AUTOPSY_smoke AUTOPSY_smoke.out
-  echo "FAIL: failed chaos run produced no incident bundle" >&2
-  exit 1
-fi
-if ! grep -q "^repro: " AUTOPSY_smoke.out; then
-  cat AUTOPSY_smoke.out
-  rm -rf AUTOPSY_smoke AUTOPSY_smoke.out
-  echo "FAIL: failed chaos run printed no repro command" >&2
-  exit 1
-fi
+must_trip AUTOPSY_smoke.out "incident bundle: AUTOPSY_smoke/INCIDENT_1PC_1" \
+  dune exec bin/chaos.exe -- -p 1pc --seeds 1 --first-seed 1 \
+    --settle-deadline 1 --autopsy AUTOPSY_smoke
+must_print AUTOPSY_smoke.out "^repro: "
 for f in incident.json ring.jsonl journal.jsonl trace.json mttr.json; do
   if [ ! -s "AUTOPSY_smoke/INCIDENT_1PC_1/$f" ]; then
-    rm -rf AUTOPSY_smoke AUTOPSY_smoke.out
     echo "FAIL: incident bundle is missing $f" >&2
     exit 1
   fi
 done
-rm -rf AUTOPSY_smoke AUTOPSY_smoke.out
 echo "autopsy bundle written, self-validated and complete"
 
 echo "== bench coverage negative test (inflated floors must fail) =="
@@ -219,21 +180,9 @@ echo "== bench coverage negative test (inflated floors must fail) =="
 # exit nonzero and name at least one never-hit edge per protocol.
 # Proves the gate compares instead of rubber-stamping. Run before the
 # real gate so the BENCH_coverage.json left on disk is the passing one.
-if dune exec bench/main.exe -- coverage --smoke --inflated-floors \
-     --json BENCH_coverage.negative.json > BENCH_coverage.negative.out 2>&1; then
-  cat BENCH_coverage.negative.out
-  rm -f BENCH_coverage.negative.json BENCH_coverage.negative.out
-  echo "FAIL: coverage gate accepted inflated floors" >&2
-  exit 1
-fi
-if ! grep -q "FLOOR MISS .*never hit:" BENCH_coverage.negative.out; then
-  cat BENCH_coverage.negative.out
-  rm -f BENCH_coverage.negative.json BENCH_coverage.negative.out
-  echo "FAIL: tripped coverage gate named no never-hit edge" >&2
-  exit 1
-fi
-rm -f BENCH_coverage.negative.json BENCH_coverage.negative.out
-echo "coverage gate trips on inflated floors and names never-hit edges"
+must_trip BENCH_coverage.negative.out "FLOOR MISS .*never hit:" \
+  dune exec bench/main.exe -- coverage --smoke --inflated-floors \
+    --json BENCH_coverage.negative.json
 
 echo "== bench coverage (transition-map floors + conservation ledger) =="
 # The full observatory: standard chaos campaign, directed supplements

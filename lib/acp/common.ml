@@ -42,22 +42,6 @@ let replay ctx updates =
                Mds.Update.pp u))
     [] updates
 
-(* Integer arithmetic when the backoff is off (the default), so the
-   legacy fixed-period schedule reproduces bit-identically; the float
-   path only runs for configurations that opted into backoff. *)
-let resend_after (ctx : Context.t) ~attempt =
-  let base = ctx.Context.resend_interval in
-  if attempt <= 0 || ctx.Context.resend_backoff = 1.0 then base
-  else
-    let scaled =
-      float_of_int (Simkit.Time.span_to_ns base)
-      *. (ctx.Context.resend_backoff ** float_of_int attempt)
-    in
-    (* Cap at ~1 simulated hour: backoff is about thinning traffic, not
-       parking a transaction beyond any settle deadline. *)
-    let cap = 3_600_000_000_000. in
-    Simkit.Time.span_ns (int_of_float (Float.min scaled cap))
-
 let cancel_timer slot =
   match !slot with
   | Some h ->

@@ -32,12 +32,6 @@ val replay : Context.t -> Mds.Update.t list -> Mds.Update.t list
 (** Recovery: re-apply known-valid updates to the volatile store and
     return their inverses (newest first). *)
 
-val resend_after : Context.t -> attempt:int -> Simkit.Time.span
-(** Delay before retransmission number [attempt] (0-based):
-    [resend_interval * resend_backoff^attempt], capped at one simulated
-    hour. With the default backoff of 1.0 this is exactly
-    [resend_interval] with no float arithmetic. *)
-
 val cancel_timer : Simkit.Engine.handle option ref -> unit
 (** Cancel and clear a timer slot, if armed. *)
 

@@ -22,7 +22,6 @@ type t = {
     Simkit.Engine.handle;
   timeout : Simkit.Time.span;
   resend_interval : Simkit.Time.span;
-  resend_backoff : float;
   max_soft_retries : int;
   tombstone_ttl : Simkit.Time.span;
   tombstone_cap : int;

@@ -42,9 +42,6 @@ type t = {
   timeout : Simkit.Time.span;  (** protocol timeout (votes, decisions) *)
   resend_interval : Simkit.Time.span;
       (** base retransmission period (historically equal to [timeout]) *)
-  resend_backoff : float;
-      (** growth factor per successive resend of the same message
-          ([>= 1.0]; [1.0] = fixed period). See {!Common.resend_after}. *)
   max_soft_retries : int;
       (** 1PC UPDATE_REQ retries before fence-and-read *)
   tombstone_ttl : Simkit.Time.span;

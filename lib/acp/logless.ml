@@ -34,7 +34,6 @@ type work = {
   mutable doomed : bool;  (* DECIDE(abort) raced the lock acquisition *)
   mutable rep_acked : int list;  (* replica-group members that acked *)
   mutable w_undo : Mds.Update.t list;
-  mutable w_resends : int;
   mutable w_ospan : int;  (* open worker-lifetime Phase span, -1 = none *)
   w_timer : Simkit.Engine.handle option ref;
 }
@@ -143,7 +142,7 @@ let rec arm_decide_timer t c =
   c.timer :=
     Some
       (t.ctx.Context.set_timer ~label:label_decide_resend
-         ~after:(Common.resend_after t.ctx ~attempt:c.retries) (fun () ->
+         ~after:t.ctx.Context.resend_interval (fun () ->
            c.timer := None;
            if c.phase = C_deciding then begin
              hit t Edges.Lp1.c_decide_resend;
@@ -176,7 +175,7 @@ let rec arm_vote_timer t c =
   c.timer :=
     Some
       (t.ctx.Context.set_timer ~label:label_vote_timeout
-         ~after:(Common.resend_after t.ctx ~attempt:c.retries) (fun () ->
+         ~after:t.ctx.Context.resend_interval (fun () ->
            c.timer := None;
            if c.phase = C_voting then
              if t.ctx.Context.suspects (t.ctx.Context.address_of c.worker)
@@ -316,10 +315,9 @@ let rec arm_work_timer t w =
   w.w_timer :=
     Some
       (t.ctx.Context.set_timer ~label:label_work_resend
-         ~after:(Common.resend_after t.ctx ~attempt:w.w_resends) (fun () ->
+         ~after:t.ctx.Context.resend_interval (fun () ->
            w.w_timer := None;
            if Hashtbl.mem t.works (key w.w_id) then begin
-             w.w_resends <- w.w_resends + 1;
              (match w.wstate with
              | W_replicating -> send_rep_store t w
              | W_voted ->
@@ -335,7 +333,6 @@ let rec arm_work_timer t w =
    group member, while later acks only deepen the recovery quorum. *)
 let work_vote_yes t w =
   w.wstate <- W_voted;
-  w.w_resends <- 0;
   Context.obs_phase t.ctx w.w_id "l1pc.worker.vote";
   send_to t w.coordinator (Wire.Vote { txn = w.w_id; vote = true });
   arm_work_timer t w
@@ -401,7 +398,6 @@ let work_on_vote_req t ~src txn updates =
             doomed = false;
             rep_acked = [];
             w_undo = [];
-            w_resends = 0;
             w_ospan = -1;
             w_timer = ref None;
           }
@@ -577,7 +573,7 @@ let rec arm_recover_timer t r =
   r.rec_timer :=
     Some
       (t.ctx.Context.set_timer ~label:label_recover_resend
-         ~after:(Common.resend_after t.ctx ~attempt:r.rec_attempts)
+         ~after:t.ctx.Context.resend_interval
          (fun () ->
            r.rec_timer := None;
            if (not r.collected) && r.awaiting <> [] then
@@ -638,7 +634,6 @@ and resurrect t r (id : Txn.id) updates =
         doomed = false;
         rep_acked = t.ctx.Context.replicas;
         w_undo = [];
-        w_resends = 0;
         w_ospan = -1;
         w_timer = ref None;
       }

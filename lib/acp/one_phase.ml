@@ -26,7 +26,6 @@ type work = {
   coordinator : int;
   w_updates : Mds.Update.t list;
   mutable committed : bool;  (* force completed, awaiting ACK *)
-  mutable w_resends : int;  (* ACK_REQ retransmissions so far *)
   mutable w_ospan : int;  (* open worker-lifetime Phase span, -1 = none *)
   w_timer : Simkit.Engine.handle option ref;
 }
@@ -223,7 +222,7 @@ let rec arm_updated_timer t c =
   c.timer :=
     Some
       (t.ctx.Context.set_timer ~label:label_updated_timeout
-         ~after:(Common.resend_after t.ctx ~attempt:c.retries) (fun () ->
+         ~after:t.ctx.Context.resend_interval (fun () ->
            c.timer := None;
            if c.phase = C_working then
              if t.ctx.Context.suspects (t.ctx.Context.address_of c.worker)
@@ -393,11 +392,10 @@ let rec arm_ack_req_timer t w =
   w.w_timer :=
     Some
       (t.ctx.Context.set_timer ~label:label_ack_req
-         ~after:(Common.resend_after t.ctx ~attempt:w.w_resends) (fun () ->
+         ~after:t.ctx.Context.resend_interval (fun () ->
            w.w_timer := None;
            if w.committed then begin
              hit t Edges.Opc.w_ack_req_resend;
-             w.w_resends <- w.w_resends + 1;
              send_to t w.coordinator (Wire.Ack_req { txn = w.w_id });
              arm_ack_req_timer t w
            end))
@@ -445,7 +443,6 @@ let work_on_update_req t ~src txn updates =
             coordinator = txn.origin;
             w_updates = updates;
             committed = false;
-            w_resends = 0;
             w_ospan = -1;
             w_timer = ref None;
           }
@@ -591,7 +588,6 @@ let recover_worker t (img : Log_scan.image) =
         coordinator = img.id.origin;
         w_updates = img.updates;
         committed = true;
-        w_resends = 0;
         w_ospan = -1;
         w_timer = ref None;
       }

@@ -36,7 +36,6 @@ type coord = {
   mutable self_prepared : bool;
   mutable votes : ISet.t;
   mutable acks : ISet.t;
-  mutable ack_resends : int;  (* decision retransmissions so far *)
   mutable ospan : int;  (* open coordinator-lifetime Phase span, -1 = none *)
   timer : Simkit.Engine.handle option ref;
 }
@@ -56,7 +55,6 @@ type work = {
   mutable wstate : wstate;
   mutable pending_decision : [ `Commit | `Abort ] option;
       (* decision that arrived while still locking (recovery races) *)
-  mutable d_resends : int;  (* DECISION_REQ retransmissions so far *)
   mutable w_ospan : int;  (* open worker-lifetime Phase span, -1 = none *)
   w_timer : Simkit.Engine.handle option ref;
 }
@@ -177,12 +175,11 @@ and arm_ack_resend t c =
   c.timer :=
     Some
       (t.ctx.Context.set_timer ~label:label_ack_resend
-         ~after:(Common.resend_after t.ctx ~attempt:c.ack_resends) (fun () ->
+         ~after:t.ctx.Context.resend_interval (fun () ->
            c.timer := None;
            match c.phase with
            | Committed_waiting_acks ->
                hit t t.e.Edges.c_ack_resend;
-               c.ack_resends <- c.ack_resends + 1;
                List.iter
                  (fun w ->
                    if not (ISet.mem w c.acks) then
@@ -191,7 +188,6 @@ and arm_ack_resend t c =
                arm_ack_resend t c
            | Aborted_waiting_acks ->
                hit t t.e.Edges.c_ack_resend;
-               c.ack_resends <- c.ack_resends + 1;
                List.iter
                  (fun w ->
                    if not (ISet.mem w c.acks) then
@@ -277,7 +273,6 @@ let submit t (txn : Txn.t) =
       self_prepared = false;
       votes = ISet.empty;
       acks = ISet.empty;
-      ack_resends = 0;
       ospan = -1;
       timer = ref None;
     }
@@ -418,11 +413,10 @@ let rec arm_decision_timer t w =
   w.w_timer :=
     Some
       (t.ctx.Context.set_timer ~label:label_decision_req
-         ~after:(Common.resend_after t.ctx ~attempt:w.d_resends) (fun () ->
+         ~after:t.ctx.Context.resend_interval (fun () ->
            w.w_timer := None;
            if w.wstate = W_prepared then begin
              hit t t.e.Edges.w_decision_retry;
-             w.d_resends <- w.d_resends + 1;
              send_to t w.coordinator (Wire.Decision_req { txn = w.w_id });
              arm_decision_timer t w
            end))
@@ -534,7 +528,6 @@ let work_on_update_req t ~src txn updates piggyback_prepare =
         w_undo = [];
         wstate = W_locking;
         pending_decision = None;
-        d_resends = 0;
         w_ospan = -1;
         w_timer = ref None;
       }
@@ -674,7 +667,6 @@ let recover_coordinator t (img : Log_scan.image) =
         self_prepared = true;
         votes = ISet.empty;
         acks = ISet.empty;
-        ack_resends = 0;
         ospan = -1;
         timer = ref None;
       }
@@ -779,7 +771,6 @@ let rec recover_worker t (img : Log_scan.image) =
         w_undo = [];
         wstate = W_locking;
         pending_decision = None;
-        d_resends = 0;
         w_ospan = -1;
         w_timer = ref None;
       }

@@ -9,11 +9,9 @@ type t = {
   method_latency : Simkit.Time.span;
   txn_timeout : Simkit.Time.span;
   resend_interval : Simkit.Time.span option;
-  resend_backoff : float;
   max_soft_retries : int;
   tombstone_ttl : Simkit.Time.span option;
   tombstone_cap : int;
-  replica_group_size : int;
   heartbeat_interval : Simkit.Time.span;
   detector_timeout : Simkit.Time.span;
   restart_delay : Simkit.Time.span;
@@ -40,11 +38,9 @@ let default =
     method_latency = Simkit.Time.span_us 1;
     txn_timeout = Simkit.Time.span_s 30;
     resend_interval = None;
-    resend_backoff = 1.0;
     max_soft_retries = 2;
     tombstone_ttl = None;
     tombstone_cap = 4096;
-    replica_group_size = 2;
     heartbeat_interval = Simkit.Time.span_ms 50;
     detector_timeout = Simkit.Time.span_ms 250;
     restart_delay = Simkit.Time.span_ms 100;
@@ -71,8 +67,6 @@ let validate t =
     | Some s -> Simkit.Time.span_to_ns s = 0
     | None -> false
   then Error "zero resend interval"
-  else if t.resend_backoff < 1.0 then
-    Error "resend backoff must be at least 1.0"
   else if t.max_soft_retries < 0 then
     Error "negative soft-retry budget"
   else if
@@ -81,8 +75,6 @@ let validate t =
     | None -> false
   then Error "zero tombstone TTL"
   else if t.tombstone_cap < 1 then Error "tombstone cap must be positive"
-  else if t.replica_group_size < 1 then
-    Error "replica group size must be positive"
   else
     match t.sample_period with
     | Some p when Simkit.Time.span_to_ns p <= 0 ->

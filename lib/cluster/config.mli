@@ -27,10 +27,6 @@ type t = {
           UPDATE_REQ retries and ACK requests, 2PC decision resends and
           outcome queries); [None] (default) keeps the historical
           behaviour of reusing [txn_timeout] *)
-  resend_backoff : float;
-      (** multiplier applied to the resend interval after each
-          successive retransmission of the same message ([>= 1.0]);
-          [1.0] (default) resends at a fixed period *)
   max_soft_retries : int;
       (** UPDATE_REQ retransmissions a 1PC coordinator attempts against
           an unsuspected worker before escalating to fence-and-read
@@ -46,10 +42,6 @@ type t = {
       (** hard bound on live tombstones per node; exceeding it expires
           the oldest entries early (still safe — they fall behind the
           stale horizon) *)
-  replica_group_size : int;
-      (** L1PC: how many peers hold copies of each server's volatile
-          vote state (ring successors by server slot, clamped to
-          [servers - 1]; default 2). Ignored by the logged protocols *)
   heartbeat_interval : Simkit.Time.span;
   detector_timeout : Simkit.Time.span;
   restart_delay : Simkit.Time.span;  (** reboot time after crash/STONITH *)

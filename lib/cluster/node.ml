@@ -228,21 +228,19 @@ let make_context t =
     resend_interval =
       Option.value t.sv.config.Config.resend_interval
         ~default:t.sv.config.Config.txn_timeout;
-    resend_backoff = t.sv.config.Config.resend_backoff;
     max_soft_retries = t.sv.config.Config.max_soft_retries;
     tombstone_ttl =
       Option.value t.sv.config.Config.tombstone_ttl
         ~default:(Simkit.Time.mul_span t.sv.config.Config.txn_timeout 8);
     tombstone_cap = t.sv.config.Config.tombstone_cap;
     replicas =
-      (* Ring successors by server slot — deterministic, no discovery
-         round, and evenly spread: each node both owns a group and sits
-         in [replica_group_size] other groups. *)
+      (* L1PC's replica group: the two ring successors by server slot
+         (fewer on tiny clusters). Deterministic, no discovery round,
+         evenly spread. Two because the vote is cast on the first
+         REP_ACK, and the second copy keeps the recovery quorum read
+         answerable while one group member is down too. *)
       (let n = List.length (Netsim.Network.endpoints t.sv.network) in
-       let count =
-         min t.sv.config.Config.replica_group_size (max (n - 1) 0)
-       in
-       List.init count (fun i -> (t.server + i + 1) mod n));
+       List.init (min 2 (max (n - 1) 0)) (fun i -> (t.server + i + 1) mod n));
     suspects =
       (fun peer ->
         match t.detector with

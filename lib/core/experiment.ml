@@ -621,3 +621,57 @@ let run_timeline ?(config = timeline_config) ?(seed = 1) ?(crash_server = 1)
     series = Opc_cluster.Cluster.timeseries cluster;
     windows = Obs.Mttr.windows journal;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Crash-point matrix                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let fault_grid_ms = List.init 31 (fun i -> 2 * i)
+
+let run_fault_cell ~protocol ~server ms =
+  let config =
+    {
+      Opc_cluster.Config.default with
+      servers = 2;
+      protocol;
+      placement = Mds.Placement.Spread;
+      txn_timeout = Simkit.Time.span_ms 300;
+      heartbeat_interval = Simkit.Time.span_ms 20;
+      detector_timeout = Simkit.Time.span_ms 100;
+      restart_delay = Simkit.Time.span_ms 50;
+    }
+  in
+  let cluster = Opc_cluster.Cluster.create config in
+  let dir =
+    Opc_cluster.Cluster.add_directory cluster
+      ~parent:(Opc_cluster.Cluster.root cluster)
+      ~name:"d" ~server:0 ()
+  in
+  let outcome = ref None in
+  Opc_cluster.Cluster.submit cluster
+    (Mds.Op.create_file ~parent:dir ~name:"f")
+    ~on_done:(fun o -> outcome := Some o);
+  Opc_cluster.Fault.crash_at cluster ~server
+    ~at:(Simkit.Time.of_ns (ms * 1_000_000));
+  (match Opc_cluster.Cluster.settle cluster with
+  | Opc_cluster.Cluster.Quiescent -> ()
+  | _ -> failwith "faults: did not settle");
+  (match Opc_cluster.Cluster.check_invariants cluster with
+  | [] -> ()
+  | _ -> failwith "faults: invariant violation");
+  match !outcome with
+  | Some Acp.Txn.Committed -> "C"
+  | Some (Acp.Txn.Aborted _) -> "A"
+  | None -> failwith "faults: no reply"
+
+let run_fault_matrix () =
+  List.concat_map
+    (fun protocol ->
+      List.map
+        (fun server ->
+          ( protocol,
+            server,
+            String.concat ""
+              (List.map (run_fault_cell ~protocol ~server) fault_grid_ms) ))
+        [ 0; 1 ])
+    Acp.Protocol.all

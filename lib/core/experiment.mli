@@ -230,3 +230,16 @@ val compare_shared_vs_independent :
     burst rate gains the most because its only lock-held force gets a
     dedicated device and its coordinator-side commits drain off the
     client path. *)
+
+(** {1 Crash-point matrix} *)
+
+val fault_grid_ms : int list
+(** The crash instants of {!run_fault_matrix}: 0, 2, ..., 60 ms. *)
+
+val run_fault_matrix : unit -> (Acp.Protocol.kind * int * string) list
+(** One distributed CREATE on two servers per cell, with server 0 (the
+    coordinator) or server 1 (the worker) crashed at each instant of
+    {!fault_grid_ms}. Returns, for every protocol and crashed server in
+    that order, one letter per instant: [C] committed, [A] aborted.
+    Raises [Failure] if a run does not settle, breaks an invariant or
+    never replies. *)

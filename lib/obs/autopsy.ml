@@ -21,12 +21,6 @@ type source = {
   coverage : coverage_summary list;
 }
 
-let rec mkdirs dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdirs (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
 let failure_instant s =
   let latest = ref Simkit.Time.zero in
   let bump t = if Simkit.Time.( > ) t !latest then latest := t in
@@ -61,80 +55,57 @@ let slice_tracer s =
   sliced
 
 let write_mttr path windows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"windows\":[";
-  List.iteri
-    (fun i (w : Mttr.window) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"node\":%d,\"start_ns\":%d,\"detect_ns\":%d,\"fence_ns\":%d,\"scan_ns\":%d,\"resolve_ns\":%d,\"total_ns\":%d}"
-           w.node
-           (Simkit.Time.to_ns w.start)
-           (Simkit.Time.span_to_ns w.detect)
-           (Simkit.Time.span_to_ns w.fence)
-           (Simkit.Time.span_to_ns w.scan)
-           (Simkit.Time.span_to_ns w.resolve)
-           (Simkit.Time.span_to_ns (Mttr.total w))))
-    windows;
-  Buffer.add_string buf "]}\n";
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc
+  let ns = Simkit.Time.span_to_ns in
+  Json.to_file path
+    (Json.Obj
+       [
+         ( "windows",
+           Json.List
+             (List.map
+                (fun (w : Mttr.window) ->
+                  Json.Obj
+                    [
+                      ("node", Json.Int w.node);
+                      ("start_ns", Json.Int (Simkit.Time.to_ns w.start));
+                      ("detect_ns", Json.Int (ns w.detect));
+                      ("fence_ns", Json.Int (ns w.fence));
+                      ("scan_ns", Json.Int (ns w.scan));
+                      ("resolve_ns", Json.Int (ns w.resolve));
+                      ("total_ns", Json.Int (ns (Mttr.total w)));
+                    ])
+                windows) );
+       ])
 
 let write_manifest path s ~files =
-  let buf = Buffer.create 1024 in
-  let str k v =
-    Buffer.add_string buf (Printf.sprintf "\"%s\":\"" k);
-    Json_str.add_escaped buf v;
-    Buffer.add_string buf "\","
-  in
-  Buffer.add_char buf '{';
-  str "verdict" s.verdict;
-  str "protocol" s.protocol;
-  Buffer.add_string buf (Printf.sprintf "\"seed\":%d," s.seed);
-  str "repro" s.repro;
-  str "schedule" s.schedule;
-  str "diagnostics" s.diagnostics;
-  Buffer.add_string buf
-    (Printf.sprintf "\"failure_t_ns\":%d,"
-       (Simkit.Time.to_ns (failure_instant s)));
-  Buffer.add_string buf
-    (Printf.sprintf "\"mttr_windows\":%d," (List.length s.windows));
-  Buffer.add_string buf "\"coverage\":[";
-  List.iteri
-    (fun i (c : coverage_summary) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "{\"protocol\":\"";
-      Json_str.add_escaped buf c.cov_protocol;
-      Buffer.add_string buf
-        (Printf.sprintf "\",\"declared\":%d,\"hit\":%d,\"never_hit\":["
-           c.declared c.edges_hit);
-      List.iteri
-        (fun j e ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          Json_str.add_escaped buf e;
-          Buffer.add_char buf '"')
-        c.never_hit;
-      Buffer.add_string buf "]}")
-    s.coverage;
-  Buffer.add_string buf "],";
-  Buffer.add_string buf "\"files\":[";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '"';
-      Json_str.add_escaped buf f;
-      Buffer.add_char buf '"')
-    files;
-  Buffer.add_string buf "]}\n";
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc
+  let strs l = Json.List (List.map (fun f -> Json.Str f) l) in
+  Json.to_file path
+    (Json.Obj
+       [
+         ("verdict", Json.Str s.verdict);
+         ("protocol", Json.Str s.protocol);
+         ("seed", Json.Int s.seed);
+         ("repro", Json.Str s.repro);
+         ("schedule", Json.Str s.schedule);
+         ("diagnostics", Json.Str s.diagnostics);
+         ("failure_t_ns", Json.Int (Simkit.Time.to_ns (failure_instant s)));
+         ("mttr_windows", Json.Int (List.length s.windows));
+         ( "coverage",
+           Json.List
+             (List.map
+                (fun c ->
+                  Json.Obj
+                    [
+                      ("protocol", Json.Str c.cov_protocol);
+                      ("declared", Json.Int c.declared);
+                      ("hit", Json.Int c.edges_hit);
+                      ("never_hit", strs c.never_hit);
+                    ])
+                s.coverage) );
+         ("files", strs files);
+       ])
 
 let write ~dir s =
-  mkdirs dir;
+  Json.mkdirs dir;
   let in_dir f = Filename.concat dir f in
   let files = ref [] in
   let add f = files := f :: !files in
@@ -160,189 +131,8 @@ let write ~dir s =
   "incident.json" :: files
 
 (* ------------------------------------------------------------------ *)
-(* Validation: a small strict JSON reader                              *)
+(* Validation                                                          *)
 (* ------------------------------------------------------------------ *)
-
-(* The bundle must be readable without this repo's bench tooling, so the
-   validator carries its own parser: strict recursive descent, whole
-   grammar, no extensions. Kept private — it exists to prove the writers
-   above emit valid JSON, not to be a general parser. *)
-module Json = struct
-  exception Bad of string
-
-  type v =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of v list
-    | Obj of (string * v) list
-
-  type state = { src : string; mutable pos : int }
-
-  let fail st msg = raise (Bad (Printf.sprintf "offset %d: %s" st.pos msg))
-  let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-  let skip_ws st =
-    while
-      st.pos < String.length st.src
-      &&
-      match st.src.[st.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      st.pos <- st.pos + 1
-    done
-
-  let expect st c =
-    match peek st with
-    | Some d when d = c -> st.pos <- st.pos + 1
-    | Some d -> fail st (Printf.sprintf "expected %c, found %c" c d)
-    | None -> fail st (Printf.sprintf "expected %c, found end of input" c)
-
-  let literal st word value =
-    let n = String.length word in
-    if
-      st.pos + n <= String.length st.src
-      && String.sub st.src st.pos n = word
-    then begin
-      st.pos <- st.pos + n;
-      value
-    end
-    else fail st (Printf.sprintf "expected %s" word)
-
-  let parse_string st =
-    expect st '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if st.pos >= String.length st.src then fail st "unterminated string";
-      let c = st.src.[st.pos] in
-      st.pos <- st.pos + 1;
-      if c = '"' then Buffer.contents buf
-      else if c = '\\' then begin
-        (if st.pos >= String.length st.src then fail st "unterminated escape");
-        let e = st.src.[st.pos] in
-        st.pos <- st.pos + 1;
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-            if st.pos + 4 > String.length st.src then
-              fail st "truncated \\u escape";
-            let hex = String.sub st.src st.pos 4 in
-            st.pos <- st.pos + 4;
-            let code =
-              try int_of_string ("0x" ^ hex)
-              with _ -> fail st "bad \\u escape"
-            in
-            (* Code points above one byte round-trip as UTF-8. *)
-            if code < 0x80 then Buffer.add_char buf (Char.chr code)
-            else if code < 0x800 then begin
-              Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end
-            else begin
-              Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-              Buffer.add_char buf
-                (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end
-        | c -> fail st (Printf.sprintf "bad escape \\%c" c));
-        go ()
-      end
-      else begin
-        Buffer.add_char buf c;
-        go ()
-      end
-    in
-    go ()
-
-  let parse_number st =
-    let start = st.pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while
-      st.pos < String.length st.src && is_num_char st.src.[st.pos]
-    do
-      st.pos <- st.pos + 1
-    done;
-    let text = String.sub st.src start (st.pos - start) in
-    match float_of_string_opt text with
-    | Some f -> f
-    | None -> fail st (Printf.sprintf "bad number %S" text)
-
-  let rec parse_value st =
-    skip_ws st;
-    match peek st with
-    | Some '{' ->
-        st.pos <- st.pos + 1;
-        skip_ws st;
-        if peek st = Some '}' then begin
-          st.pos <- st.pos + 1;
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws st;
-            let k = parse_string st in
-            skip_ws st;
-            expect st ':';
-            let v = parse_value st in
-            skip_ws st;
-            match peek st with
-            | Some ',' ->
-                st.pos <- st.pos + 1;
-                members ((k, v) :: acc)
-            | Some '}' ->
-                st.pos <- st.pos + 1;
-                Obj (List.rev ((k, v) :: acc))
-            | _ -> fail st "expected , or } in object"
-          in
-          members []
-        end
-    | Some '[' ->
-        st.pos <- st.pos + 1;
-        skip_ws st;
-        if peek st = Some ']' then begin
-          st.pos <- st.pos + 1;
-          Arr []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value st in
-            skip_ws st;
-            match peek st with
-            | Some ',' ->
-                st.pos <- st.pos + 1;
-                elements (v :: acc)
-            | Some ']' ->
-                st.pos <- st.pos + 1;
-                Arr (List.rev (v :: acc))
-            | _ -> fail st "expected , or ] in array"
-          in
-          elements []
-        end
-    | Some '"' -> Str (parse_string st)
-    | Some 't' -> literal st "true" (Bool true)
-    | Some 'f' -> literal st "false" (Bool false)
-    | Some 'n' -> literal st "null" Null
-    | Some ('-' | '0' .. '9') -> Num (parse_number st)
-    | Some c -> fail st (Printf.sprintf "unexpected %c" c)
-    | None -> fail st "unexpected end of input"
-
-  let of_string s =
-    let st = { src = s; pos = 0 } in
-    let v = parse_value st in
-    skip_ws st;
-    if st.pos <> String.length s then fail st "trailing garbage";
-    v
-end
 
 let read_file path =
   let ic = open_in_bin path in
@@ -365,21 +155,21 @@ let parse_file path =
         | line :: rest ->
             if String.trim line = "" then go (lineno + 1) rest
             else (
-              match Json.of_string line with
+              match Json.parse line with
               | Json.Obj _ -> go (lineno + 1) rest
               | _ ->
                   Error
                     (Printf.sprintf "%s:%d: line is not a JSON object" path
                        lineno)
-              | exception Json.Bad msg ->
+              | exception Json.Parse_error msg ->
                   Error (Printf.sprintf "%s:%d: %s" path lineno msg))
       in
       go 1 lines
     end
     else
-      match Json.of_string body with
+      match Json.parse body with
       | v -> Ok (Some v)
-      | exception Json.Bad msg -> Error (Printf.sprintf "%s: %s" path msg)
+      | exception Json.Parse_error msg -> Error (Printf.sprintf "%s: %s" path msg)
 
 let field name obj ~path =
   match obj with
@@ -398,7 +188,7 @@ let string_field name obj ~path =
 let number_field name obj ~path =
   let* v = field name obj ~path in
   match v with
-  | Json.Num n -> Ok n
+  | Json.Int _ | Json.Float _ -> Ok ()
   | _ -> Error (Printf.sprintf "%s: field %S is not a number" path name)
 
 let validate dir =
@@ -417,7 +207,7 @@ let validate dir =
   let* files = field "files" manifest ~path:manifest_path in
   let* names =
     match files with
-    | Json.Arr vs ->
+    | Json.List vs ->
         List.fold_left
           (fun acc v ->
             let* acc = acc in

@@ -16,8 +16,8 @@
     - [prof.speedscope.json] — the host profile, when one was taken.
 
     [write] returns the file list it put in the manifest; [validate]
-    re-reads a bundle through its own parser so CI can prove each
-    artifact is well-formed before a human ever opens it. *)
+    re-reads a bundle through the strict {!Json} reader so CI can prove
+    each artifact is well-formed before a human ever opens it. *)
 
 (** One protocol's edge-coverage digest for the manifest: how many
     edges its declared transition map holds, how many this run

@@ -8,7 +8,6 @@
     from simulation start; the transaction token and category ride in
     ["args"]. Open spans (e.g. cut short by a crash) are skipped. *)
 
-val to_buffer : Buffer.t -> Tracer.t -> unit
 val to_string : Tracer.t -> string
 
 val to_file : string -> Tracer.t -> unit

@@ -90,40 +90,25 @@ let event_name = function
   | Heal -> "heal"
   | Fault_injected _ -> "fault.injected"
 
-let escape = Json_str.escape
-
-let pp_entry ppf e =
+let to_json e =
   let fields =
     match e.kind with
-    | Crash | Reboot | Serving | Heal -> ""
-    | Suspect { peer } -> Printf.sprintf ",\"peer\":%d" peer
+    | Crash | Reboot | Serving | Heal -> []
+    | Suspect { peer } -> [ ("peer", Json.Int peer) ]
     | Fence_begin { victim } | Fence_end { victim } ->
-        Printf.sprintf ",\"victim\":%d" victim
-    | Mount { target } | Scan_begin { target } ->
-        Printf.sprintf ",\"target\":%d" target
+        [ ("victim", Json.Int victim) ]
+    | Mount { target } | Scan_begin { target } -> [ ("target", Json.Int target) ]
     | Scan_end { target; records } ->
-        Printf.sprintf ",\"target\":%d,\"records\":%d" target records
+        [ ("target", Json.Int target); ("records", Json.Int records) ]
     | Orphan_resolved { origin; seq } ->
-        Printf.sprintf ",\"origin\":%d,\"seq\":%d" origin seq
+        [ ("origin", Json.Int origin); ("seq", Json.Int seq) ]
     | Fault_injected { index; desc } ->
-        Printf.sprintf ",\"index\":%d,\"desc\":\"%s\"" index (escape desc)
+        [ ("index", Json.Int index); ("desc", Json.Str desc) ]
   in
-  Fmt.pf ppf "{\"t_ns\":%d,\"node\":%d,\"event\":\"%s\"%s}"
-    (Simkit.Time.to_ns e.time)
-    e.node
-    (event_name e.kind)
-    fields
+  Json.Obj
+    (("t_ns", Json.Int (Simkit.Time.to_ns e.time))
+    :: ("node", Json.Int e.node)
+    :: ("event", Json.Str (event_name e.kind))
+    :: fields)
 
-let rec mkdirs dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdirs (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
-let to_file path t =
-  mkdirs (Filename.dirname path);
-  let oc = open_out path in
-  let ppf = Format.formatter_of_out_channel oc in
-  iter (fun e -> Fmt.pf ppf "%a@\n" pp_entry e) t;
-  Format.pp_print_flush ppf ();
-  close_out oc
+let to_file path t = Json.lines_to_file path (List.map to_json (entries t))

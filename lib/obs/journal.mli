@@ -63,8 +63,8 @@ val entries : t -> entry list
 val event_name : kind -> string
 (** Stable dotted identifier, e.g. ["fence.begin"]. *)
 
-val pp_entry : Format.formatter -> entry -> unit
-(** One JSON object (a JSONL line, without the newline). *)
+val to_json : entry -> Json.t
+(** One JSONL line: [t_ns], [node], [event], then the kind's fields. *)
 
 val to_file : string -> t -> unit
 (** Write the journal as JSONL, creating parent directories as needed. *)

@@ -75,13 +75,10 @@ val to_table : ?top:int -> report -> Metrics.Table.t
 (** Top-[top] (default 15) buckets by CPU, a rollup row for the rest,
     then separator, residual and total rows. *)
 
-val speedscope_to_buffer : name:string -> report -> Buffer.t
-(** The profile as a speedscope "sampled" document: one
+val speedscope_to_file : path:string -> name:string -> report -> unit
+(** Write the profile to [path] (creating parent directories as needed)
+    as a speedscope "sampled" document: one
     [subsystem > subsystem/label] stack per bucket weighted by its self
     cpu_ns, plus the residual stack, so the flame graph's root spans
     exactly [total_cpu_ns]. Open at https://www.speedscope.app or with
     [speedscope <file>]. *)
-
-val speedscope_to_file : path:string -> name:string -> report -> unit
-(** Write {!speedscope_to_buffer} to [path], creating parent
-    directories as needed. *)

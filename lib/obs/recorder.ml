@@ -159,45 +159,37 @@ let iter_tail f t =
       }
   done
 
-let pp_record ?gauge_columns ppf r =
-  let t_ns = Simkit.Time.to_ns r.time in
-  match r.kind with
-  | Dispatch ->
-      let label =
-        match Simkit.Label.of_id r.a with
-        | Some l -> Fmt.str "%a" Simkit.Label.pp l
-        | None -> Fmt.str "label#%d" r.a
-      in
-      Fmt.pf ppf "{\"t_ns\":%d,\"type\":\"dispatch\",\"label\":\"%s\"}" t_ns
-        (Json_str.escape label)
-  | Delivery ->
-      Fmt.pf ppf "{\"t_ns\":%d,\"type\":\"deliver\",\"src\":%d,\"dst\":%d}"
-        t_ns r.a r.b
-  | Journal ->
-      Fmt.pf ppf
-        "{\"t_ns\":%d,\"type\":\"journal\",\"event\":\"%s\",\"node\":%d,\"arg\":%d}"
-        t_ns
-        (Json_str.escape (journal_tag_name r.a))
-        r.b r.c
-  | Gauge ->
-      let gauge =
-        match gauge_columns with
-        | Some cols when r.a >= 0 && r.a < Array.length cols -> cols.(r.a)
-        | _ -> Fmt.str "gauge#%d" r.a
-      in
-      Fmt.pf ppf "{\"t_ns\":%d,\"type\":\"gauge\",\"gauge\":\"%s\",\"value\":%d}"
-        t_ns (Json_str.escape gauge) r.b
-
-let rec mkdirs dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdirs (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
+let to_json ?gauge_columns r =
+  let head typ =
+    [ ("t_ns", Json.Int (Simkit.Time.to_ns r.time)); ("type", Json.Str typ) ]
+  in
+  Json.Obj
+    (match r.kind with
+    | Dispatch ->
+        let label =
+          match Simkit.Label.of_id r.a with
+          | Some l -> Fmt.str "%a" Simkit.Label.pp l
+          | None -> Fmt.str "label#%d" r.a
+        in
+        head "dispatch" @ [ ("label", Json.Str label) ]
+    | Delivery ->
+        head "deliver" @ [ ("src", Json.Int r.a); ("dst", Json.Int r.b) ]
+    | Journal ->
+        head "journal"
+        @ [
+            ("event", Json.Str (journal_tag_name r.a));
+            ("node", Json.Int r.b);
+            ("arg", Json.Int r.c);
+          ]
+    | Gauge ->
+        let gauge =
+          match gauge_columns with
+          | Some cols when r.a >= 0 && r.a < Array.length cols -> cols.(r.a)
+          | _ -> Fmt.str "gauge#%d" r.a
+        in
+        head "gauge" @ [ ("gauge", Json.Str gauge); ("value", Json.Int r.b) ])
 
 let to_file ?gauge_columns path t =
-  mkdirs (Filename.dirname path);
-  let oc = open_out path in
-  let ppf = Format.formatter_of_out_channel oc in
-  iter_tail (fun r -> Fmt.pf ppf "%a@\n" (pp_record ?gauge_columns) r) t;
-  Format.pp_print_flush ppf ();
-  close_out oc
+  let lines = ref [] in
+  iter_tail (fun r -> lines := to_json ?gauge_columns r :: !lines) t;
+  Json.lines_to_file path (List.rev !lines)

@@ -85,11 +85,8 @@ val journal_tag_name : int -> string
 (** Inverse rendering of {!journal_tag} ({!Journal.event_name} of the
     kind), or ["?"] for an unknown tag. *)
 
-val pp_record : ?gauge_columns:string array -> Format.formatter -> record -> unit
-(** One self-describing JSON object (a JSONL line without the newline).
-    Dispatch labels are rendered through {!Simkit.Label.of_id}; gauge
-    column indices through [gauge_columns] when given. *)
-
 val to_file : ?gauge_columns:string array -> string -> t -> unit
 (** Write the tail as JSONL, oldest first, creating parent directories
-    as needed. *)
+    as needed: one self-describing JSON object per record. Dispatch
+    labels are rendered through {!Simkit.Label.of_id}; gauge column
+    indices through [gauge_columns] when given. *)

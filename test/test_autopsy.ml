@@ -2,7 +2,7 @@
 
    The recorder's ring mechanics (wrap, tail order, disabled no-ops),
    the autopsy bundle written by an observed chaos replay (every file
-   re-parsed through the bundle's own strict reader, plus the validator
+   re-parsed through the strict Obs.Json reader, plus the validator
    rejecting a corrupted bundle), and the drill runner whose MTTR SLO
    gate `bench drill` enforces in CI — including the negative control
    proving the gate trips. *)
@@ -120,24 +120,15 @@ let test_autopsy_bundle_roundtrip () =
           "mttr.json" ];
       (* incident.json carries the coverage summary: the replayed
          protocol's declared edge count and what the failing run hit. *)
-      let incident =
-        let ic = open_in (Filename.concat bundle "incident.json") in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      in
-      let contains needle hay =
-        let rec find i =
-          i + String.length needle <= String.length hay
-          && (String.sub hay i (String.length needle) = needle || find (i + 1))
-        in
-        find 0
-      in
-      Alcotest.(check bool) "incident has coverage summary" true
-        (contains "\"coverage\":[{\"protocol\":\"1PC\"" incident);
-      Alcotest.(check bool) "coverage summary declares edges" true
-        (contains "\"declared\":" incident && contains "\"never_hit\":" incident);
+      let incident = Obs.Json.of_file (Filename.concat bundle "incident.json") in
+      (match Obs.Json.member "coverage" incident with
+      | Some (Obs.Json.List (first :: _)) ->
+          Alcotest.(check (option string)) "incident has coverage summary"
+            (Some "1PC") Obs.Json.(to_str (member "protocol" first));
+          Alcotest.(check bool) "coverage summary declares edges" true
+            (Obs.Json.(to_int (member "declared" first)) <> None
+            && Obs.Json.member "never_hit" first <> None)
+      | _ -> Alcotest.fail "incident has no coverage summary");
       match Obs.Autopsy.validate bundle with
       | Ok () -> ()
       | Error e -> Alcotest.failf "bundle failed validation: %s" e)

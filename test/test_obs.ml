@@ -1,8 +1,9 @@
 (* Tests for the lib/obs span subsystem: tracer mechanics, the
    critical-path walk on hand-built span sets, the kill-shot
    cross-check of measured critical-path force/message counts against
-   the paper's Table I for all four protocols, and the Chrome
-   trace-event export schema. *)
+   the paper's Table I for all four protocols, the Chrome trace-event
+   export schema, and Obs.Json, the one JSON writer and strict reader
+   every artifact goes through. *)
 
 open Opc
 
@@ -206,132 +207,7 @@ let test_breakdown_conservation () =
 (* Chrome trace-event export schema                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A miniature JSON reader — just enough to schema-check the export
-   without pulling in a JSON dependency. *)
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  exception Bad of string
-
-  let parse (s : string) : t =
-    let pos = ref 0 in
-    let len = String.length s in
-    let peek () = if !pos < len then s.[!pos] else raise (Bad "eof") in
-    let next () =
-      let c = peek () in
-      incr pos;
-      c
-    in
-    let rec skip_ws () =
-      if !pos < len then
-        match s.[!pos] with
-        | ' ' | '\t' | '\n' | '\r' ->
-            incr pos;
-            skip_ws ()
-        | _ -> ()
-    in
-    let expect c =
-      if next () <> c then raise (Bad (Printf.sprintf "expected %c" c))
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match next () with
-        | '"' -> Buffer.contents b
-        | '\\' -> (
-            match next () with
-            | '"' -> Buffer.add_char b '"'; go ()
-            | '\\' -> Buffer.add_char b '\\'; go ()
-            | '/' -> Buffer.add_char b '/'; go ()
-            | 'n' -> Buffer.add_char b '\n'; go ()
-            | 't' -> Buffer.add_char b '\t'; go ()
-            | 'r' -> Buffer.add_char b '\r'; go ()
-            | 'b' -> Buffer.add_char b '\b'; go ()
-            | 'f' -> Buffer.add_char b '\012'; go ()
-            | 'u' ->
-                let h = String.init 4 (fun _ -> next ()) in
-                Buffer.add_char b (Char.chr (int_of_string ("0x" ^ h) land 0xff));
-                go ()
-            | c -> raise (Bad (Printf.sprintf "bad escape %c" c)))
-        | c -> Buffer.add_char b c; go ()
-      in
-      go ()
-    in
-    let parse_number () =
-      let start = !pos in
-      let num_char c =
-        (c >= '0' && c <= '9')
-        || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-      in
-      while !pos < len && num_char s.[!pos] do incr pos done;
-      if !pos = start then raise (Bad "number expected");
-      Num (float_of_string (String.sub s start (!pos - start)))
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | '"' -> Str (parse_string ())
-      | '{' ->
-          expect '{';
-          skip_ws ();
-          if peek () = '}' then (incr pos; Obj [])
-          else begin
-            let rec members acc =
-              skip_ws ();
-              let k = parse_string () in
-              skip_ws ();
-              expect ':';
-              let v = parse_value () in
-              skip_ws ();
-              match next () with
-              | ',' -> members ((k, v) :: acc)
-              | '}' -> Obj (List.rev ((k, v) :: acc))
-              | c -> raise (Bad (Printf.sprintf "bad object char %c" c))
-            in
-            members []
-          end
-      | '[' ->
-          expect '[';
-          skip_ws ();
-          if peek () = ']' then (incr pos; List [])
-          else begin
-            let rec elems acc =
-              let v = parse_value () in
-              skip_ws ();
-              match next () with
-              | ',' -> elems (v :: acc)
-              | ']' -> List (List.rev (v :: acc))
-              | c -> raise (Bad (Printf.sprintf "bad array char %c" c))
-            in
-            elems []
-          end
-      | 't' ->
-          pos := !pos + 4;
-          Bool true
-      | 'f' ->
-          pos := !pos + 5;
-          Bool false
-      | 'n' ->
-          pos := !pos + 4;
-          Null
-      | _ -> parse_number ()
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> len then raise (Bad "trailing garbage");
-    v
-
-  let member k = function
-    | Obj kvs -> List.assoc_opt k kvs
-    | _ -> None
-end
+module Json = Obs.Json
 
 let test_export_schema () =
   let p = Experiment.run_breakdown ~count:2 Acp.Protocol.Opc in
@@ -339,7 +215,8 @@ let test_export_schema () =
   let json =
     match Json.parse s with
     | j -> j
-    | exception Json.Bad msg -> Alcotest.failf "export is not JSON: %s" msg
+    | exception Json.Parse_error msg ->
+        Alcotest.failf "export is not JSON: %s" msg
   in
   let events =
     match Json.member "traceEvents" json with
@@ -356,9 +233,9 @@ let test_export_schema () =
         | _ -> Alcotest.failf "event missing string %S" k
       in
       let num k =
-        match Json.member k ev with
-        | Some (Json.Num v) -> v
-        | _ -> Alcotest.failf "event %S missing number %S" (str "name") k
+        match Json.to_float (Json.member k ev) with
+        | Some v -> v
+        | None -> Alcotest.failf "event %S missing number %S" (str "name") k
       in
       let ph = str "ph" in
       Hashtbl.replace phases ph ();
@@ -411,8 +288,148 @@ let test_export_creates_parent_dirs () =
   (match Json.parse (String.trim contents) with
   | Json.Obj _ -> ()
   | _ -> Alcotest.fail "exported file is not a JSON object"
-  | exception Json.Bad msg -> Alcotest.failf "exported file invalid: %s" msg);
+  | exception Json.Parse_error msg ->
+      Alcotest.failf "exported file invalid: %s" msg);
   Sys.remove path
+
+(* A %.6g float writer loses this: the timestamp is past 1e7 us. *)
+let test_export_ts_precision () =
+  let t = Obs.Tracer.create () in
+  Obs.Tracer.span t ~start:(time 12_345_678_901) ~stop:(time 12_345_679_002)
+    ~txn:1 ~baseline:false ~category:Obs.Span.Network ~track:"net" ~name:"m";
+  let event =
+    match Json.member "traceEvents" (Json.parse (Obs.Export.to_string t)) with
+    | Some (Json.List evs) ->
+        List.find (fun ev -> Json.member "ph" ev = Some (Json.Str "X")) evs
+    | _ -> Alcotest.fail "no traceEvents array"
+  in
+  let num k = Option.get (Json.to_float (Json.member k event)) in
+  Alcotest.(check (float 0.)) "ts" (12_345_678_901. /. 1e3) (num "ts");
+  Alcotest.(check (float 0.)) "dur" (101. /. 1e3) (num "dur")
+
+(* ------------------------------------------------------------------ *)
+(* Obs.Json: the one writer and strict reader                          *)
+(* ------------------------------------------------------------------ *)
+
+let roundtrip_str s =
+  match Json.parse (Json.to_string (Json.Str s)) with
+  | Json.Str s' -> s'
+  | _ -> Alcotest.fail "escaped string parsed as a non-string"
+
+let test_json_bytes () =
+  (* every byte, alone and sandwiched, survives write -> parse *)
+  for c = 0 to 255 do
+    let s = Printf.sprintf "a%cb" (Char.chr c) in
+    Alcotest.(check string) (Printf.sprintf "byte 0x%02x" c) s (roundtrip_str s)
+  done;
+  List.iter
+    (fun s ->
+      Alcotest.(check string) ("literal " ^ String.escaped s) s (roundtrip_str s))
+    [
+      "";
+      "plain";
+      "with \"quotes\" and \\backslashes\\";
+      "tab\there\nnewline\rreturn\bbackspace\012formfeed";
+      "\x00\x01\x1f\x7f\xff";
+      "path\\to\\nowhere";
+      "{\"not\":\"json\"}";
+    ]
+
+(* Strings over all 256 byte values; ints up to both extremes; finite
+   floats from random bit patterns plus integral, subnormal, huge and
+   past-1e15 integral values; nested lists and objects. *)
+let gen_json =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_range 0 12) in
+  let finite_bits =
+    map
+      (fun b ->
+        let f = Int64.float_of_bits b in
+        if Float.is_finite f then f else 0.)
+      ui64
+  in
+  let float_ =
+    oneof
+      [
+        finite_bits;
+        map float_of_int (int_range (-1_000_000) 1_000_000);
+        oneofl
+          [
+            0.; -0.; 0.1; 1e300; -1e300; 5e-324; 2.2250738585072009e-308;
+            1e15; 1234567890123456.; 4e18; 12_345_678_901. /. 1e3;
+          ];
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) (oneof [ int; oneofl [ min_int; max_int; 0 ] ]);
+        map (fun f -> Json.Float f) float_;
+        map (fun s -> Json.Str s) str;
+      ]
+  in
+  sized_size (int_bound 20)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           let sub = list_size (int_bound 4) (self (n / 2)) in
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) sub);
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_bound 4) (pair str (self (n / 2)))) );
+             ])
+
+let test_json_trees () =
+  QCheck.Test.make ~count:1000 ~name:"value trees round-trip"
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun v -> Json.parse (Json.to_string v) = v)
+  |> QCheck_alcotest.to_alcotest
+
+let test_json_rejects () =
+  List.iter
+    (fun doc ->
+      match Json.parse doc with
+      | v -> Alcotest.failf "accepted %S as %s" doc (Json.to_string v)
+      | exception Json.Parse_error _ -> ())
+    [
+      "{} x"; "1 2"; "\"abc"; "\"\\u12"; "\"\\u00\""; "\"\\u12g4\"";
+      "\"\\x\""; "tru"; "[tru]"; "[tree]"; "nul"; "[nill]"; "nan"; "[1 2]";
+      "{\"a\":1 \"b\":2}"; "{\"a\" 1}"; "-"; "[-]"; ""; "   "; "01"; "1.";
+      ".5"; "+1"; "[1,]"; "{\"a\":1,}"; "\"a\x01b\"";
+    ]
+
+let test_json_non_finite () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) "[null]"
+        (Json.to_string (Json.List [ Json.Float f ])))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let test_json_unicode_escape () =
+  Alcotest.(check bool) "\\u00e9 is UTF-8" true
+    (Json.parse "\"\\u00e9\"" = Json.Str "\xc3\xa9");
+  Alcotest.(check bool) "\\u20ac is UTF-8" true
+    (Json.parse "\"\\u20AC\"" = Json.Str "\xe2\x82\xac")
+
+(* Incident bundles are compared byte for byte across changes, so pin
+   one journal line's keys, order and escaping. *)
+let test_json_journal_line () =
+  let e =
+    {
+      Obs.Journal.time = time 5;
+      node = 1;
+      kind = Obs.Journal.Fault_injected { index = 3; desc = "a\"b" };
+    }
+  in
+  Alcotest.(check string) "journal line"
+    {|{"t_ns":5,"node":1,"event":"fault.injected","index":3,"desc":"a\"b"}|}
+    (Json.to_string (Obs.Journal.to_json e))
 
 (* ------------------------------------------------------------------ *)
 (* Coverage                                                            *)
@@ -512,8 +529,22 @@ let () =
       ( "export",
         [
           Alcotest.test_case "chrome trace schema" `Quick test_export_schema;
+          Alcotest.test_case "ts keeps nanoseconds" `Quick
+            test_export_ts_precision;
           Alcotest.test_case "creates parent dirs" `Quick
             test_export_creates_parent_dirs;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "all bytes round-trip" `Quick test_json_bytes;
+          test_json_trees ();
+          Alcotest.test_case "strict rejects" `Quick test_json_rejects;
+          Alcotest.test_case "non-finite floats write null" `Quick
+            test_json_non_finite;
+          Alcotest.test_case "unicode escapes read as UTF-8" `Quick
+            test_json_unicode_escape;
+          Alcotest.test_case "journal line format" `Quick
+            test_json_journal_line;
         ] );
       ( "coverage",
         [

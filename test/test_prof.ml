@@ -1,13 +1,10 @@
-(* Tests for the host profiler (Obs.Prof) and the shared JSON string
-   escaper (Obs.Json_str) added with the profiling work.
+(* Tests for the host profiler (Obs.Prof).
 
    The two acceptance properties the design demands are pinned here:
    profiling is invisible to the simulation (golden digits are
    bit-identical with it on), and the report telescopes exactly — the
    buckets plus the residual sum to the measured run totals with
-   tolerance zero, for both CPU nanoseconds and minor-heap words. The
-   escaper is round-tripped through the bench harness's own strict
-   JSON reader, byte for byte, over every possible byte. *)
+   tolerance zero, for both CPU nanoseconds and minor-heap words. *)
 
 open Opc
 
@@ -157,41 +154,6 @@ let test_prof_guards () =
     (Invalid_argument "Obs.Prof.attach: already attached")
     (fun () -> Obs.Prof.attach on engine)
 
-(* ------------------------------------------------------------------ *)
-(* JSON escaping round-trips through the bench reader                  *)
-(* ------------------------------------------------------------------ *)
-
-let roundtrip s =
-  let doc = "\"" ^ Obs.Json_str.escape s ^ "\"" in
-  match Bench_json.Json_in.parse doc with
-  | Bench_json.Json.Str s' -> s'
-  | _ -> Alcotest.fail "escaped string parsed as a non-string"
-
-let test_escape_roundtrip_bytes () =
-  (* every byte, alone and sandwiched, survives escape -> parse *)
-  for c = 0 to 255 do
-    let s = Printf.sprintf "a%cb" (Char.chr c) in
-    Alcotest.(check string) (Printf.sprintf "byte 0x%02x" c) s (roundtrip s)
-  done;
-  List.iter
-    (fun s -> Alcotest.(check string) ("literal " ^ String.escaped s) s
-        (roundtrip s))
-    [
-      "";
-      "plain";
-      "with \"quotes\" and \\backslashes\\";
-      "tab\there\nnewline\rreturn\bbackspace\012formfeed";
-      "\x00\x01\x1f\x7f\xff";
-      "path\\to\\nowhere";
-      "{\"not\":\"json\"}";
-    ]
-
-let test_escape_roundtrip_random () =
-  let gen = QCheck.string_of_size (QCheck.Gen.int_range 0 64) in
-  QCheck.Test.make ~count:500 ~name:"escape round-trips through Json_in" gen
-    (fun s -> roundtrip s = s)
-  |> QCheck_alcotest.to_alcotest
-
 let () =
   Alcotest.run "prof"
     [
@@ -207,11 +169,5 @@ let () =
           Alcotest.test_case "buckets + residual telescope exactly" `Quick
             test_report_telescopes;
           Alcotest.test_case "guards" `Quick test_prof_guards;
-        ] );
-      ( "json-escape",
-        [
-          Alcotest.test_case "all bytes round-trip" `Quick
-            test_escape_roundtrip_bytes;
-          test_escape_roundtrip_random ();
         ] );
     ]

@@ -93,7 +93,6 @@ let make_harness ?(initial_log = []) () =
         (fun ~label ~after f -> Simkit.Engine.schedule engine ~label ~after f);
       timeout = Simkit.Time.span_ms 100;
       resend_interval = Simkit.Time.span_ms 100;
-      resend_backoff = 1.0;
       max_soft_retries = 2;
       tombstone_ttl = Simkit.Time.span_ms 800;
       tombstone_cap = 4096;
