@@ -50,9 +50,12 @@
 #    conserves messages exactly (sent = delivered + dup + dropped +
 #    in-flight) and every probe settles — plus a negative control with
 #    floors inflated past 100% that must trip and name never-hit edges.
+#
+# The line before the final "CI OK" gives the script's own wall time.
 set -eu
 
 cd "$(dirname "$0")"
+started=$(date +%s)
 
 # The negative controls' temp files; removed on exit, pass or fail.
 trap 'rm -rf BENCH_*.negative.* BENCH_*.inflated.json BENCH_*.unbounded.json AUTOPSY_smoke*' EXIT
@@ -192,4 +195,5 @@ echo "== bench coverage (transition-map floors + conservation ledger) =="
 # every probe settles with a balanced ledger.
 dune exec bench/main.exe -- coverage
 
+echo "ci.sh wall time: $(($(date +%s) - started)) s"
 echo "CI OK"

@@ -32,7 +32,7 @@ type t = {
   obs : Obs.Tracer.t;
   cover : Obs.Coverage.t;
   client_reply : Txn.id -> Txn.outcome -> unit;
-  mark : Txn.id -> string -> unit;
+  lock_hold : locked_at:Simkit.Time.t -> unit;
 }
 
 let hit t id = Obs.Coverage.hit t.cover id

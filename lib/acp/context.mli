@@ -12,8 +12,9 @@
       [force]'s callback fires at durability (never after a crash).
     - [harden txn updates] advances the durable metadata image exactly
       once per transaction (idempotent across recovery replays).
-    - [mark] timestamps named per-transaction milestones ("locked",
-      "replied", ...) for the latency-decomposition experiments. *)
+    - [lock_hold ~locked_at] reports a coordinator's first release of the
+      locks it finished taking at [locked_at]; the cluster books the
+      hold time for the Figure 6 lock-hold experiments. *)
 
 type t = {
   engine : Simkit.Engine.t;
@@ -58,7 +59,7 @@ type t = {
   cover : Obs.Coverage.t;
       (** transition-coverage tap, sized for {!Edges.count} *)
   client_reply : Txn.id -> Txn.outcome -> unit;
-  mark : Txn.id -> string -> unit;
+  lock_hold : locked_at:Simkit.Time.t -> unit;
 }
 
 val hit : t -> int -> unit

@@ -3,6 +3,8 @@ let label_work_resend = Simkit.Label.v Acp "l1pc.work_resend"
 let label_decide_resend = Simkit.Label.v Acp "l1pc.decide_resend"
 let label_recover_resend = Simkit.Label.v Acp "l1pc.recover_resend"
 
+module Tbl = Simkit.Tbl.Pair
+
 type cphase =
   | C_starting  (* local locks/updates in progress *)
   | C_voting  (* VOTE_REQ out, waiting for the worker's vote *)
@@ -17,6 +19,7 @@ type coord = {
   mutable phase : cphase;
   mutable undo_list : Mds.Update.t list;
   mutable retries : int;
+  mutable locked_at : Simkit.Time.t option;  (* until the first release *)
   mutable ospan : int;  (* open coordinator-lifetime Phase span, -1 = none *)
   timer : Simkit.Engine.handle option ref;
 }
@@ -42,34 +45,47 @@ type work = {
 type recovery = {
   mutable awaiting : int list;  (* members that have not answered *)
   mutable rec_attempts : int;
-  rec_items : (int * int, Txn.id * Mds.Update.t list) Hashtbl.t;
+  rec_items : (Txn.id * Mds.Update.t list) Tbl.t;
   rec_timer : Simkit.Engine.handle option ref;
   rec_done : unit -> unit;
   mutable resurrecting : int;  (* async lock/apply continuations in flight *)
   mutable collected : bool;  (* responses closed; resurrection started *)
 }
 
+(* One parked vote held for a group peer. [owner] is the worker's server
+   slot (the transaction's origin is its coordinator, a different node).
+   The replica store threads its entries oldest first, so the eviction
+   order holds exactly the stored entries: eviction finds the oldest in
+   O(1) and REP_DROP unlinks in O(1). *)
+type parked = {
+  p_key : int * int;
+  mutable owner : int;
+  mutable p_updates : Mds.Update.t list;
+  mutable older : parked option;
+  mutable newer : parked option;
+}
+
 type t = {
   ctx : Context.t;
-  coords : (int * int, coord) Hashtbl.t;
-  works : (int * int, work) Hashtbl.t;
+  coords : coord Tbl.t;
+  works : work Tbl.t;
   (* Passive replica store: copies of our group peers' volatile vote
-     state, keyed by transaction. [owner] is the worker's server slot (the
-     transaction's origin is its coordinator, a different node). Entries
-     are installed by REP_STORE, dropped by REP_DROP, and read back
-     wholesale by a restarting owner's RECOVER_REQ. Deliberately volatile:
-     the whole point of L1PC is that durability of a vote comes from the
-     quorum holding it in memory, not from any log.
+     state, keyed by transaction. Entries are installed by REP_STORE,
+     dropped by REP_DROP, and read back wholesale by a restarting owner's
+     RECOVER_REQ. Deliberately volatile: the whole point of L1PC is that
+     durability of a vote comes from the quorum holding it in memory, not
+     from any log.
 
-     The table is bounded by [tombstone_cap] (reusing the 1PC knob: both
+     The store is bounded by [tombstone_cap] (reusing the 1PC knob: both
      cap "small per-transaction residue a fault can strand"). REP_DROPs
      lost to the network would otherwise leak entries for the length of
-     the run; [replica_fifo] evicts the oldest on overflow. Evicting a
-     *live* entry is survivable — it only weakens the owner's recovery
-     quorum by one copy, and the DECIDE retransmission path re-teaches a
-     worker that lost everything — so a FIFO bound is enough. *)
-  replica : (int * int, int * Mds.Update.t list) Hashtbl.t;
-  replica_fifo : (int * int) Queue.t;
+     the run; on overflow the oldest entry is evicted. Evicting a *live*
+     entry is survivable — it only weakens the owner's recovery quorum by
+     one copy, and the DECIDE retransmission path re-teaches a worker that
+     lost everything — so a FIFO bound is enough. *)
+  replica : parked Tbl.t;
+  mutable oldest : parked option;
+  mutable newest : parked option;
   mutable recovering : recovery option;
 }
 
@@ -78,21 +94,22 @@ let key (id : Txn.id) = (id.origin, id.seq)
 let create ctx =
   {
     ctx;
-    coords = Hashtbl.create 64;
-    works = Hashtbl.create 64;
-    replica = Hashtbl.create 64;
-    replica_fifo = Queue.create ();
+    coords = Tbl.create 64;
+    works = Tbl.create 64;
+    replica = Tbl.create 64;
+    oldest = None;
+    newest = None;
     recovering = None;
   }
 
 (* Replica-store entries are passive (no timers, no liveness obligations),
    so they do not count as outstanding work. *)
-let outstanding t = Hashtbl.length t.coords + Hashtbl.length t.works
+let outstanding t = Tbl.length t.coords + Tbl.length t.works
 
 let owns t id =
-  Hashtbl.mem t.coords (key id)
-  || Hashtbl.mem t.works (key id)
-  || Hashtbl.mem t.replica (key id)
+  Tbl.mem t.coords (key id)
+  || Tbl.mem t.works (key id)
+  || Tbl.mem t.replica (key id)
 
 let send_to t server msg =
   t.ctx.Context.send ~dst:(t.ctx.Context.address_of server) msg
@@ -107,7 +124,12 @@ let hit t id = Context.hit t.ctx id
 let coord_drop t c =
   Context.obs_finish t.ctx c.ospan;
   c.ospan <- -1;
-  Hashtbl.remove t.coords (key c.id)
+  Tbl.remove t.coords (key c.id)
+
+let coord_release t c =
+  Common.release t.ctx c.id;
+  Option.iter (fun locked_at -> t.ctx.Context.lock_hold ~locked_at) c.locked_at;
+  c.locked_at <- None
 
 let send_vote_req t c =
   send_to t c.worker (Wire.Vote_req { txn = c.id; updates = c.worker_updates })
@@ -131,10 +153,8 @@ let coord_abort ?(notify_worker = false) t c reason =
   trace t c.id ~kind:"txn.abort" reason;
   if notify_worker then
     send_to t c.worker (Wire.Decide { txn = c.id; commit = false; updates = [] });
-  Common.release t.ctx c.id;
-  t.ctx.Context.mark c.id "released";
+  coord_release t c;
   t.ctx.Context.client_reply c.id (Txn.Aborted reason);
-  t.ctx.Context.mark c.id "replied";
   coord_drop t c
 
 let rec arm_decide_timer t c =
@@ -163,9 +183,7 @@ let coord_decide_commit t c =
   Context.obs_phase t.ctx c.id "l1pc.coord.commit";
   t.ctx.Context.harden c.id c.own_updates;
   t.ctx.Context.client_reply c.id Txn.Committed;
-  t.ctx.Context.mark c.id "replied";
-  Common.release t.ctx c.id;
-  t.ctx.Context.mark c.id "released";
+  coord_release t c;
   trace t c.id ~kind:"txn.commit" "worker voted yes; deciding commit";
   send_decide t c;
   arm_decide_timer t c
@@ -206,6 +224,7 @@ let coord_of_plan (txn : Txn.t) =
         phase = C_starting;
         undo_list = [];
         retries = 0;
+        locked_at = None;
         ospan = -1;
         timer = ref None;
       }
@@ -218,14 +237,13 @@ let coord_of_plan (txn : Txn.t) =
 let submit t (txn : Txn.t) =
   let c = coord_of_plan txn in
   hit t Edges.Lp1.c_submit;
-  Hashtbl.replace t.coords (key c.id) c;
+  Tbl.replace t.coords (key c.id) c;
   c.ospan <- Context.obs_start t.ctx c.id ~name:"l1pc.coord";
-  t.ctx.Context.mark c.id "submit";
   trace t c.id ~kind:"txn.start" "L1PC coordinator";
   Common.acquire_locks t.ctx ~txn:c.id ~oids:c.own_lock_oids
     ~on_granted:(fun () ->
       if c.phase = C_starting then begin
-        t.ctx.Context.mark c.id "locked";
+        c.locked_at <- Some (Simkit.Engine.now t.ctx.Context.engine);
         Common.apply_updates t.ctx c.own_updates ~k:(fun result ->
             match (result, c.phase) with
             | Ok inverses, C_starting ->
@@ -246,7 +264,7 @@ let submit t (txn : Txn.t) =
       end)
 
 let coord_on_vote t ~src txn vote =
-  match Hashtbl.find_opt t.coords (key txn) with
+  match Tbl.find_opt t.coords (key txn) with
   | Some c -> (
       match c.phase with
       | C_voting ->
@@ -275,7 +293,7 @@ let coord_on_vote t ~src txn vote =
       end
 
 let coord_on_decide_ack t txn =
-  match Hashtbl.find_opt t.coords (key txn) with
+  match Tbl.find_opt t.coords (key txn) with
   | Some c when c.phase = C_deciding ->
       hit t Edges.Lp1.c_decide_ack;
       Common.cancel_timer c.timer;
@@ -290,7 +308,7 @@ let work_drop t w =
   Context.obs_finish t.ctx w.w_ospan;
   w.w_ospan <- -1;
   Common.cancel_timer w.w_timer;
-  Hashtbl.remove t.works (key w.w_id)
+  Tbl.remove t.works (key w.w_id)
 
 let rep_drop_all t txn =
   List.iter
@@ -317,7 +335,7 @@ let rec arm_work_timer t w =
       (t.ctx.Context.set_timer ~label:label_work_resend
          ~after:t.ctx.Context.resend_interval (fun () ->
            w.w_timer := None;
-           if Hashtbl.mem t.works (key w.w_id) then begin
+           if Tbl.mem t.works (key w.w_id) then begin
              (match w.wstate with
              | W_replicating -> send_rep_store t w
              | W_voted ->
@@ -352,7 +370,7 @@ let work_vote_yes t w =
 let age_of_token token = (token land ((1 lsl 42) - 1), token lsr 42)
 
 let pre_decision_coord t token =
-  Hashtbl.fold
+  Tbl.fold
     (fun _ (c : coord) acc ->
       acc
       || Txn.owner_token c.id = token
@@ -370,7 +388,7 @@ let must_die t txn oids =
     oids
 
 let work_on_vote_req t ~src txn updates =
-  match Hashtbl.find_opt t.works (key txn) with
+  match Tbl.find_opt t.works (key txn) with
   | Some w when w.wstate = W_voted ->
       (* Coordinator retry racing our vote. *)
       hit t Edges.Lp1.w_vote_dup;
@@ -403,7 +421,7 @@ let work_on_vote_req t ~src txn updates =
           }
         in
         hit t Edges.Lp1.w_fresh;
-        Hashtbl.replace t.works (key txn) w;
+        Tbl.replace t.works (key txn) w;
         w.w_ospan <- Context.obs_start t.ctx txn ~name:"l1pc.worker";
         trace t txn ~kind:"txn.start" "L1PC worker";
         Common.acquire_locks t.ctx ~txn
@@ -450,7 +468,7 @@ let work_on_vote_req t ~src txn updates =
       end
 
 let work_on_rep_ack t ~src txn =
-  match Hashtbl.find_opt t.works (key txn) with
+  match Tbl.find_opt t.works (key txn) with
   | Some w ->
       let member = Netsim.Address.index src in
       let first = w.rep_acked = [] in
@@ -463,7 +481,7 @@ let work_on_rep_ack t ~src txn =
   | None -> ()
 
 let work_on_decide t ~src txn commit updates =
-  match Hashtbl.find_opt t.works (key txn) with
+  match Tbl.find_opt t.works (key txn) with
   | Some w -> (
       match w.wstate with
       | W_locking ->
@@ -527,32 +545,59 @@ let work_on_decide t ~src txn commit updates =
 (* Replica store (passive)                                             *)
 (* ------------------------------------------------------------------ *)
 
+let replica_remove t p =
+  (match p.older with
+  | Some o -> o.newer <- p.newer
+  | None -> t.oldest <- p.newer);
+  (match p.newer with
+  | Some n -> n.older <- p.older
+  | None -> t.newest <- p.older);
+  Tbl.remove t.replica p.p_key
+
 let replica_gc t =
-  while Hashtbl.length t.replica > t.ctx.Context.tombstone_cap do
-    match Queue.pop t.replica_fifo with
-    | k ->
-        if Hashtbl.mem t.replica k then begin
-          hit t Edges.Lp1.rep_evict;
-          Hashtbl.remove t.replica k;
-          Metrics.Ledger.incr t.ctx.Context.ledger "l1pc.replica.evicted"
-        end
-    | exception Queue.Empty -> assert false (* fifo covers every entry *)
+  while Tbl.length t.replica > t.ctx.Context.tombstone_cap do
+    match t.oldest with
+    | Some p ->
+        hit t Edges.Lp1.rep_evict;
+        replica_remove t p;
+        Metrics.Ledger.incr t.ctx.Context.ledger "l1pc.replica.evicted"
+    | None -> assert false (* the order threads every entry *)
   done
 
+(* A re-sent REP_STORE refreshes the entry in place; its age is that of
+   its first store. *)
 let replica_on_store t ~src txn owner updates =
   let k = key txn in
   hit t Edges.Lp1.rep_store;
-  if not (Hashtbl.mem t.replica k) then Queue.push k t.replica_fifo;
-  Hashtbl.replace t.replica k (owner, updates);
+  (match Tbl.find_opt t.replica k with
+  | Some p ->
+      p.owner <- owner;
+      p.p_updates <- updates
+  | None ->
+      let p =
+        {
+          p_key = k;
+          owner;
+          p_updates = updates;
+          older = t.newest;
+          newer = None;
+        }
+      in
+      (match t.newest with
+      | Some n -> n.newer <- Some p
+      | None -> t.oldest <- Some p);
+      t.newest <- Some p;
+      Tbl.add t.replica k p);
   replica_gc t;
   t.ctx.Context.send ~dst:src (Wire.Rep_ack { txn })
 
 let replica_on_recover_req t ~src owner =
   hit t Edges.Lp1.rep_recover_req;
   let items =
-    Hashtbl.fold
-      (fun (origin, seq) (o, updates) acc ->
-        if o = owner then ({ Txn.origin; seq }, updates) :: acc else acc)
+    Tbl.fold
+      (fun (origin, seq) p acc ->
+        if p.owner = owner then ({ Txn.origin; seq }, p.p_updates) :: acc
+        else acc)
       t.replica []
     |> List.sort (fun ((a : Txn.id), _) (b, _) -> Txn.id_compare a b)
   in
@@ -638,7 +683,7 @@ and resurrect t r (id : Txn.id) updates =
         w_timer = ref None;
       }
     in
-    Hashtbl.replace t.works (key id) w;
+    Tbl.replace t.works (key id) w;
     w.w_ospan <- Context.obs_start t.ctx id ~name:"l1pc.worker.recover";
     trace t id ~kind:"txn.recover" "re-voting from replica quorum";
     Common.acquire_locks t.ctx ~txn:id
@@ -671,7 +716,7 @@ and finish_collection t r =
   r.collected <- true;
   Common.cancel_timer r.rec_timer;
   let items =
-    Hashtbl.fold (fun _ item acc -> item :: acc) r.rec_items []
+    Tbl.fold (fun _ item acc -> item :: acc) r.rec_items []
     |> List.sort (fun ((a : Txn.id), _) (b, _) -> Txn.id_compare a b)
   in
   (* Guard at 1 so synchronous resurrections cannot fire rec_done before
@@ -690,8 +735,8 @@ let on_recover_resp t ~src owner items =
           r.awaiting <- List.filter (fun m -> m <> member) r.awaiting;
           List.iter
             (fun (id, updates) ->
-              if not (Hashtbl.mem r.rec_items (key id)) then
-                Hashtbl.replace r.rec_items (key id) (id, updates))
+              if not (Tbl.mem r.rec_items (key id)) then
+                Tbl.replace r.rec_items (key id) (id, updates))
             items;
           if r.awaiting = [] then finish_collection t r
         end
@@ -706,7 +751,7 @@ let recover t ~on_done =
         {
           awaiting = members;
           rec_attempts = 0;
-          rec_items = Hashtbl.create 16;
+          rec_items = Tbl.create 16;
           rec_timer = ref None;
           rec_done = on_done;
           resurrecting = 0;
@@ -735,11 +780,12 @@ let on_message t ~src (msg : Wire.t) =
   | Wire.Decide { txn; commit; updates } ->
       work_on_decide t ~src txn commit updates
   | Wire.Decide_ack { txn } -> coord_on_decide_ack t txn
-  | Wire.Rep_drop { txn } ->
-      if Hashtbl.mem t.replica (key txn) then begin
-        hit t Edges.Lp1.rep_drop;
-        Hashtbl.remove t.replica (key txn)
-      end
+  | Wire.Rep_drop { txn } -> (
+      match Tbl.find_opt t.replica (key txn) with
+      | Some p ->
+          hit t Edges.Lp1.rep_drop;
+          replica_remove t p
+      | None -> ())
   | Wire.Recover_req { owner } -> replica_on_recover_req t ~src owner
   | Wire.Recover_resp { owner; items } -> on_recover_resp t ~src owner items
   | Wire.Update_req _ | Wire.Updated _ | Wire.Ack _ | Wire.Ack_req _
@@ -752,9 +798,9 @@ let on_message t ~src (msg : Wire.t) =
 let on_suspect t peer =
   let server = Netsim.Address.index peer in
   (* Collect first: aborting removes table entries, and mutating a
-     Hashtbl under iteration is unspecified. Sorted for determinism. *)
+     table under iteration is unspecified. Sorted for determinism. *)
   let victims =
-    Hashtbl.fold
+    Tbl.fold
       (fun _ c acc ->
         if c.worker = server && c.phase = C_voting then c :: acc else acc)
       t.coords []

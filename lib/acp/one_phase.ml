@@ -1,6 +1,8 @@
 let label_updated_timeout = Simkit.Label.v Acp "1pc.updated_timeout"
 let label_ack_req = Simkit.Label.v Acp "1pc.ack_req"
 
+module Tbl = Simkit.Tbl.Pair
+
 type cphase =
   | C_starting  (* STARTED+REDO force or local work in progress *)
   | C_working  (* UPDATE_REQ out, waiting for UPDATED *)
@@ -17,6 +19,7 @@ type coord = {
   mutable phase : cphase;
   mutable undo_list : Mds.Update.t list;
   mutable retries : int;
+  mutable locked_at : Simkit.Time.t option;  (* until the first release *)
   mutable ospan : int;  (* open coordinator-lifetime Phase span, -1 = none *)
   timer : Simkit.Engine.handle option ref;
 }
@@ -32,8 +35,8 @@ type work = {
 
 type t = {
   ctx : Context.t;
-  coords : (int * int, coord) Hashtbl.t;
-  works : (int * int, work) Hashtbl.t;
+  coords : coord Tbl.t;
+  works : work Tbl.t;
   (* Transactions this incarnation voted NO on. The vote must be sticky:
      a worker commits unilaterally in 1PC, so if a duplicate or retried
      UPDATE_REQ re-executed a rejected transaction it could commit it
@@ -55,7 +58,7 @@ type t = {
      submitted after the expired one sits above the horizon and a
      spurious NO can only hit a request older than the expired
      tombstone — a conservative abort, never an inconsistency. *)
-  rejected : (int * int, Simkit.Time.t) Hashtbl.t;
+  rejected : Simkit.Time.t Tbl.t;
   reject_fifo : ((int * int) * Simkit.Time.t) Queue.t;
   mutable stale_below : int;
 }
@@ -65,9 +68,9 @@ let key (id : Txn.id) = (id.origin, id.seq)
 let create ctx =
   {
     ctx;
-    coords = Hashtbl.create 64;
-    works = Hashtbl.create 64;
-    rejected = Hashtbl.create 64;
+    coords = Tbl.create 64;
+    works = Tbl.create 64;
+    rejected = Tbl.create 64;
     reject_fifo = Queue.create ();
     stale_below = 0;
   }
@@ -76,11 +79,11 @@ let create ctx =
 (* NO-vote tombstones                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let tombstone_count t = Hashtbl.length t.rejected
+let tombstone_count t = Tbl.length t.rejected
 let hit t id = Context.hit t.ctx id
 
 let expire_tombstone t k =
-  Hashtbl.remove t.rejected k;
+  Tbl.remove t.rejected k;
   t.stale_below <- max t.stale_below (snd k + 1);
   Metrics.Ledger.incr t.ctx.Context.ledger "acp.tombstone.expired"
 
@@ -94,7 +97,7 @@ let gc_tombstones t =
     match Queue.peek_opt t.reject_fifo with
     | Some (k, deadline) when Simkit.Time.( <= ) deadline now -> (
         ignore (Queue.pop t.reject_fifo);
-        (match Hashtbl.find_opt t.rejected k with
+        (match Tbl.find_opt t.rejected k with
         | Some live when Simkit.Time.( <= ) live now ->
             hit t Edges.Opc.w_tomb_expire;
             expire_tombstone t k
@@ -108,7 +111,7 @@ let gc_tombstones t =
   while tombstone_count t > t.ctx.Context.tombstone_cap do
     match Queue.pop t.reject_fifo with
     | k, _ ->
-        if Hashtbl.mem t.rejected k then begin
+        if Tbl.mem t.rejected k then begin
           hit t Edges.Opc.w_tomb_cap;
           expire_tombstone t k
         end
@@ -121,13 +124,13 @@ let touch_tombstone t k =
       (Simkit.Engine.now t.ctx.Context.engine)
       t.ctx.Context.tombstone_ttl
   in
-  if not (Hashtbl.mem t.rejected k) then
+  if not (Tbl.mem t.rejected k) then
     Metrics.Ledger.incr t.ctx.Context.ledger "acp.tombstone.add";
-  Hashtbl.replace t.rejected k deadline;
+  Tbl.replace t.rejected k deadline;
   Queue.push (k, deadline) t.reject_fifo;
   gc_tombstones t
 
-let outstanding t = Hashtbl.length t.coords + Hashtbl.length t.works
+let outstanding t = Tbl.length t.coords + Tbl.length t.works
 
 let send_to t server msg =
   t.ctx.Context.send ~dst:(t.ctx.Context.address_of server) msg
@@ -141,7 +144,12 @@ let trace t id ~kind detail = Context.trace_txn t.ctx id ~kind detail
 let coord_drop t c =
   Context.obs_finish t.ctx c.ospan;
   c.ospan <- -1;
-  Hashtbl.remove t.coords (key c.id)
+  Tbl.remove t.coords (key c.id)
+
+let coord_release t c =
+  Common.release t.ctx c.id;
+  Option.iter (fun locked_at -> t.ctx.Context.lock_hold ~locked_at) c.locked_at;
+  c.locked_at <- None
 
 (* The worker committed (its UPDATED arrived, or its log said so after
    fencing): answer the client and release the directory lock at once —
@@ -152,9 +160,7 @@ let coord_worker_committed t c =
   c.phase <- C_committing;
   Context.obs_phase t.ctx c.id "1pc.coord.commit";
   t.ctx.Context.client_reply c.id Txn.Committed;
-  t.ctx.Context.mark c.id "replied";
-  Common.release t.ctx c.id;
-  t.ctx.Context.mark c.id "released";
+  coord_release t c;
   trace t c.id ~kind:"txn.commit" "worker committed; replying early";
   t.ctx.Context.force
     [
@@ -182,10 +188,8 @@ let coord_abort t c reason =
     [ Log_record.Aborted { txn = c.id } ]
     ~on_durable:(fun () ->
       hit t Edges.Opc.c_abort;
-      Common.release t.ctx c.id;
-      t.ctx.Context.mark c.id "released";
+      coord_release t c;
       t.ctx.Context.client_reply c.id (Txn.Aborted reason);
-      t.ctx.Context.mark c.id "replied";
       t.ctx.Context.log_gc c.id;
       coord_drop t c)
 
@@ -259,7 +263,7 @@ let rec coord_run t c ~replayed =
   Common.acquire_locks t.ctx ~txn:c.id ~oids:c.own_lock_oids
     ~on_granted:(fun () ->
       if c.phase = C_starting then begin
-        t.ctx.Context.mark c.id "locked";
+        c.locked_at <- Some (Simkit.Engine.now t.ctx.Context.engine);
         Common.apply_updates t.ctx c.own_updates ~k:(fun result ->
             match (result, c.phase) with
             | Ok inverses, C_starting ->
@@ -331,6 +335,7 @@ let coord_of_plan (txn : Txn.t) =
         phase = C_starting;
         undo_list = [];
         retries = 0;
+        locked_at = None;
         ospan = -1;
         timer = ref None;
       }
@@ -343,9 +348,8 @@ let coord_of_plan (txn : Txn.t) =
 let submit t (txn : Txn.t) =
   let c = coord_of_plan txn in
   hit t Edges.Opc.c_submit;
-  Hashtbl.replace t.coords (key c.id) c;
+  Tbl.replace t.coords (key c.id) c;
   c.ospan <- Context.obs_start t.ctx c.id ~name:"1pc.coord";
-  t.ctx.Context.mark c.id "submit";
   trace t c.id ~kind:"txn.start" "1PC coordinator";
   t.ctx.Context.force
     [
@@ -368,7 +372,7 @@ let coord_on_updated t c ~ok =
   | C_starting | C_recovering | C_committing | C_aborting -> ()
 
 let coord_on_ack_req t ~src txn =
-  match Hashtbl.find_opt t.coords (key txn) with
+  match Tbl.find_opt t.coords (key txn) with
   | Some _ ->
       (* Still committing our side; the ACK will go out when it is done. *)
       hit t Edges.Opc.c_ack_req_pending
@@ -385,7 +389,7 @@ let coord_on_ack_req t ~src txn =
 let work_drop t w =
   Context.obs_finish t.ctx w.w_ospan;
   w.w_ospan <- -1;
-  Hashtbl.remove t.works (key w.w_id)
+  Tbl.remove t.works (key w.w_id)
 
 let rec arm_ack_req_timer t w =
   Common.cancel_timer w.w_timer;
@@ -406,7 +410,7 @@ let work_reject t txn =
 
 let work_on_update_req t ~src txn updates =
   gc_tombstones t;
-  match Hashtbl.find_opt t.works (key txn) with
+  match Tbl.find_opt t.works (key txn) with
   | Some w when w.committed ->
       (* Coordinator retry racing our reply. *)
       hit t Edges.Opc.w_dup_committed;
@@ -418,7 +422,7 @@ let work_on_update_req t ~src txn updates =
         hit t Edges.Opc.w_hardened;
         t.ctx.Context.send ~dst:src (Wire.Updated { txn; ok = true })
       end
-      else if Hashtbl.mem t.rejected (key txn) then begin
+      else if Tbl.mem t.rejected (key txn) then begin
         (* Already voted NO: a duplicate or retried request gets the
            same vote. Re-executing could commit a transaction the
            coordinator has meanwhile aborted on our earlier vote. *)
@@ -448,7 +452,7 @@ let work_on_update_req t ~src txn updates =
           }
         in
         hit t Edges.Opc.w_fresh;
-        Hashtbl.replace t.works (key txn) w;
+        Tbl.replace t.works (key txn) w;
         w.w_ospan <- Context.obs_start t.ctx txn ~name:"1pc.worker";
         trace t txn ~kind:"txn.start" "1PC worker";
         Common.acquire_locks t.ctx ~txn
@@ -489,7 +493,7 @@ let work_on_update_req t ~src txn updates =
       end
 
 let work_on_ack t txn =
-  match Hashtbl.find_opt t.works (key txn) with
+  match Tbl.find_opt t.works (key txn) with
   | Some w when w.committed ->
       hit t Edges.Opc.w_ack;
       Common.cancel_timer w.w_timer;
@@ -511,7 +515,7 @@ let on_message t ~src (msg : Wire.t) =
         invalid_arg "One_phase.on_message: two-phase update request";
       work_on_update_req t ~src txn updates
   | Wire.Updated { txn; ok } -> (
-      match Hashtbl.find_opt t.coords (key txn) with
+      match Tbl.find_opt t.coords (key txn) with
       | Some c -> coord_on_updated t c ~ok
       | None -> ())
   | Wire.Ack { txn } -> work_on_ack t txn
@@ -533,7 +537,7 @@ let on_message t ~src (msg : Wire.t) =
 
 let on_suspect t peer =
   let server = Netsim.Address.index peer in
-  Hashtbl.iter
+  Tbl.iter
     (fun _ c ->
       if c.worker = server && c.phase = C_working then begin
         hit t Edges.Opc.c_fence_suspect;
@@ -574,7 +578,7 @@ let recover_coordinator t (img : Log_scan.image) =
         hit t Edges.Opc.r_coord_redo;
         trace t img.id ~kind:"txn.recover" "re-executing from REDO";
         let c = coord_of_plan { Txn.id = img.id; plan } in
-        Hashtbl.replace t.coords (key c.id) c;
+        Tbl.replace t.coords (key c.id) c;
         c.ospan <- Context.obs_start t.ctx c.id ~name:"1pc.coord.recover";
         coord_run t c ~replayed:true
 
@@ -592,7 +596,7 @@ let recover_worker t (img : Log_scan.image) =
         w_timer = ref None;
       }
     in
-    Hashtbl.replace t.works (key w.w_id) w;
+    Tbl.replace t.works (key w.w_id) w;
     w.w_ospan <- Context.obs_start t.ctx w.w_id ~name:"1pc.worker.recover";
     trace t w.w_id ~kind:"txn.recover" "asking coordinator to resend ACK";
     send_to t w.coordinator (Wire.Ack_req { txn = w.w_id });
@@ -611,7 +615,7 @@ let owns_image t (img : Log_scan.image) =
   else img.committed && not img.prepared
 
 let owns t id =
-  Hashtbl.mem t.coords (key id) || Hashtbl.mem t.works (key id)
+  Tbl.mem t.coords (key id) || Tbl.mem t.works (key id)
 
 let recover t =
   let images = Log_scan.scan (t.ctx.Context.own_log ()) in

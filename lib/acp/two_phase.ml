@@ -3,6 +3,8 @@ let label_vote_timeout = Simkit.Label.v Acp "2pc.vote_timeout"
 let label_decision_req = Simkit.Label.v Acp "2pc.decision_req"
 let label_worker_abandon = Simkit.Label.v Acp "2pc.worker_abandon"
 
+module Tbl = Simkit.Tbl.Pair
+
 type variant = {
   variant_name : string;
   presume_commit : bool;
@@ -36,6 +38,7 @@ type coord = {
   mutable self_prepared : bool;
   mutable votes : ISet.t;
   mutable acks : ISet.t;
+  mutable locked_at : Simkit.Time.t option;  (* until the first release *)
   mutable ospan : int;  (* open coordinator-lifetime Phase span, -1 = none *)
   timer : Simkit.Engine.handle option ref;
 }
@@ -63,8 +66,8 @@ type t = {
   v : variant;
   e : Edges.tp;  (* this variant's declared edge map (EP skips some) *)
   ctx : Context.t;
-  coords : (int * int, coord) Hashtbl.t;
-  works : (int * int, work) Hashtbl.t;
+  coords : coord Tbl.t;
+  works : work Tbl.t;
 }
 
 let key (id : Txn.id) = (id.origin, id.seq)
@@ -77,12 +80,12 @@ let create v ctx =
       | true, false -> Kind.Prc
       | true, true -> Kind.Ep)
   in
-  { v; e; ctx; coords = Hashtbl.create 64; works = Hashtbl.create 64 }
+  { v; e; ctx; coords = Tbl.create 64; works = Tbl.create 64 }
 
 let hit t id = Context.hit t.ctx id
 
 let variant t = t.v
-let outstanding t = Hashtbl.length t.coords + Hashtbl.length t.works
+let outstanding t = Tbl.length t.coords + Tbl.length t.works
 
 let send_to t server msg =
   t.ctx.Context.send ~dst:(t.ctx.Context.address_of server) msg
@@ -96,7 +99,12 @@ let trace t id ~kind detail = Context.trace_txn t.ctx id ~kind detail
 let coord_drop t c =
   Context.obs_finish t.ctx c.ospan;
   c.ospan <- -1;
-  Hashtbl.remove t.coords (key c.id)
+  Tbl.remove t.coords (key c.id)
+
+let coord_release t c =
+  Common.release t.ctx c.id;
+  Option.iter (fun locked_at -> t.ctx.Context.lock_hold ~locked_at) c.locked_at;
+  c.locked_at <- None
 
 let all_workers_in set workers =
   List.for_all (fun w -> ISet.mem w set) workers
@@ -112,13 +120,11 @@ let rec coord_commit_decided t c =
     ~on_durable:(fun () ->
       if c.phase = Committing then begin
         t.ctx.Context.harden c.id c.own_updates;
-        Common.release t.ctx c.id;
-        t.ctx.Context.mark c.id "released";
+        coord_release t c;
         trace t c.id ~kind:"txn.commit" "coordinator committed";
         if t.v.presume_commit then begin
           (* PrC/EP: reply, forward the decision, finalize the log. *)
           t.ctx.Context.client_reply c.id Txn.Committed;
-          t.ctx.Context.mark c.id "replied";
           List.iter
             (fun w -> send_to t w (Wire.Commit { txn = c.id }))
             c.workers;
@@ -148,10 +154,8 @@ and coord_abort_decided t c reason =
     ~on_durable:(fun () ->
       if c.phase = Aborting then begin
         hit t t.e.Edges.c_abort;
-        Common.release t.ctx c.id;
-        t.ctx.Context.mark c.id "released";
+        coord_release t c;
         t.ctx.Context.client_reply c.id (Txn.Aborted reason);
-        t.ctx.Context.mark c.id "replied";
         c.phase <- Aborted_waiting_acks;
         List.iter (fun w -> send_to t w (Wire.Abort { txn = c.id })) c.workers;
         if all_workers_in c.acks c.workers then coord_finalize t c
@@ -273,14 +277,14 @@ let submit t (txn : Txn.t) =
       self_prepared = false;
       votes = ISet.empty;
       acks = ISet.empty;
+      locked_at = None;
       ospan = -1;
       timer = ref None;
     }
   in
   hit t t.e.Edges.c_submit;
-  Hashtbl.replace t.coords (key c.id) c;
+  Tbl.replace t.coords (key c.id) c;
   c.ospan <- Context.obs_start t.ctx c.id ~name:"2pc.coord";
-  t.ctx.Context.mark c.id "submit";
   trace t c.id ~kind:"txn.start" (Fmt.str "%s coordinator" t.v.variant_name);
   t.ctx.Context.force
     [ Log_record.Started { txn = c.id; participants = c.workers } ]
@@ -289,7 +293,7 @@ let submit t (txn : Txn.t) =
         Common.acquire_locks t.ctx ~txn:c.id ~oids:c.own_lock_oids
           ~on_granted:(fun () ->
             if c.phase = Working then begin
-              t.ctx.Context.mark c.id "locked";
+              c.locked_at <- Some (Simkit.Engine.now t.ctx.Context.engine);
               arm_vote_timer t c;
               List.iter
                 (fun (w, updates) ->
@@ -365,7 +369,6 @@ let coord_on_ack t c ~src_server =
   match c.phase with
   | Committed_waiting_acks when all_workers_in c.acks c.workers ->
       t.ctx.Context.client_reply c.id Txn.Committed;
-      t.ctx.Context.mark c.id "replied";
       coord_finalize t c
   | Aborted_waiting_acks when all_workers_in c.acks c.workers ->
       coord_finalize t c
@@ -375,7 +378,7 @@ let coord_on_decision_req t ~src txn =
   let answer committed =
     t.ctx.Context.send ~dst:src (Wire.Decision { txn; committed })
   in
-  match Hashtbl.find_opt t.coords (key txn) with
+  match Tbl.find_opt t.coords (key txn) with
   | Some c -> (
       hit t t.e.Edges.c_decision_req_live;
       match c.phase with
@@ -406,7 +409,7 @@ let coord_on_decision_req t ~src txn =
 let work_drop t w =
   Context.obs_finish t.ctx w.w_ospan;
   w.w_ospan <- -1;
-  Hashtbl.remove t.works (key w.w_id)
+  Tbl.remove t.works (key w.w_id)
 
 let rec arm_decision_timer t w =
   Common.cancel_timer w.w_timer;
@@ -512,7 +515,7 @@ and apply_decision t w = function
           work_drop t w)
 
 let work_on_update_req t ~src txn updates piggyback_prepare =
-  if Hashtbl.mem t.works (key txn) then
+  if Tbl.mem t.works (key txn) then
     (* duplicate — first execution wins *)
     hit t t.e.Edges.w_dup
   else if t.ctx.Context.is_hardened txn then begin
@@ -533,7 +536,7 @@ let work_on_update_req t ~src txn updates piggyback_prepare =
       }
     in
     hit t t.e.Edges.w_fresh;
-    Hashtbl.replace t.works (key txn) w;
+    Tbl.replace t.works (key txn) w;
     w.w_ospan <- Context.obs_start t.ctx txn ~name:"2pc.worker";
     trace t txn ~kind:"txn.start" (Fmt.str "%s worker" t.v.variant_name);
     Common.acquire_locks t.ctx ~txn ~oids:(Common.lock_oids_of_updates updates)
@@ -569,7 +572,7 @@ let work_on_update_req t ~src txn updates piggyback_prepare =
   end
 
 let work_on_prepare t ~src txn =
-  match Hashtbl.find_opt t.works (key txn) with
+  match Tbl.find_opt t.works (key txn) with
   | Some w -> (
       match w.wstate with
       | W_updated ->
@@ -586,7 +589,7 @@ let work_on_prepare t ~src txn =
       t.ctx.Context.send ~dst:src (Wire.Prepared { txn; vote })
 
 let work_on_decision t ~src txn decision =
-  match Hashtbl.find_opt t.works (key txn) with
+  match Tbl.find_opt t.works (key txn) with
   | Some w -> (
       match w.wstate with
       | W_prepared | W_updated -> apply_decision t w decision
@@ -617,18 +620,18 @@ let on_message t ~src (msg : Wire.t) =
         invalid_arg "Two_phase.on_message: one-phase update request";
       work_on_update_req t ~src txn updates piggyback_prepare
   | Wire.Updated { txn; ok } -> (
-      match Hashtbl.find_opt t.coords (key txn) with
+      match Tbl.find_opt t.coords (key txn) with
       | Some c -> coord_on_updated t c ~src_server ~ok
       | None -> ())
   | Wire.Prepare { txn } -> work_on_prepare t ~src txn
   | Wire.Prepared { txn; vote } -> (
-      match Hashtbl.find_opt t.coords (key txn) with
+      match Tbl.find_opt t.coords (key txn) with
       | Some c -> coord_on_prepared t c ~src_server ~vote
       | None -> ())
   | Wire.Commit { txn } -> work_on_decision t ~src txn `Commit
   | Wire.Abort { txn } -> work_on_decision t ~src txn `Abort
   | Wire.Ack { txn } -> (
-      match Hashtbl.find_opt t.coords (key txn) with
+      match Tbl.find_opt t.coords (key txn) with
       | Some c -> coord_on_ack t c ~src_server
       | None -> ())
   | Wire.Decision_req { txn } -> coord_on_decision_req t ~src txn
@@ -667,11 +670,12 @@ let recover_coordinator t (img : Log_scan.image) =
         self_prepared = true;
         votes = ISet.empty;
         acks = ISet.empty;
+        locked_at = None;
         ospan = -1;
         timer = ref None;
       }
     in
-    Hashtbl.replace t.coords (key c.id) c;
+    Tbl.replace t.coords (key c.id) c;
     c.ospan <- Context.obs_start t.ctx c.id ~name:"2pc.coord.recover";
     c
   in
@@ -775,7 +779,7 @@ let rec recover_worker t (img : Log_scan.image) =
         w_timer = ref None;
       }
     in
-    Hashtbl.replace t.works (key w.w_id) w;
+    Tbl.replace t.works (key w.w_id) w;
     w.w_ospan <- Context.obs_start t.ctx w.w_id ~name:"2pc.worker.recover";
     trace t w.w_id ~kind:"txn.recover" "worker in doubt, asking coordinator";
     Common.acquire_locks t.ctx ~txn:w.w_id
@@ -820,7 +824,7 @@ let owns_image t (img : Log_scan.image) =
   else img.prepared || img.aborted
 
 let owns t id =
-  Hashtbl.mem t.coords (key id) || Hashtbl.mem t.works (key id)
+  Tbl.mem t.coords (key id) || Tbl.mem t.works (key id)
 
 let recover t =
   let images = Log_scan.scan (t.ctx.Context.own_log ()) in

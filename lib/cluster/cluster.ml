@@ -6,6 +6,16 @@ type waiting = {
   mutable callback : (Acp.Txn.outcome -> unit) option;
 }
 
+(* Ledger counters of the client-facing [txn.*] keys. *)
+type counters = {
+  submitted : Metrics.Ledger.counter;
+  plan_local : Metrics.Ledger.counter;
+  plan_distributed : Metrics.Ledger.counter;
+  committed : Metrics.Ledger.counter;
+  aborted : Metrics.Ledger.counter;
+  rejected : Metrics.Ledger.counter;
+}
+
 type t = {
   config : Config.t;
   engine : Simkit.Engine.t;
@@ -24,10 +34,13 @@ type t = {
   mutable planner : Mds.Planner.t option;  (* set after nodes exist *)
   mutable nodes : Node.t array;
   root : Mds.Update.ino;
-  waiting : (int * int, waiting) Hashtbl.t;
-  marks : (int * int, (string * Simkit.Time.t) list ref) Hashtbl.t;
+  (* Client requests awaiting their reply, keyed by (origin, seq): the
+     orphan sweep iterates it. *)
+  waiting : waiting Simkit.Tbl.Pair.t;
+  counters : counters;
   latency_committed : Metrics.Histogram.t;
   latency_aborted : Metrics.Histogram.t;
+  lock_hold : Metrics.Histogram.t;
   mutable committed : int;
   mutable aborted : int;
   mutable next_seq : int;
@@ -66,16 +79,17 @@ let planner t =
   match t.planner with Some p -> p | None -> assert false
 
 (* ------------------------------------------------------------------ *)
-(* Reply routing and milestones                                        *)
+(* Reply routing                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let client_reply t id outcome =
-  match Hashtbl.find_opt t.waiting (key id) with
+  let k = key id in
+  match Simkit.Tbl.Pair.find_opt t.waiting k with
   | Some w -> (
       match w.callback with
       | Some f ->
           w.callback <- None;
-          Hashtbl.remove t.waiting (key id);
+          Simkit.Tbl.Pair.remove t.waiting k;
           let latency = Simkit.Time.diff (now t) w.submitted_at in
           (* The submit->reply window anchors the critical-path walk;
              only committed transactions belong in the paper's latency
@@ -91,47 +105,17 @@ let client_reply t id outcome =
           (match outcome with
           | Acp.Txn.Committed ->
               t.committed <- t.committed + 1;
-              Metrics.Ledger.incr t.ledger "txn.committed";
+              Metrics.Ledger.bump t.counters.committed;
               Metrics.Histogram.record t.latency_committed latency
           | Acp.Txn.Aborted _ ->
               t.aborted <- t.aborted + 1;
-              Metrics.Ledger.incr t.ledger "txn.aborted";
+              Metrics.Ledger.bump t.counters.aborted;
               Metrics.Histogram.record t.latency_aborted latency);
           f outcome
       | None ->
-          Hashtbl.remove t.waiting (key id);
+          Simkit.Tbl.Pair.remove t.waiting k;
           Metrics.Ledger.incr t.ledger "reply.duplicate")
   | None -> Metrics.Ledger.incr t.ledger "reply.duplicate"
-
-let mark t id label =
-  let cell =
-    match Hashtbl.find_opt t.marks (key id) with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.replace t.marks (key id) r;
-        r
-  in
-  cell := (label, now t) :: !cell
-
-let marks t id =
-  match Hashtbl.find_opt t.marks (key id) with
-  | Some r -> List.rev !r
-  | None -> []
-
-let mark_span t id ~from_ ~to_ =
-  let ms = marks t id in
-  match (List.assoc_opt from_ ms, List.assoc_opt to_ ms) with
-  | Some a, Some b when Simkit.Time.( >= ) b a -> Some (Simkit.Time.diff b a)
-  | _ -> None
-
-let all_mark_spans t ~from_ ~to_ =
-  Hashtbl.fold
-    (fun (origin, seq) _ acc ->
-      match mark_span t { Acp.Txn.origin; seq } ~from_ ~to_ with
-      | Some span -> span :: acc
-      | None -> acc)
-    t.marks []
 
 (* ------------------------------------------------------------------ *)
 (* Restart plumbing                                                    *)
@@ -149,7 +133,7 @@ let sweep_orphans t server =
       (Storage.Wal.durable (Node.wal n))
   in
   let orphans =
-    Hashtbl.fold
+    Simkit.Tbl.Pair.fold
       (fun (origin, seq) _ acc ->
         let id = { Acp.Txn.origin; seq } in
         if origin = server && (not (Node.owns n id)) && not (log_has id)
@@ -290,10 +274,20 @@ let create (config : Config.t) =
       planner = None;
       nodes = [||];
       root;
-      waiting = Hashtbl.create 1024;
-      marks = Hashtbl.create 1024;
+      waiting = Simkit.Tbl.Pair.create 1024;
+      counters =
+        (let counter = Metrics.Ledger.counter ledger in
+         {
+           submitted = counter "txn.submitted";
+           plan_local = counter "txn.plan.local";
+           plan_distributed = counter "txn.plan.distributed";
+           committed = counter "txn.committed";
+           aborted = counter "txn.aborted";
+           rejected = counter "txn.rejected";
+         });
       latency_committed = Metrics.Histogram.create ();
       latency_aborted = Metrics.Histogram.create ();
+      lock_hold = Metrics.Histogram.create ();
       committed = 0;
       aborted = 0;
       next_seq = 0;
@@ -329,7 +323,7 @@ let create (config : Config.t) =
             (Simkit.Engine.schedule engine ~label:label_stonith
                ~after:config.restart_delay (fun () ->
                  restart_if_down t server)));
-      mark = (fun id label -> mark t id label);
+      lock_hold = t.lock_hold;
     }
   in
   let nodes =
@@ -375,7 +369,7 @@ let create (config : Config.t) =
     Obs.Timeseries.register timeseries ~name:"net.in_flight" (fun () ->
         Netsim.Network.in_flight network);
     Obs.Timeseries.register timeseries ~name:"cluster.pending_replies"
-      (fun () -> Hashtbl.length t.waiting);
+      (fun () -> Simkit.Tbl.Pair.length t.waiting);
     Obs.Timeseries.register timeseries ~name:"ingress.queue" (fun () ->
         match t.ingress_probe with Some p -> fst (p ()) | None -> 0);
     Obs.Timeseries.register timeseries ~name:"ingress.inflight" (fun () ->
@@ -442,7 +436,7 @@ let finish_immediately t on_done outcome =
   | Acp.Txn.Committed -> t.committed <- t.committed + 1
   | Acp.Txn.Aborted _ ->
       t.aborted <- t.aborted + 1;
-      Metrics.Ledger.incr t.ledger "txn.rejected");
+      Metrics.Ledger.bump t.counters.rejected);
   on_done outcome
 
 let plan t op =
@@ -458,12 +452,12 @@ let submit_plan t plan ~on_done =
   else begin
     let id = { Acp.Txn.origin = coordinator; seq = t.next_seq } in
     t.next_seq <- t.next_seq + 1;
-    Hashtbl.replace t.waiting (key id)
+    Simkit.Tbl.Pair.replace t.waiting (key id)
       { submitted_at = now t; callback = Some on_done };
-    Metrics.Ledger.incr t.ledger "txn.submitted";
-    Metrics.Ledger.incr t.ledger
-      (if plan.Mds.Plan.workers = [] then "txn.plan.local"
-       else "txn.plan.distributed");
+    Metrics.Ledger.bump t.counters.submitted;
+    Metrics.Ledger.bump
+      (if plan.Mds.Plan.workers = [] then t.counters.plan_local
+       else t.counters.plan_distributed);
     let txn = { Acp.Txn.id; plan } in
     if plan.Mds.Plan.workers = [] then Node.run_local node txn
     else Node.submit node txn
@@ -474,7 +468,7 @@ let submit t op ~on_done =
   | Error reason -> finish_immediately t on_done (Acp.Txn.Aborted reason)
   | Ok plan -> submit_plan t plan ~on_done
 
-let pending_replies t = Hashtbl.length t.waiting
+let pending_replies t = Simkit.Tbl.Pair.length t.waiting
 
 (* Reads are served by the directory's owner under a shared lock; they
    borrow the transaction id space for their lock-owner tokens and are
@@ -599,7 +593,7 @@ type diagnostics = {
 
 let settle_diagnostics t =
   {
-    pending_replies = Hashtbl.length t.waiting;
+    pending_replies = Simkit.Tbl.Pair.length t.waiting;
     pending_reads = t.pending_reads;
     in_flight_messages = Netsim.Network.in_flight t.network;
     engine_events = Simkit.Engine.pending t.engine;
@@ -646,3 +640,4 @@ let check_invariants t =
 let txn_counts t = (t.committed, t.aborted)
 let latency_committed t = t.latency_committed
 let latency_aborted t = t.latency_aborted
+let lock_hold t = t.lock_hold

@@ -198,17 +198,12 @@ val txn_counts : t -> int * int
 (** (committed, aborted) outcomes delivered so far. *)
 
 val latency_committed : t -> Metrics.Histogram.t
+(** Submit-to-reply time of every committed transaction. *)
+
 val latency_aborted : t -> Metrics.Histogram.t
 
-val marks : t -> Acp.Txn.id -> (string * Simkit.Time.t) list
-(** Milestones recorded for a transaction ("submit", "locked",
-    "replied", "released"), in chronological order. *)
-
-val mark_span :
-  t -> Acp.Txn.id -> from_:string -> to_:string -> Simkit.Time.span option
-(** Duration between two milestones, if both were recorded. *)
-
-val all_mark_spans :
-  t -> from_:string -> to_:string -> Simkit.Time.span list
-(** The [from_ -> to_] duration of every transaction that recorded both
-    milestones (e.g. ["locked"] -> ["released"] = lock hold time). *)
+val lock_hold : t -> Metrics.Histogram.t
+(** Coordinator-side lock hold: for every transaction whose coordinator
+    took all of its locks, the time from the last grant to the
+    coordinator's first release — the quantity 1PC's early release
+    shortens (Figure 6). A coordinator rebuilt by recovery books none. *)

@@ -15,7 +15,20 @@ type services = {
   config : Config.t;
   client_reply : Acp.Txn.id -> Acp.Txn.outcome -> unit;
   stonith : Netsim.Address.t -> unit;
-  mark : Acp.Txn.id -> string -> unit;
+  lock_hold : Metrics.Histogram.t;
+}
+
+(* Ledger counters bumped once per message, log write or transaction. *)
+type counters = {
+  msg_total : Metrics.Ledger.counter;
+  msg_acp : Metrics.Ledger.counter;
+  (* Per wire tag, keyed "msg." ^ label; bound on the tag's first send,
+     when a message names the label. *)
+  msg_by_tag : Metrics.Ledger.counter option array;
+  log_sync : Metrics.Ledger.counter;
+  log_async : Metrics.Ledger.counter;
+  txn_local : Metrics.Ledger.counter;
+  txn_read : Metrics.Ledger.counter;
 }
 
 type t = {
@@ -24,7 +37,10 @@ type t = {
   address : Netsim.Address.t;
   wal : Acp.Log_record.t Storage.Wal.t;
   store : Mds.Store.t;
-  hardened : (int * int, unit) Hashtbl.t;  (* survives crashes *)
+  (* Owner tokens of the transactions whose updates reached the durable
+     image; survives crashes. *)
+  hardened : unit Simkit.Tbl.Int.t;
+  counters : counters;
   mutable up : bool;
   mutable serving : bool;  (* up and past recovery *)
   mutable epoch : int;
@@ -53,8 +69,6 @@ let journal_node t kind =
   Obs.Journal.emit t.sv.journal
     ~time:(Simkit.Engine.now t.sv.engine)
     ~node:t.server kind
-
-let key (id : Acp.Txn.id) = (id.origin, id.seq)
 
 (* Every registered endpoint is a metadata server; everyone but us is a
    peer (clients do not sit on the simulated interconnect). *)
@@ -127,6 +141,29 @@ let txn_of_records = function
   | [] -> -1
   | r :: _ -> Acp.Txn.owner_token (Acp.Log_record.txn r)
 
+let count_msg t wire =
+  let c = t.counters in
+  Metrics.Ledger.bump c.msg_total;
+  let tag = Acp.Codec.tag wire in
+  (match c.msg_by_tag.(tag) with
+  | Some by_tag -> Metrics.Ledger.bump by_tag
+  | None ->
+      let by_tag =
+        Metrics.Ledger.counter t.sv.ledger ("msg." ^ Acp.Wire.label wire)
+      in
+      c.msg_by_tag.(tag) <- Some by_tag;
+      Metrics.Ledger.bump by_tag);
+  if not (Acp.Wire.is_baseline wire) then Metrics.Ledger.bump c.msg_acp
+
+let harden_once t id updates =
+  let token = Acp.Txn.owner_token id in
+  let fresh = not (Simkit.Tbl.Int.mem t.hardened token) in
+  if fresh then begin
+    Simkit.Tbl.Int.replace t.hardened token ();
+    Mds.Store.commit_durable t.store updates
+  end;
+  fresh
+
 let make_context t =
   let epoch = t.epoch in
   let alive () = t.up && t.epoch = epoch in
@@ -139,10 +176,7 @@ let make_context t =
     send =
       (fun ~dst wire ->
         guard (fun () ->
-            Metrics.Ledger.incr t.sv.ledger "msg.total";
-            Metrics.Ledger.incr t.sv.ledger ("msg." ^ Acp.Wire.label wire);
-            if not (Acp.Wire.is_baseline wire) then
-              Metrics.Ledger.incr t.sv.ledger "msg.acp";
+            count_msg t wire;
             if Simkit.Trace.is_recording t.sv.trace then
               Simkit.Trace.emitf t.sv.trace
                 ~time:(Simkit.Engine.now t.sv.engine)
@@ -153,14 +187,14 @@ let make_context t =
     force =
       (fun records ~on_durable ->
         guard (fun () ->
-            Metrics.Ledger.incr t.sv.ledger "log.sync";
+            Metrics.Ledger.bump t.counters.log_sync;
             let txn = txn_of_records records in
             Storage.Wal.force ~txn t.wal records ~on_durable:(fun () ->
                 guard on_durable)));
     append_async =
       (fun ?on_durable records ->
         guard (fun () ->
-            Metrics.Ledger.incr t.sv.ledger "log.async";
+            Metrics.Ledger.bump t.counters.log_async;
             let on_durable =
               match on_durable with
               | None -> fun () -> ()
@@ -204,17 +238,14 @@ let make_context t =
     store = t.store;
     harden =
       (fun txn updates ->
-        if not (Hashtbl.mem t.hardened (key txn)) then begin
-          Hashtbl.replace t.hardened (key txn) ();
-          Mds.Store.commit_durable t.store updates;
-          (* During recovery the cache was rebuilt from the durable image
-             *before* this transaction was applied to it, so the volatile
-             view lacks these updates too; in normal operation the
-             executing transaction already applied them. *)
-          if not t.serving then
-            Mds.Store.replay_durable_to_volatile t.store updates
-        end);
-    is_hardened = (fun txn -> Hashtbl.mem t.hardened (key txn));
+        (* During recovery the cache was rebuilt from the durable image
+           *before* this transaction was applied to it, so the volatile
+           view lacks these updates too; in normal operation the
+           executing transaction already applied them. *)
+        if harden_once t txn updates && not t.serving then
+          Mds.Store.replay_durable_to_volatile t.store updates);
+    is_hardened =
+      (fun txn -> Simkit.Tbl.Int.mem t.hardened (Acp.Txn.owner_token txn));
     compute =
       (fun ~n k ->
         let span = Simkit.Time.mul_span t.sv.config.Config.method_latency n in
@@ -252,7 +283,11 @@ let make_context t =
     cover = t.sv.cover;
     client_reply =
       (fun txn outcome -> guard (fun () -> t.sv.client_reply txn outcome));
-    mark = (fun txn label -> guard (fun () -> t.sv.mark txn label));
+    lock_hold =
+      (fun ~locked_at ->
+        guard (fun () ->
+            Metrics.Histogram.record t.sv.lock_hold
+              (Simkit.Time.diff (Simkit.Engine.now t.sv.engine) locked_at)));
   }
 
 (* The context's locks field is captured at build time, but the manager
@@ -280,7 +315,18 @@ let create sv ~server ~root =
       wal;
       store =
         Mds.Store.create ~name:(Netsim.Address.name address) ~root;
-      hardened = Hashtbl.create 256;
+      hardened = Simkit.Tbl.Int.create 256;
+      counters =
+        (let counter = Metrics.Ledger.counter sv.ledger in
+         {
+           msg_total = counter "msg.total";
+           msg_acp = counter "msg.acp";
+           msg_by_tag = Array.make Acp.Codec.tag_count None;
+           log_sync = counter "log.sync";
+           log_async = counter "log.async";
+           txn_local = counter "txn.local";
+           txn_read = counter "txn.read";
+         });
       up = false;
       serving = false;
       epoch = 0;
@@ -499,14 +545,13 @@ let run_local t (txn : Acp.Txn.t) =
   let id = txn.id in
   let side = txn.plan.Mds.Plan.coordinator in
   let owner = Acp.Txn.owner_token id in
-  t.sv.mark id "submit";
-  Metrics.Ledger.incr t.sv.ledger "txn.local";
+  Metrics.Ledger.bump t.counters.txn_local;
   let release () =
     Locks.Lock_manager.release_all t.locks ~owner
   in
   let rec lock_all = function
     | [] ->
-        t.sv.mark id "locked";
+        let locked_at = Simkit.Engine.now t.sv.engine in
         let n = List.length side.Mds.Plan.updates in
         let span = Simkit.Time.mul_span t.sv.config.Config.method_latency n in
         ignore
@@ -524,7 +569,7 @@ let run_local t (txn : Acp.Txn.t) =
                  in
                  match apply [] side.Mds.Plan.updates with
                  | Ok _ ->
-                     Metrics.Ledger.incr t.sv.ledger "log.sync";
+                     Metrics.Ledger.bump t.counters.log_sync;
                      Storage.Wal.force ~txn:owner t.wal
                        [
                          Acp.Log_record.Updates
@@ -533,15 +578,13 @@ let run_local t (txn : Acp.Txn.t) =
                        ]
                        ~on_durable:(fun () ->
                          if alive () then begin
-                           if not (Hashtbl.mem t.hardened (key id)) then begin
-                             Hashtbl.replace t.hardened (key id) ();
-                             Mds.Store.commit_durable t.store
-                               side.Mds.Plan.updates
-                           end;
+                           ignore (harden_once t id side.Mds.Plan.updates);
                            release ();
-                           t.sv.mark id "released";
+                           Metrics.Histogram.record t.sv.lock_hold
+                             (Simkit.Time.diff
+                                (Simkit.Engine.now t.sv.engine)
+                                locked_at);
                            t.sv.client_reply id Acp.Txn.Committed;
-                           t.sv.mark id "replied";
                            Storage.Wal.gc t.wal ~keep:(fun r ->
                                not
                                  (Acp.Txn.id_equal (Acp.Log_record.txn r) id))
@@ -575,7 +618,7 @@ let run_read t ~owner ~dir ~read ~on_done =
   let epoch = t.epoch in
   let alive () = t.up && t.epoch = epoch in
   let locks = t.locks in
-  Metrics.Ledger.incr t.sv.ledger "txn.read";
+  Metrics.Ledger.bump t.counters.txn_read;
   Locks.Lock_manager.acquire locks ~owner ~oid:dir
     ~mode:Locks.Lock_manager.Shared ~timeout:t.sv.config.Config.txn_timeout
     ~on_grant:(fun () ->

@@ -29,7 +29,8 @@ type services = {
   client_reply : Acp.Txn.id -> Acp.Txn.outcome -> unit;
   stonith : Netsim.Address.t -> unit;
       (** power-cycle a fenced peer (crash now, restart per policy) *)
-  mark : Acp.Txn.id -> string -> unit;
+  lock_hold : Metrics.Histogram.t;
+      (** every coordinator's lock hold, booked at its first release *)
 }
 
 type t

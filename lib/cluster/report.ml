@@ -23,15 +23,6 @@ type t = {
   mttr : Obs.Mttr.window list;
 }
 
-let mean_span spans =
-  match spans with
-  | [] -> Simkit.Time.zero_span
-  | _ ->
-      let total =
-        List.fold_left (fun acc s -> acc + Simkit.Time.span_to_ns s) 0 spans
-      in
-      Simkit.Time.span_ns (total / List.length spans)
-
 let collect cluster =
   let committed, aborted = Cluster.txn_counts cluster in
   let latency = Cluster.latency_committed cluster in
@@ -44,9 +35,7 @@ let collect cluster =
     latency_p50 = Metrics.Histogram.percentile latency 50.0;
     latency_p95 = Metrics.Histogram.percentile latency 95.0;
     latency_max = Metrics.Histogram.max_value latency;
-    mean_lock_hold =
-      mean_span
-        (Cluster.all_mark_spans cluster ~from_:"locked" ~to_:"released");
+    mean_lock_hold = Metrics.Histogram.mean (Cluster.lock_hold cluster);
     network = Netsim.Network.stats (Cluster.network cluster);
     disk =
       (let sum a (b : Storage.Disk.stats) =

@@ -27,17 +27,6 @@ let fig6_config =
     record_trace = false;
   }
 
-let mean_span spans =
-  match spans with
-  | [] -> Simkit.Time.zero_span
-  | _ ->
-      let total =
-        List.fold_left
-          (fun acc s -> acc + Simkit.Time.span_to_ns s)
-          0 spans
-      in
-      Simkit.Time.span_ns (total / List.length spans)
-
 let run_fig6_point ?(config = fig6_config) ?(count = 100) protocol =
   let config = { config with Opc_cluster.Config.protocol } in
   let cluster = Opc_cluster.Cluster.create config in
@@ -61,9 +50,7 @@ let run_fig6_point ?(config = fig6_config) ?(count = 100) protocol =
     mean_latency =
       Metrics.Histogram.mean (Opc_cluster.Cluster.latency_committed cluster);
     mean_lock_hold =
-      mean_span
-        (Opc_cluster.Cluster.all_mark_spans cluster ~from_:"locked"
-           ~to_:"released");
+      Metrics.Histogram.mean (Opc_cluster.Cluster.lock_hold cluster);
   }
 
 let run_fig6 ?config ?count () =
@@ -334,9 +321,7 @@ let run_batched_point ?(config = fig6_config) ?(count = 100) ~batch protocol =
     mean_latency =
       Metrics.Histogram.mean (Opc_cluster.Cluster.latency_committed cluster);
     mean_lock_hold =
-      mean_span
-        (Opc_cluster.Cluster.all_mark_spans cluster ~from_:"locked"
-           ~to_:"released");
+      Metrics.Histogram.mean (Opc_cluster.Cluster.lock_hold cluster);
   }
 
 let run_multi_dir_point ~config ~count ~dirs:dir_count protocol =

@@ -2,6 +2,8 @@ let label_grant = Simkit.Label.v Locks "lock.grant"
 let label_reentrant = Simkit.Label.v Locks "lock.reentrant"
 let label_timeout = Simkit.Label.v Locks "lock.timeout"
 
+module Tbl = Simkit.Tbl.Int
+
 type mode = Shared | Exclusive
 
 let pp_mode ppf = function
@@ -45,7 +47,7 @@ type t = {
   trace : Simkit.Trace.t;
   obs : Obs.Tracer.t;
   name : string;
-  table : (int, entry) Hashtbl.t;
+  table : entry Tbl.t;
   mutable acquired : int;
   mutable waited : int;
   mutable timeouts : int;
@@ -63,7 +65,7 @@ let create ~engine ?trace ?obs ~name () =
     trace;
     obs;
     name;
-    table = Hashtbl.create 64;
+    table = Tbl.create 64;
     acquired = 0;
     waited = 0;
     timeouts = 0;
@@ -72,14 +74,30 @@ let create ~engine ?trace ?obs ~name () =
   }
 
 let entry t oid =
-  match Hashtbl.find_opt t.table oid with
+  match Tbl.find_opt t.table oid with
   | Some e -> e
   | None ->
       let e = { holders = []; queue = Queue.create (); live_waiters = 0 } in
-      Hashtbl.replace t.table oid e;
+      Tbl.replace t.table oid e;
       e
 
 let live_queue_length e = e.live_waiters
+
+(* Holder lists are short (one writer or a few readers); these are the
+   [List] association functions with owners compared as ints. *)
+let rec held_mode owner = function
+  | [] -> None
+  | (o, mode) :: rest ->
+      if Int.equal o owner then Some mode else held_mode owner rest
+
+let rec holds_any owner = function
+  | [] -> false
+  | (o, _) :: rest -> Int.equal o owner || holds_any owner rest
+
+let rec without owner = function
+  | [] -> []
+  | ((o, _) as hold) :: rest ->
+      if Int.equal o owner then rest else hold :: without owner rest
 
 (* An entry with no holders and no live waiters is indistinguishable
    from an absent one ([entry] recreates exactly this state), so drop it
@@ -89,13 +107,13 @@ let live_queue_length e = e.live_waiters
    still parked in [e.queue] are inert: their timers no-op on
    [w.live = false]. *)
 let prune t oid e =
-  if e.holders = [] && e.live_waiters = 0 then Hashtbl.remove t.table oid
+  if e.holders = [] && e.live_waiters = 0 then Tbl.remove t.table oid
 
 (* A waiter can be granted when every current holder is compatible —
    except that a holder upgrading Shared -> Exclusive only needs to be the
    sole holder. *)
 let grantable e w =
-  let self = List.mem_assoc w.owner e.holders in
+  let self = holds_any w.owner e.holders in
   match (self, w.mode) with
   | true, Exclusive ->
       (* Sole holder: every hold belongs to the upgrader. *)
@@ -113,7 +131,7 @@ let record_grant t w =
   end
 
 let set_holder e ~owner ~mode =
-  e.holders <- (owner, mode) :: List.remove_assoc owner e.holders
+  e.holders <- (owner, mode) :: without owner e.holders
 
 let grant t oid e w =
   w.live <- false;
@@ -148,7 +166,7 @@ let rec pump t oid e =
 let acquire t ~owner ~oid ~mode ?timeout ~on_grant
     ?(on_timeout = fun () -> ()) () =
   let e = entry t oid in
-  let held = List.assoc_opt owner e.holders in
+  let held = held_mode owner e.holders in
   match (held, mode) with
   | Some Exclusive, _ | Some Shared, Shared ->
       (* Re-entrant, already strong enough. *)
@@ -223,11 +241,11 @@ let cancel_waiters t e ~owner =
       e.queue
 
 let release t ~owner ~oid =
-  match Hashtbl.find_opt t.table oid with
+  match Tbl.find_opt t.table oid with
   | None -> ()
   | Some e ->
-      let had = List.mem_assoc owner e.holders in
-      e.holders <- List.remove_assoc owner e.holders;
+      let had = holds_any owner e.holders in
+      e.holders <- without owner e.holders;
       cancel_waiters t e ~owner;
       if had && Simkit.Trace.is_recording t.trace then
         Simkit.Trace.emitf t.trace
@@ -237,35 +255,35 @@ let release t ~owner ~oid =
       prune t oid e
 
 let release_all t ~owner =
-  (* Mutating the table mid-[Hashtbl.iter] is unspecified, so collect
+  (* Mutating the table mid-[Tbl.iter] is unspecified, so collect
      the entries that went dead and prune them afterwards. *)
   let dead = ref [] in
-  Hashtbl.iter
+  Tbl.iter
     (fun oid e ->
-      if List.mem_assoc owner e.holders || live_queue_length e > 0 then begin
-        e.holders <- List.remove_assoc owner e.holders;
+      if holds_any owner e.holders || live_queue_length e > 0 then begin
+        e.holders <- without owner e.holders;
         cancel_waiters t e ~owner;
         pump t oid e;
         if e.holders = [] && e.live_waiters = 0 then dead := oid :: !dead
       end)
     t.table;
-  List.iter (fun oid -> Hashtbl.remove t.table oid) !dead
+  List.iter (fun oid -> Tbl.remove t.table oid) !dead
 
 let holds t ~owner ~oid =
-  match Hashtbl.find_opt t.table oid with
+  match Tbl.find_opt t.table oid with
   | None -> None
-  | Some e -> List.assoc_opt owner e.holders
+  | Some e -> held_mode owner e.holders
 
 let holders t ~oid =
-  match Hashtbl.find_opt t.table oid with None -> [] | Some e -> e.holders
+  match Tbl.find_opt t.table oid with None -> [] | Some e -> e.holders
 
 let queue_length t ~oid =
-  match Hashtbl.find_opt t.table oid with
+  match Tbl.find_opt t.table oid with
   | None -> 0
   | Some e -> live_queue_length e
 
 let live_waiters t =
-  Hashtbl.fold (fun _ e acc -> acc + e.live_waiters) t.table 0
+  Tbl.fold (fun _ e acc -> acc + e.live_waiters) t.table 0
 
 let stats t =
   {

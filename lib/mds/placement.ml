@@ -4,7 +4,7 @@ type t = {
   strategy : strategy;
   servers : int;
   rng : Simkit.Rng.t option;
-  table : (Update.ino, int) Hashtbl.t;
+  table : int Simkit.Tbl.Int.t;
   mutable next_rr : int;
 }
 
@@ -19,17 +19,17 @@ let create ?rng ~strategy ~servers () =
   | Colocate _ when rng = None ->
       invalid_arg "Placement.create: Colocate needs an rng"
   | _ -> ());
-  { strategy; servers; rng; table = Hashtbl.create 256; next_rr = 0 }
+  { strategy; servers; rng; table = Simkit.Tbl.Int.create 256; next_rr = 0 }
 
 let servers t = t.servers
 
 let assign_root t ino ~server =
   if server < 0 || server >= t.servers then
     invalid_arg "Placement.assign_root: server out of range";
-  Hashtbl.replace t.table ino server
+  Simkit.Tbl.Int.replace t.table ino server
 
 let place t ~parent_server ino =
-  if Hashtbl.mem t.table ino then
+  if Simkit.Tbl.Int.mem t.table ino then
     invalid_arg "Placement.place: inode already placed";
   let server =
     match t.strategy with
@@ -51,12 +51,12 @@ let place t ~parent_server ino =
           let slot = hash_ino ino (t.servers - 1) in
           if slot >= parent_server then slot + 1 else slot
   in
-  Hashtbl.replace t.table ino server;
+  Simkit.Tbl.Int.replace t.table ino server;
   server
 
 let node_of t ino =
-  match Hashtbl.find_opt t.table ino with
+  match Simkit.Tbl.Int.find_opt t.table ino with
   | Some s -> s
   | None -> raise Not_found
 
-let placed t ino = Hashtbl.mem t.table ino
+let placed t ino = Simkit.Tbl.Int.mem t.table ino

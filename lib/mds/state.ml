@@ -1,8 +1,11 @@
+module Inos = Simkit.Tbl.Int
+module Names = Simkit.Tbl.String
+
 type inode_info = { kind : Update.kind; nlink : int }
 
 type t = {
-  inodes : (Update.ino, inode_info) Hashtbl.t;
-  dentries : (Update.ino, (string, Update.ino) Hashtbl.t) Hashtbl.t;
+  inodes : inode_info Inos.t;
+  dentries : Update.ino Names.t Inos.t;
 }
 
 type error =
@@ -24,31 +27,31 @@ let pp_error ppf = function
 let error_to_string e = Fmt.str "%a" pp_error e
 
 let create () =
-  { inodes = Hashtbl.create 64; dentries = Hashtbl.create 16 }
+  { inodes = Inos.create 64; dentries = Inos.create 16 }
 
 let add_root t ino =
-  Hashtbl.replace t.inodes ino { kind = Update.Directory; nlink = 1 };
-  Hashtbl.replace t.dentries ino (Hashtbl.create 16)
+  Inos.replace t.inodes ino { kind = Update.Directory; nlink = 1 };
+  Inos.replace t.dentries ino (Names.create 16)
 
-let dentry_table t dir = Hashtbl.find_opt t.dentries dir
+let dentry_table t dir = Inos.find_opt t.dentries dir
 
 let dir_entry_count t dir =
   match dentry_table t dir with
   | None -> 0
-  | Some tbl -> Hashtbl.length tbl
+  | Some tbl -> Names.length tbl
 
 let apply t (u : Update.t) : (Update.t, error) result =
   match u with
   | Create_inode { ino; kind; nlink } ->
-      if Hashtbl.mem t.inodes ino then Error (Inode_exists ino)
+      if Inos.mem t.inodes ino then Error (Inode_exists ino)
       else begin
-        Hashtbl.replace t.inodes ino { kind; nlink };
-        if kind = Update.Directory && not (Hashtbl.mem t.dentries ino) then
-          Hashtbl.replace t.dentries ino (Hashtbl.create 8);
+        Inos.replace t.inodes ino { kind; nlink };
+        if kind = Update.Directory && not (Inos.mem t.dentries ino) then
+          Inos.replace t.dentries ino (Names.create 8);
         Ok (Update.Unref { ino })
       end
   | Link { dir; name; target } -> (
-      match Hashtbl.find_opt t.inodes dir with
+      match Inos.find_opt t.inodes dir with
       | None -> Error (No_such_inode dir)
       | Some { kind = Update.File; _ } -> Error (Not_a_directory dir)
       | Some { kind = Update.Directory; _ } ->
@@ -56,34 +59,34 @@ let apply t (u : Update.t) : (Update.t, error) result =
             match dentry_table t dir with
             | Some tbl -> tbl
             | None ->
-                let tbl = Hashtbl.create 8 in
-                Hashtbl.replace t.dentries dir tbl;
+                let tbl = Names.create 8 in
+                Inos.replace t.dentries dir tbl;
                 tbl
           in
-          if Hashtbl.mem tbl name then Error (Name_exists (dir, name))
+          if Names.mem tbl name then Error (Name_exists (dir, name))
           else begin
-            Hashtbl.replace tbl name target;
+            Names.replace tbl name target;
             Ok (Update.Unlink { dir; name })
           end)
   | Unlink { dir; name } -> (
       match dentry_table t dir with
       | None ->
-          if Hashtbl.mem t.inodes dir then Error (No_such_name (dir, name))
+          if Inos.mem t.inodes dir then Error (No_such_name (dir, name))
           else Error (No_such_inode dir)
       | Some tbl -> (
-          match Hashtbl.find_opt tbl name with
+          match Names.find_opt tbl name with
           | None -> Error (No_such_name (dir, name))
           | Some target ->
-              Hashtbl.remove tbl name;
+              Names.remove tbl name;
               Ok (Update.Link { dir; name; target })))
   | Ref { ino } -> (
-      match Hashtbl.find_opt t.inodes ino with
+      match Inos.find_opt t.inodes ino with
       | None -> Error (No_such_inode ino)
       | Some info ->
-          Hashtbl.replace t.inodes ino { info with nlink = info.nlink + 1 };
+          Inos.replace t.inodes ino { info with nlink = info.nlink + 1 };
           Ok (Update.Unref { ino }))
   | Unref { ino } -> (
-      match Hashtbl.find_opt t.inodes ino with
+      match Inos.find_opt t.inodes ino with
       | None -> Error (No_such_inode ino)
       | Some info ->
           if info.nlink <= 1 then
@@ -91,18 +94,18 @@ let apply t (u : Update.t) : (Update.t, error) result =
             then Error (Directory_not_empty ino)
             else begin
               (* Reap. *)
-              Hashtbl.remove t.inodes ino;
-              Hashtbl.remove t.dentries ino;
+              Inos.remove t.inodes ino;
+              Inos.remove t.dentries ino;
               Ok
                 (Update.Create_inode
                    { ino; kind = info.kind; nlink = info.nlink })
             end
           else begin
-            Hashtbl.replace t.inodes ino { info with nlink = info.nlink - 1 };
+            Inos.replace t.inodes ino { info with nlink = info.nlink - 1 };
             Ok (Update.Ref { ino })
           end)
   | Touch { ino } ->
-      if Hashtbl.mem t.inodes ino then Ok (Update.Touch { ino })
+      if Inos.mem t.inodes ino then Ok (Update.Touch { ino })
       else Error (No_such_inode ino)
 
 let apply_exn t u =
@@ -112,40 +115,40 @@ let apply_exn t u =
       invalid_arg
         (Fmt.str "State.apply_exn: %a applying %a" pp_error e Update.pp u)
 
-let inode t ino = Hashtbl.find_opt t.inodes ino
+let inode t ino = Inos.find_opt t.inodes ino
 
 let lookup t ~dir ~name =
   match dentry_table t dir with
   | None -> None
-  | Some tbl -> Hashtbl.find_opt tbl name
+  | Some tbl -> Names.find_opt tbl name
 
 let list_dir t dir =
-  match Hashtbl.find_opt t.inodes dir with
+  match Inos.find_opt t.inodes dir with
   | Some { kind = Update.Directory; _ } ->
       let entries =
         match dentry_table t dir with
         | None -> []
-        | Some tbl -> Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+        | Some tbl -> Names.fold (fun k v acc -> (k, v) :: acc) tbl []
       in
       Some (List.sort (fun (a, _) (b, _) -> String.compare a b) entries)
   | Some { kind = Update.File; _ } | None -> None
 
 let inodes t =
-  Hashtbl.fold (fun ino info acc -> (ino, info) :: acc) t.inodes []
+  Inos.fold (fun ino info acc -> (ino, info) :: acc) t.inodes []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let copy t =
   let fresh = create () in
-  Hashtbl.iter (fun k v -> Hashtbl.replace fresh.inodes k v) t.inodes;
-  Hashtbl.iter
-    (fun k tbl -> Hashtbl.replace fresh.dentries k (Hashtbl.copy tbl))
+  Inos.iter (fun k v -> Inos.replace fresh.inodes k v) t.inodes;
+  Inos.iter
+    (fun k tbl -> Inos.replace fresh.dentries k (Names.copy tbl))
     t.dentries;
   fresh
 
 let equal a b =
   let inodes_eq = inodes a = inodes b in
   let dirs a =
-    Hashtbl.fold (fun k _ acc -> k :: acc) a.dentries []
+    Inos.fold (fun k _ acc -> k :: acc) a.dentries []
     |> List.sort Int.compare
   in
   inodes_eq
@@ -153,5 +156,5 @@ let equal a b =
   && List.for_all
        (fun d -> list_dir a d = list_dir b d)
        (List.filter
-          (fun d -> Hashtbl.mem a.inodes d)
+          (fun d -> Inos.mem a.inodes d)
           (dirs a))

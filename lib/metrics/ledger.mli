@@ -13,6 +13,18 @@ val add : t -> string -> int -> unit
 val get : t -> string -> int
 (** 0 for a never-bumped key. *)
 
+type counter
+(** One key of one ledger, bound once for a hot path: the key is looked
+    up on the first {!bump} only (and again after a {!reset}), so later
+    bumps neither hash nor compare a string. *)
+
+val counter : t -> string -> counter
+(** Bind a key. Creating a counter does not touch the ledger: the key
+    appears in {!keys} only once it is bumped. *)
+
+val bump : counter -> unit
+(** [bump (counter t key)] is [incr t key]. *)
+
 val keys : t -> string list
 (** All keys ever bumped, sorted. *)
 

@@ -30,9 +30,14 @@ let test_ledger_diff () =
 
 let test_ledger_reset () =
   let l = Ledger.create () in
+  let c = Ledger.counter l "a" in
   Ledger.incr l "a";
+  Ledger.bump c;
   Ledger.reset l;
-  Alcotest.(check (list string)) "empty" [] (Ledger.keys l)
+  Alcotest.(check (list string)) "empty" [] (Ledger.keys l);
+  (* A counter bound before the reset counts into the emptied ledger. *)
+  Ledger.bump c;
+  Alcotest.(check int) "counter after reset" 1 (Ledger.get l "a")
 
 (* Small key alphabet so random scripts collide on keys — the
    interesting cases for diff are keys bumped on both sides of the
@@ -42,12 +47,29 @@ let ledger_script_gen =
     list_size (int_bound 30)
       (pair (map (Printf.sprintf "k%d") (int_bound 7)) (int_range 0 20)))
 
+(* Counters are one more input: after the snapshot, some keys are bumped
+   through counters bound before it, while a twin ledger takes every bump
+   through [incr]. Both must read alike, and a counter that is bound but
+   never bumped adds no key. *)
 let prop_ledger_diff_is_per_key_delta =
   QCheck2.Test.make ~name:"diff after incr = per-key delta" ~count:200
-    QCheck2.Gen.(pair ledger_script_gen ledger_script_gen)
-    (fun (before_ops, after_ops) ->
-      let l = Ledger.create () in
-      List.iter (fun (k, n) -> Ledger.add l k n) before_ops;
+    QCheck2.Gen.(
+      triple ledger_script_gen ledger_script_gen (list_repeat 8 bool))
+    (fun (before_ops, after_ops, via_counter) ->
+      let l = Ledger.create () and twin = Ledger.create () in
+      let counters =
+        List.mapi
+          (fun i use ->
+            let k = Printf.sprintf "k%d" i in
+            (k, (use, Ledger.counter l k)))
+          via_counter
+      in
+      let _unbumped = Ledger.counter l "never" in
+      List.iter
+        (fun (k, n) ->
+          Ledger.add l k n;
+          Ledger.add twin k n)
+        before_ops;
       let before = Ledger.snapshot l in
       let base k =
         match List.assoc_opt k before with Some v -> v | None -> 0
@@ -55,7 +77,11 @@ let prop_ledger_diff_is_per_key_delta =
       List.iter
         (fun (k, n) ->
           Ledger.add l k n;
-          Ledger.incr l k)
+          Ledger.add twin k n;
+          Ledger.incr twin k;
+          match List.assoc k counters with
+          | true, c -> Ledger.bump c
+          | false, _ -> Ledger.incr l k)
         after_ops;
       let diff = Ledger.diff ~after:l ~before in
       (* Every live key's reported delta is exactly live minus snapshot,
@@ -64,7 +90,11 @@ let prop_ledger_diff_is_per_key_delta =
         (fun k ->
           (match List.assoc_opt k diff with Some v -> v | None -> 0)
           = Ledger.get l k - base k)
-        (Ledger.keys l))
+        (Ledger.keys l)
+      && Ledger.keys l = Ledger.keys twin
+      && Ledger.snapshot l = Ledger.snapshot twin
+      && diff = Ledger.diff ~after:twin ~before
+      && not (List.mem "never" (Ledger.keys l)))
 
 let prop_ledger_snapshot_sorted =
   QCheck2.Test.make ~name:"snapshot is sorted, unique and live" ~count:200

@@ -104,7 +104,7 @@ let make_harness ?(initial_log = []) () =
       obs = Obs.Tracer.disabled ();
       cover = Obs.Coverage.disabled ();
       client_reply = (fun txn outcome -> replies := (txn, outcome) :: !replies);
-      mark = (fun _ _ -> ());
+      lock_hold = (fun ~locked_at:_ -> ());
     }
   in
   { engine; ctx; sent; log; replies; store; hardened; fence_requests; suspected }

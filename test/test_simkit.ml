@@ -711,6 +711,98 @@ let test_timeline_truncation () =
         false (contains out "kind"))
     [ 0; -3 ]
 
+(* ------------------------------------------------------------------ *)
+(* Monomorphic tables                                                  *)
+(* ------------------------------------------------------------------ *)
+
+type 'k tbl_op =
+  | Add of 'k * int
+  | Replace of 'k * int
+  | Remove of 'k
+  | Find of 'k
+  | Reset
+
+(* A script: an initial size, then operations. Resets are rare and keys
+   come from a few hundred values, so a script typically grows the table
+   from 16 buckets past 256, crossing several resizes. *)
+let tbl_script_gen key =
+  QCheck2.Gen.(
+    pair (int_bound 64)
+      (list_size (int_range 100 600)
+         (frequency
+            [
+              (40, map2 (fun k v -> Add (k, v)) key small_nat);
+              (40, map2 (fun k v -> Replace (k, v)) key small_nat);
+              (20, map (fun k -> Remove k) key);
+              (30, map (fun k -> Find k) key);
+              (1, pure Reset);
+            ])))
+
+(* Replays a script on a [Hashtbl.create]d table and on [T]: every
+   [find_opt] must answer alike and, at every lookup and at the end, a
+   [fold] must visit the same bindings in the same order. *)
+module Agrees_with_stdlib (T : Hashtbl.S) = struct
+  let run (size, ops) =
+    let h = Hashtbl.create size and t = T.create size in
+    let same_order () =
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) h []
+      = T.fold (fun k v acc -> (k, v) :: acc) t []
+    in
+    List.for_all
+      (function
+        | Add (k, v) ->
+            Hashtbl.add h k v;
+            T.add t k v;
+            true
+        | Replace (k, v) ->
+            Hashtbl.replace h k v;
+            T.replace t k v;
+            true
+        | Remove k ->
+            Hashtbl.remove h k;
+            T.remove t k;
+            true
+        | Find k -> Hashtbl.find_opt h k = T.find_opt t k && same_order ()
+        | Reset ->
+            Hashtbl.reset h;
+            T.reset t;
+            true)
+      ops
+    && same_order ()
+end
+
+let int_key = QCheck2.Gen.int_bound 400
+
+let prop_tbl_int =
+  let module A = Agrees_with_stdlib (Tbl.Int) in
+  QCheck2.Test.make ~name:"Tbl.Int orders like Hashtbl" ~count:200
+    (tbl_script_gen int_key) A.run
+
+let prop_tbl_pair =
+  let module A = Agrees_with_stdlib (Tbl.Pair) in
+  QCheck2.Test.make ~name:"Tbl.Pair orders like Hashtbl" ~count:200
+    (tbl_script_gen QCheck2.Gen.(pair (int_bound 20) (int_bound 20)))
+    A.run
+
+let prop_tbl_string =
+  let module A = Agrees_with_stdlib (Tbl.String) in
+  QCheck2.Test.make ~name:"Tbl.String orders like Hashtbl" ~count:200
+    (tbl_script_gen QCheck2.Gen.(map (Printf.sprintf "k%d") (int_bound 400)))
+    A.run
+
+(* The property has teeth: the same table code with another hash finds
+   the same bindings but visits them in another order. *)
+let prop_tbl_other_hash_differs =
+  let module Id = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash = Fun.id
+  end) in
+  let module A = Agrees_with_stdlib (Id) in
+  QCheck2.Test.make_neg ~name:"hash = Fun.id orders unlike Hashtbl"
+    ~count:200 (tbl_script_gen int_key) A.run
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -756,6 +848,14 @@ let () =
               prop_engine_fifo_ties;
               prop_engine_model;
             ] );
+      ( "tbl",
+        qsuite
+          [
+            prop_tbl_int;
+            prop_tbl_pair;
+            prop_tbl_string;
+            prop_tbl_other_hash_differs;
+          ] );
       ( "trace",
         [
           Alcotest.test_case "basics" `Quick test_trace_basics;
