@@ -66,6 +66,9 @@ type t = {
   v : variant;
   e : Edges.tp;  (* this variant's declared edge map (EP skips some) *)
   ctx : Context.t;
+  (* The "txn.start" trace details, built once rather than per txn. *)
+  coord_start : string;
+  worker_start : string;
   coords : coord Tbl.t;
   works : work Tbl.t;
 }
@@ -80,7 +83,15 @@ let create v ctx =
       | true, false -> Kind.Prc
       | true, true -> Kind.Ep)
   in
-  { v; e; ctx; coords = Tbl.create 64; works = Tbl.create 64 }
+  {
+    v;
+    e;
+    ctx;
+    coord_start = v.variant_name ^ " coordinator";
+    worker_start = v.variant_name ^ " worker";
+    coords = Tbl.create 64;
+    works = Tbl.create 64;
+  }
 
 let hit t id = Context.hit t.ctx id
 
@@ -285,7 +296,7 @@ let submit t (txn : Txn.t) =
   hit t t.e.Edges.c_submit;
   Tbl.replace t.coords (key c.id) c;
   c.ospan <- Context.obs_start t.ctx c.id ~name:"2pc.coord";
-  trace t c.id ~kind:"txn.start" (Fmt.str "%s coordinator" t.v.variant_name);
+  trace t c.id ~kind:"txn.start" t.coord_start;
   t.ctx.Context.force
     [ Log_record.Started { txn = c.id; participants = c.workers } ]
     ~on_durable:(fun () ->
@@ -538,7 +549,7 @@ let work_on_update_req t ~src txn updates piggyback_prepare =
     hit t t.e.Edges.w_fresh;
     Tbl.replace t.works (key txn) w;
     w.w_ospan <- Context.obs_start t.ctx txn ~name:"2pc.worker";
-    trace t txn ~kind:"txn.start" (Fmt.str "%s worker" t.v.variant_name);
+    trace t txn ~kind:"txn.start" t.worker_start;
     Common.acquire_locks t.ctx ~txn ~oids:(Common.lock_oids_of_updates updates)
       ~on_granted:(fun () ->
         match w.pending_decision with

@@ -363,11 +363,8 @@ let rec heartbeat_loop t epoch peers =
       t.sv.stonith t.address
     end
     else begin
-      List.iter
-        (fun peer ->
-          Netsim.Network.send t.sv.network ~src:t.address ~dst:peer
-            Msg.Heartbeat)
-        peers;
+      Netsim.Network.multicast t.sv.network ~src:t.address ~dsts:peers
+        Msg.Heartbeat;
       ignore
         (Simkit.Engine.schedule t.sv.engine ~label:label_heartbeat
            ~after:t.sv.config.Config.heartbeat_interval (fun () ->
@@ -418,7 +415,7 @@ let bring_up ?(on_recovered = fun () -> ()) t ~recover =
   in
   t.detector <- Some detector;
   Netsim.Failure_detector.start detector;
-  heartbeat_loop t epoch peers;
+  heartbeat_loop t epoch (Array.of_list peers);
   if not recover then begin
     t.serving <- true;
     journal_node t Obs.Journal.Serving

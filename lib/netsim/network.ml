@@ -105,7 +105,6 @@ type 'msg envelope = {
 
 type config = {
   latency : Simkit.Time.span;
-  jitter : Simkit.Time.span;
   drop_probability : float;
   duplicate_probability : float;
 }
@@ -113,7 +112,6 @@ type config = {
 let default_config =
   {
     latency = Simkit.Time.span_us 100;
-    jitter = Simkit.Time.zero_span;
     drop_probability = 0.0;
     duplicate_probability = 0.0;
   }
@@ -156,12 +154,9 @@ type 'msg t = {
   mutable eps : 'msg endpoint array;
   mutable n : int;
   cuts : (int * int, unit) Hashtbl.t;  (* ordered pairs, lo first *)
-  (* Next admissible delivery time per ordered (src, dst) pair, to keep
-     links FIFO under jitter. Flat [cap * cap] matrix indexed
-     [src * cap + dst] (zero = no floor recorded): the per-message path
-     must not hash or allocate. Grown by [register]. *)
-  mutable link_clock : Simkit.Time.t array;
-  mutable link_cap : int;
+  (* Reused buffer for [multicast]: the copies it admits, as
+     [(endpoint index lsl 1) lor dup]. *)
+  mutable fanout : int array;
   mutable sent : int;
   mutable delivered : int;
   mutable duplicated : int;
@@ -206,8 +201,7 @@ let create ~engine ~rng ?trace ?obs ?journal ?recorder
     eps = [||];
     n = 0;
     cuts = Hashtbl.create 16;
-    link_clock = [||];
-    link_cap = 0;
+    fanout = [||];
     sent = 0;
     delivered = 0;
     duplicated = 0;
@@ -227,19 +221,6 @@ let register t ~name handler =
   end;
   t.eps.(t.n) <- ep;
   t.n <- t.n + 1;
-  if t.n > t.link_cap then begin
-    (* Re-lay the FIFO floors out for the wider matrix. Registration
-       happens at assembly time, so this is never on a message path. *)
-    let cap = max 8 (2 * t.n) in
-    let bigger = Array.make (cap * cap) Simkit.Time.zero in
-    for src = 0 to t.link_cap - 1 do
-      for dst = 0 to t.link_cap - 1 do
-        bigger.((src * cap) + dst) <- t.link_clock.((src * t.link_cap) + dst)
-      done
-    done;
-    t.link_clock <- bigger;
-    t.link_cap <- cap
-  end;
   address
 
 let endpoints t =
@@ -312,36 +293,23 @@ let trace_drop t ~src ~dst reason =
       ~source:(Address.name src) ~kind:"net.drop" "%s -> %a (%s)"
       (Address.name src) Address.pp dst reason
 
-(* One-way delay: fixed latency plus uniform jitter, then pushed forward if
-   needed so this link never reorders. *)
-let delivery_time t ~src ~dst =
-  let delay =
-    Simkit.Time.add_span t.config.latency
-      (if Simkit.Time.span_to_ns t.config.jitter = 0 then
-         Simkit.Time.zero_span
-       else Simkit.Rng.uniform_span t.rng t.config.jitter)
-  in
-  let naive = Simkit.Time.add (Simkit.Engine.now t.engine) delay in
-  let key = (Address.index src * t.link_cap) + Address.index dst in
-  let floor = t.link_clock.(key) in
-  let at = if Simkit.Time.( < ) naive floor then floor else naive in
-  t.link_clock.(key) <- at;
-  at
-
-let send t ~src ~dst payload =
-  let src_ep = endpoint t src and dst_ep = endpoint t dst in
-  (* One flag load + branch when the meter is off; the negative tag
-     turns every note below into a no-op without further checks. *)
-  let mtag = if t.meter.Meter.enabled then t.tag_of payload else -1 in
+(* Send-time admission of one message, checked in this order: source
+   up, link reachable, the loss draw, then the duplication draw. Books
+   the refusal, or the accepted copies (stats, meter, transit spans), and
+   returns how many copies go on the wire: 0, 1, or 2 when the
+   duplication draw hits. *)
+let admit t src_ep ~src ~dst ~mtag ~sent_at ~at payload =
   if not src_ep.up then begin
     t.dropped_down <- t.dropped_down + 1;
     Meter.note_rejected t.meter mtag;
-    trace_drop t ~src ~dst "source down"
+    trace_drop t ~src ~dst "source down";
+    0
   end
   else if not (reachable t src dst) then begin
     t.dropped_partition <- t.dropped_partition + 1;
     Meter.note_rejected t.meter mtag;
-    trace_drop t ~src ~dst "partitioned"
+    trace_drop t ~src ~dst "partitioned";
+    0
   end
   else if
     t.drop_probability > 0.0
@@ -349,11 +317,11 @@ let send t ~src ~dst payload =
   then begin
     t.dropped_loss <- t.dropped_loss + 1;
     Meter.note_rejected t.meter mtag;
-    trace_drop t ~src ~dst "loss"
+    trace_drop t ~src ~dst "loss";
+    0
   end
   else begin
     t.sent <- t.sent + 1;
-    let sent_at = Simkit.Engine.now t.engine in
     let copies =
       if
         t.duplicate_probability > 0.0
@@ -364,48 +332,99 @@ let send t ~src ~dst payload =
       end
       else 1
     in
-    for copy = 1 to copies do
-      (* The first copy on the FIFO link is the logical message; later
-         copies are the duplication fault, classified separately so the
-         conservation law stays exact under duplicate bursts. *)
-      let is_dup = copy > 1 in
-      t.in_flight <- t.in_flight + 1;
+    t.in_flight <- t.in_flight + copies;
+    for _ = 1 to copies do
       Meter.note_sent t.meter mtag;
-      let at = delivery_time t ~src ~dst in
-      (if Obs.Tracer.is_recording t.obs then
-         match t.span_of payload with
-         | None -> ()
-         | Some (name, txn, baseline) ->
-             Obs.Tracer.span t.obs ~start:sent_at ~stop:at ~txn ~baseline
-               ~category:Obs.Span.Network ~track:"net" ~name);
-      let deliver () =
-        t.in_flight <- t.in_flight - 1;
-        Meter.note_arrival t.meter mtag;
-        if not dst_ep.up then begin
-          t.dropped_down <- t.dropped_down + 1;
-          Meter.note_dropped t.meter mtag;
-          trace_drop t ~src ~dst "destination down"
-        end
-        else if not (reachable t src dst) then begin
-          t.dropped_partition <- t.dropped_partition + 1;
-          Meter.note_dropped t.meter mtag;
-          trace_drop t ~src ~dst "partitioned in flight"
-        end
-        else begin
-          t.delivered <- t.delivered + 1;
-          Meter.note_delivered t.meter mtag ~dup:is_dup;
-          if Obs.Recorder.is_recording t.recorder then
-            Obs.Recorder.record_delivery t.recorder ~time:at
-              ~src:(Address.index src) ~dst:(Address.index dst);
-          if Simkit.Trace.is_recording t.trace then
-            Simkit.Trace.emitf t.trace ~time:at ~source:(Address.name dst)
-              ~kind:"net.recv" "from %a" Address.pp src;
-          dst_ep.handler { src; dst; sent_at; payload }
-        end
-      in
-      ignore
-        (Simkit.Engine.schedule_at t.engine ~label:label_deliver ~at deliver)
+      if Obs.Tracer.is_recording t.obs then
+        match t.span_of payload with
+        | None -> ()
+        | Some (name, txn, baseline) ->
+            Obs.Tracer.span t.obs ~start:sent_at ~stop:at ~txn ~baseline
+              ~category:Obs.Span.Network ~track:"net" ~name
+    done;
+    copies
+  end
+
+(* Delivery of one copy, at its instant: the destination down or the
+   link cut since the send drop it, otherwise its handler gets it. The
+   first copy of a message is the logical one; a [dup] copy is the
+   duplication fault, classified apart so the conservation law stays
+   exact under duplicate bursts. *)
+let deliver t ~src dst_ep ~sent_at ~mtag ~dup payload =
+  let dst = dst_ep.address in
+  t.in_flight <- t.in_flight - 1;
+  Meter.note_arrival t.meter mtag;
+  if not dst_ep.up then begin
+    t.dropped_down <- t.dropped_down + 1;
+    Meter.note_dropped t.meter mtag;
+    trace_drop t ~src ~dst "destination down"
+  end
+  else if not (reachable t src dst) then begin
+    t.dropped_partition <- t.dropped_partition + 1;
+    Meter.note_dropped t.meter mtag;
+    trace_drop t ~src ~dst "partitioned in flight"
+  end
+  else begin
+    t.delivered <- t.delivered + 1;
+    Meter.note_delivered t.meter mtag ~dup;
+    let time = Simkit.Engine.now t.engine in
+    if Obs.Recorder.is_recording t.recorder then
+      Obs.Recorder.record_delivery t.recorder ~time ~src:(Address.index src)
+        ~dst:(Address.index dst);
+    if Simkit.Trace.is_recording t.trace then
+      Simkit.Trace.emitf t.trace ~time ~source:(Address.name dst)
+        ~kind:"net.recv" "from %a" Address.pp src;
+    dst_ep.handler { src; dst; sent_at; payload }
+  end
+
+(* One flag load + branch when the meter is off; the negative tag turns
+   every note into a no-op without further checks. *)
+let meter_tag t payload = if t.meter.Meter.enabled then t.tag_of payload else -1
+
+(* Every copy arrives one latency after its send, so a link stays FIFO
+   by the engine's (time, sequence) order. *)
+let send t ~src ~dst payload =
+  let src_ep = endpoint t src and dst_ep = endpoint t dst in
+  let mtag = meter_tag t payload in
+  let sent_at = Simkit.Engine.now t.engine in
+  let at = Simkit.Time.add sent_at t.config.latency in
+  for copy = 1 to admit t src_ep ~src ~dst ~mtag ~sent_at ~at payload do
+    let dup = copy > 1 in
+    ignore
+      (Simkit.Engine.schedule_at t.engine ~label:label_deliver ~at (fun () ->
+           deliver t ~src dst_ep ~sent_at ~mtag ~dup payload))
+  done
+
+(* [send] to each destination in turn, with the admitted copies queued
+   as one engine batch whose members deliver them in admission order. *)
+let multicast t ~src ~dsts payload =
+  let src_ep = endpoint t src in
+  let n = Array.length dsts in
+  for i = 0 to n - 1 do
+    ignore (endpoint t dsts.(i))
+  done;
+  if Array.length t.fanout < 2 * n then t.fanout <- Array.make (2 * n) 0;
+  let mtag = meter_tag t payload in
+  let sent_at = Simkit.Engine.now t.engine in
+  let at = Simkit.Time.add sent_at t.config.latency in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    let dst = dsts.(i) in
+    for dup = 0 to admit t src_ep ~src ~dst ~mtag ~sent_at ~at payload - 1 do
+      t.fanout.(!k) <- (Address.index dst lsl 1) lor dup;
+      incr k
     done
+  done;
+  if !k > 0 then begin
+    let copies = Array.sub t.fanout 0 !k in
+    let next = ref 0 in
+    ignore
+      (Simkit.Engine.schedule_batch t.engine ~label:label_deliver ~at
+         ~count:!k (fun () ->
+           let c = copies.(!next) in
+           incr next;
+           deliver t ~src t.eps.(c lsr 1) ~sent_at ~mtag ~dup:(c land 1 = 1)
+             payload))
   end
 
 let meter t = t.meter

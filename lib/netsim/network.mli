@@ -1,17 +1,17 @@
 (** Cluster interconnect model.
 
     The network delivers opaque payloads between registered endpoints with
-    a configurable one-way latency (fixed plus optional uniform jitter),
-    optional random loss, link partitions, and per-endpoint up/down state
-    (a crashed node neither sends nor receives). Per ordered pair of
-    endpoints, delivery is FIFO even under jitter, matching a TCP-like
-    transport: a message never overtakes an earlier message on the same
-    link.
+    one fixed one-way latency, optional random loss and duplication, link
+    partitions, and per-endpoint up/down state (a crashed node neither
+    sends nor receives).
 
     Delivery is an engine event: the destination's handler runs at
-    [send time + latency]. Messages to a down or partitioned destination
-    are silently dropped (counted in {!stats}) — exactly the behaviour the
-    commit protocols must tolerate. *)
+    [send time + latency]. With one latency for every message, per
+    ordered pair of endpoints delivery is FIFO by the engine's
+    same-instant order, matching a TCP-like transport: a message never
+    overtakes an earlier message on the same link. Messages to a down or
+    partitioned destination are silently dropped (counted in {!stats}) —
+    exactly the behaviour the commit protocols must tolerate. *)
 
 type 'msg envelope = {
   src : Address.t;
@@ -22,7 +22,6 @@ type 'msg envelope = {
 
 type config = {
   latency : Simkit.Time.span;  (** fixed one-way latency *)
-  jitter : Simkit.Time.span;  (** uniform extra delay in [0, jitter] *)
   drop_probability : float;  (** independent loss per message, in [0, 1] *)
   duplicate_probability : float;
       (** probability a delivered message arrives twice (back to back on
@@ -31,8 +30,8 @@ type config = {
 }
 
 val default_config : config
-(** 100 µs latency — the paper's simulation parameter — no jitter, no
-    loss, no duplication. *)
+(** 100 µs latency — the paper's simulation parameter — no loss, no
+    duplication. *)
 
 type 'msg t
 
@@ -144,6 +143,19 @@ val send : 'msg t -> src:Address.t -> dst:Address.t -> 'msg -> unit
     send time and delivery time (a node that crashes while a message is in
     flight does not receive it). Self-sends are delivered with the same
     latency as any other message. *)
+
+val multicast :
+  'msg t -> src:Address.t -> dsts:Address.t array -> 'msg -> unit
+(** [multicast t ~src ~dsts m] behaves as
+    [Array.iter (fun dst -> send t ~src ~dst m) dsts]: each destination
+    is admitted in order with the same checks and draws, and books the
+    same stats, meter notes and transit spans. The copies it admits —
+    a duplicate right behind its original — share one
+    {!Simkit.Engine.schedule_batch}, so a fan-out costs one engine
+    handle and one closure, not one of each per copy; each copy is
+    still its own dispatched event.
+    @raise Invalid_argument if [src] or a destination is foreign, before
+    anything is sent. *)
 
 val set_up : 'msg t -> Address.t -> unit
 val set_down : 'msg t -> Address.t -> unit

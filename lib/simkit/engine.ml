@@ -12,13 +12,15 @@ type t = {
      at once and the queue holds live events only. Slots at and beyond
      [qlen] hold [vacant], and a handle's links are reset when it
      leaves, so no dispatched or cancelled closure stays reachable from
-     the queue. *)
+     the queue. A batch — [count] same-instant events that call one
+     callback — is one handle that stays in its place until its last
+     member is dispatched. *)
   mutable q : handle array;
   mutable qlen : int;  (* run heads in [q] *)
   (* The last event enqueued while it is queued. When it leaves, its
      predecessor in its run takes over, or [vacant]. *)
   mutable tail : handle;
-  mutable live : int;  (* queued events, run members included *)
+  mutable live : int;  (* queued events, run and batch members included *)
   mutable next_seq : int;
   mutable dispatched : int;
   (* Clock-advance observer: called with the target time just before the
@@ -54,6 +56,9 @@ and handle = {
   seq : int;
   label : Label.t;
   callback : unit -> unit;
+  (* Members not yet dispatched: 1 for a plain event, [count] for a
+     fresh batch. *)
+  mutable left : int;
   (* Index of the handle in [owner.q] while it heads a run; [follower]
      while it is queued behind another event of its run; [-1] once it
      has been dispatched or cancelled. *)
@@ -91,6 +96,7 @@ let rec vacant =
     seq = -1;
     label = Label.event;
     callback = (fun () -> ());
+    left = 0;
     slot = -1;
     next = vacant;
     prev = vacant;
@@ -236,9 +242,9 @@ let unqueue t h =
     h.prev <- vacant
   end;
   h.slot <- -1;
-  t.live <- t.live - 1
+  t.live <- t.live - h.left
 
-let enqueue t ~at ~label callback =
+let enqueue t ~at ~label ~count callback =
   let h =
     {
       owner = t;
@@ -246,6 +252,7 @@ let enqueue t ~at ~label callback =
       seq = t.next_seq;
       label;
       callback;
+      left = count;
       slot = follower;
       next = vacant;
       prev = vacant;
@@ -259,19 +266,26 @@ let enqueue t ~at ~label callback =
   end
   else heap_push t h;
   t.tail <- h;
-  t.live <- t.live + 1;
+  t.live <- t.live + count;
   if t.live > t.live_hwm then t.live_hwm <- t.live;
   h
 
 let schedule t ?(label = Label.event) ~after f =
-  enqueue t ~at:(Time.add t.clock after) ~label f
+  enqueue t ~at:(Time.add t.clock after) ~label ~count:1 f
 
 let schedule_at t ?(label = Label.event) ~at f =
   if Time.( < ) at t.clock then
     invalid_arg "Engine.schedule_at: time in the past";
-  enqueue t ~at ~label f
+  enqueue t ~at ~label ~count:1 f
 
-let defer t ?(label = Label.deferred) f = enqueue t ~at:t.clock ~label f
+let schedule_batch t ?(label = Label.event) ~at ~count f =
+  if count < 1 then invalid_arg "Engine.schedule_batch: count below 1";
+  if Time.( < ) at t.clock then
+    invalid_arg "Engine.schedule_batch: time in the past";
+  enqueue t ~at ~label ~count f
+
+let defer t ?(label = Label.deferred) f =
+  enqueue t ~at:t.clock ~label ~count:1 f
 
 let cancel h = if h.slot <> -1 then unqueue h.owner h
 
@@ -282,8 +296,17 @@ let dispatched t = t.dispatched
 let pending_high_water t = t.live_hwm
 let reset_pending_high_water t = t.live_hwm <- t.live
 
-(* [h] has already left the queue (its slot is [-1]), so a callback
-   that cancels its own event is a no-op. *)
+(* Take the next member of the queue's head [h]: a batch with members
+   behind this one keeps its place, anything else leaves the queue. *)
+let take t h =
+  if h.left > 1 then begin
+    h.left <- h.left - 1;
+    t.live <- t.live - 1
+  end
+  else unqueue t h
+
+(* [h] has been taken, so a callback that cancels its own event is a
+   no-op, and one that cancels its own batch drops the members left. *)
 let dispatch t h =
   advance_clock t h.at;
   t.dispatched <- t.dispatched + 1;
@@ -306,7 +329,7 @@ let step t =
   if t.qlen = 0 then false
   else begin
     let h = t.q.(0) in
-    unqueue t h;
+    take t h;
     dispatch t h;
     true
   end
@@ -325,7 +348,7 @@ let run ?until ?max_events t =
           advance_clock t stop;
           Reached_until
       | _ ->
-          unqueue t h;
+          take t h;
           dispatch t h;
           if !budget > 0 then decr budget;
           loop ()

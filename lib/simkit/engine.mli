@@ -16,7 +16,12 @@
     say — form a run: a FIFO that takes a single entry of the queue's
     heap. Only the run's first enqueue and its last exit sift the heap;
     every other enqueue, dispatch or cancel in it is O(1). Runs show to
-    callers in those costs only. *)
+    callers in those costs only.
+
+    A batch ({!schedule_batch}) goes further for a fan-out whose copies
+    share a callback: its members share one handle, so they cost one
+    allocation, yet each is still dispatched, counted and observed as an
+    event of its own. *)
 
 type t
 
@@ -44,21 +49,43 @@ val schedule_at : t -> ?label:Label.t -> at:Time.t -> (unit -> unit) -> handle
 (** [schedule_at t ~at f] runs [f] at absolute time [at].
     @raise Invalid_argument if [at] is in the past. *)
 
+val schedule_batch :
+  t -> ?label:Label.t -> at:Time.t -> count:int -> (unit -> unit) -> handle
+(** [schedule_batch t ~at ~count f] enqueues [count] events at [at] that
+    each call [f] — one call per member, in order, so [f] can keep its
+    own cursor over what the members carry. It is observably [count]
+    back-to-back [schedule_at t ~at f] calls:
+    - dispatch order, {!dispatched}, {!pending} and
+      {!pending_high_water} count every member, as they would count the
+      separate events;
+    - each member gets its own dispatch-tap call and observer pair;
+    - [run ~max_events] may stop between two members, and a later [run]
+      or {!step} resumes with the next one;
+    - an event enqueued for [at] from inside a member's callback runs
+      after the last member.
+
+    The handle stands for the members not yet dispatched: {!cancel}
+    drops them all, also from inside a member's callback, and
+    {!is_pending} holds while one remains. A member that raises leaves
+    the rest queued, as separate events would.
+    @raise Invalid_argument if [count < 1] or [at] is in the past. *)
+
 val defer : t -> ?label:Label.t -> (unit -> unit) -> handle
 (** [defer t f] schedules [f] at the current instant, after all events
     already scheduled for this instant. Useful to break call cycles. *)
 
 val cancel : handle -> unit
-(** Cancel the event if it has not been dispatched yet; otherwise a no-op.
-    Idempotent. The event leaves the queue at once, so the queue drops
-    its reference to the callback (the handle itself still holds it
+(** Cancel the event if it has not been dispatched yet — for a batch,
+    every member not yet dispatched; otherwise a no-op. Idempotent.
+    The event leaves the queue at once, so the queue drops its
+    reference to the callback (the handle itself still holds it
     while the caller keeps the handle). That costs O(1) for a run's
     member, or for its head while it has followers, and O(log n) for
     [n] runs otherwise. *)
 
 val is_pending : handle -> bool
 (** Whether the event is still scheduled (neither dispatched nor
-    cancelled). *)
+    cancelled); for a batch, whether a member is. *)
 
 type outcome =
   | Drained  (** the event queue became empty *)
@@ -76,14 +103,14 @@ val step : t -> bool
 
 val pending : t -> int
 (** Number of scheduled, not-yet-cancelled events, every member of a
-    run included. *)
+    run or batch included. *)
 
 val dispatched : t -> int
 (** Total events dispatched since creation. *)
 
 val pending_high_water : t -> int
-(** High-water mark of {!pending} — live events, run members included
-    and no tombstones, since [cancel] leaves none — since creation or
+(** High-water mark of {!pending} — live events, run and batch members
+    included and no tombstones, since [cancel] leaves none — since creation or
     the last {!reset_pending_high_water}. *)
 
 val reset_pending_high_water : t -> unit

@@ -82,10 +82,6 @@ let exponential t ~mean =
   let u = 1.0 -. float t 1.0 in
   -.mean *. log u
 
-let uniform_span t d =
-  let n = Time.span_to_ns d in
-  if n = 0 then Time.zero_span else Time.span_ns (int t (n + 1))
-
 let exponential_span t ~mean =
   let m = float_of_int (Time.span_to_ns mean) in
   if m = 0.0 then Time.zero_span

@@ -43,9 +43,6 @@ val exponential : t -> mean:float -> float
 (** Exponentially distributed value with the given mean (> 0). Used for
     Poisson inter-arrival times. *)
 
-val uniform_span : t -> Time.span -> Time.span
-(** [uniform_span t d] is uniform in [\[0, d\]]. *)
-
 val exponential_span : t -> mean:Time.span -> Time.span
 (** Exponentially distributed duration with the given mean. *)
 

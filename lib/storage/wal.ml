@@ -222,9 +222,10 @@ let gc t ~keep =
     t.durable_records <- kept;
     t.durable_count <- List.length kept;
     t.durable_bytes <- bytes;
-    Simkit.Trace.emitf t.trace
-      ~time:(Simkit.Engine.now t.engine)
-      ~source:t.owner ~kind:"log.gc" "%d record(s) collected" removed
+    if Simkit.Trace.is_recording t.trace then
+      Simkit.Trace.emitf t.trace
+        ~time:(Simkit.Engine.now t.engine)
+        ~source:t.owner ~kind:"log.gc" "%d record(s) collected" removed
   end
 
 let stats (t : _ t) =

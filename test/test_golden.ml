@@ -253,6 +253,26 @@ let test_scale_point_l1pc () =
   Alcotest.(check int) "p99 ns" 2_814_000
     (Simkit.Time.span_to_ns p.latency_p99)
 
+(* A 64-server point: every heartbeat fans out to 63 peers, so the
+   pins above, whose beats reach 7, leave the wide fan-out unpinned. *)
+let test_scale_point_64 () =
+  let p =
+    Experiment.run_scale_point ~servers:64 ~txns:2000 ~seed:1
+      Acp.Protocol.Opc
+  in
+  Alcotest.(check int) "submitted" 1817 p.Experiment.submitted;
+  Alcotest.(check int) "committed" 1817 p.committed;
+  Alcotest.(check int) "aborted" 0 p.aborted;
+  Alcotest.(check int) "events" 148_641 p.events;
+  Alcotest.(check int) "sim elapsed ns" 1_526_264_000
+    (Simkit.Time.span_to_ns p.sim_elapsed);
+  Alcotest.(check int) "p50 ns" 72_588_000
+    (Simkit.Time.span_to_ns p.latency_p50);
+  Alcotest.(check int) "p95 ns" 194_762_000
+    (Simkit.Time.span_to_ns p.latency_p95);
+  Alcotest.(check int) "p99 ns" 235_316_000
+    (Simkit.Time.span_to_ns p.latency_p99)
+
 (* The scale-point pins under a live flight recorder: every digit
    bit-identical, and the ring actually saw the run. *)
 let test_scale_point_recorder_enabled () =
@@ -322,6 +342,8 @@ let () =
             test_scale_point;
           Alcotest.test_case "scale point (8 servers, L1PC)" `Quick
             test_scale_point_l1pc;
+          Alcotest.test_case "scale point (64 servers)" `Quick
+            test_scale_point_64;
           Alcotest.test_case "scale point (8 servers, recorder enabled)"
             `Quick test_scale_point_recorder_enabled;
           Alcotest.test_case "scale point (8 servers, coverage enabled)"

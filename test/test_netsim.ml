@@ -46,30 +46,65 @@ let test_envelope_fields () =
       Alcotest.(check int) "sent_at" 7_000 (Time.to_ns env.Network.sent_at);
       Alcotest.(check string) "payload" "payload" env.Network.payload
 
-let test_fifo_under_jitter () =
+(* Messages on one link never overtake each other: every copy arrives
+   one latency after its send, and same-instant copies keep their send
+   order. Sends and multicasts interleave on the same links, rounds
+   overlap in flight, and duplicates arrive right behind their
+   originals. *)
+let test_fifo_links () =
   let config =
-    {
-      Network.latency = Time.span_us 100;
-      jitter = Time.span_us 500;
-      drop_probability = 0.0;
-      duplicate_probability = 0.0;
-    }
+    { Network.default_config with Network.duplicate_probability = 0.5 }
   in
   let engine, net = make ~config () in
-  let got = ref [] in
-  let a = Network.register net ~name:"a" (fun _ -> ()) in
-  let b =
-    Network.register net ~name:"b" (fun env ->
-        got := env.Network.payload :: !got)
+  let got = Hashtbl.create 4 in
+  let receiver name =
+    Network.register net ~name (fun env ->
+        let prev = Option.value (Hashtbl.find_opt got name) ~default:[] in
+        Hashtbl.replace got name (env.Network.payload :: prev))
   in
-  for i = 0 to 49 do
-    Network.send net ~src:a ~dst:b (string_of_int i)
+  let a = Network.register net ~name:"a" (fun _ -> ()) in
+  let b = receiver "b" and c = receiver "c" in
+  let sent_to = Hashtbl.create 4 in
+  let note dst payload =
+    let prev = Option.value (Hashtbl.find_opt sent_to dst) ~default:[] in
+    Hashtbl.replace sent_to dst (payload :: prev)
+  in
+  for round = 0 to 2 do
+    ignore
+      (Engine.schedule engine
+         ~after:(Time.span_us (40 * round))
+         (fun () ->
+           for i = 0 to 19 do
+             let payload = Printf.sprintf "%d.%d" round i in
+             if i mod 3 = 0 then begin
+               Network.multicast net ~src:a ~dsts:[| b; c |] payload;
+               note "b" payload;
+               note "c" payload
+             end
+             else begin
+               Network.send net ~src:a ~dst:b payload;
+               note "b" payload
+             end
+           done))
   done;
   ignore (Engine.run engine);
-  Alcotest.(check (list string))
-    "same-link messages never reorder"
-    (List.init 50 string_of_int)
-    (List.rev !got)
+  (* A duplicate sits right behind its original: dropping repeats of the
+     previous arrival must leave the send order. *)
+  let rec squash = function
+    | x :: (y :: _ as rest) when String.equal x y -> squash rest
+    | x :: rest -> x :: squash rest
+    | [] -> []
+  in
+  List.iter
+    (fun dst ->
+      let arrived = List.rev (Hashtbl.find got dst) in
+      Alcotest.(check (list string))
+        (dst ^ ": same-link messages never reorder")
+        (List.rev (Hashtbl.find sent_to dst))
+        (squash arrived))
+    [ "b"; "c" ];
+  Alcotest.(check bool) "duplicates were exercised" true
+    ((Network.stats net).Network.duplicated > 0)
 
 let test_down_drops () =
   let engine, net = make () in
@@ -387,6 +422,157 @@ let test_meter_disabled () =
   Alcotest.(check (list (pair int int))) "vacuously balanced" []
     (Network.Meter.check m)
 
+(* ------------------------------------------------------------------ *)
+(* Multicast against per-destination sends                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A fault flipped by an event, possibly while casts are in flight. *)
+type flip = Toggle_up of int | Toggle_cut of int * int
+
+type twin_scenario = {
+  endpoints : int;
+  drop : float;
+  dup : float;
+  seed : int;
+  down : int list;  (* down from the start *)
+  cuts : (int * int) list;  (* cut from the start *)
+  casts : (int * int * int list) list;  (* (at µs, src, dsts) *)
+  flips : (int * flip) list;  (* (at µs, fault) *)
+}
+
+let twin_print sc =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  let pair (a, b) = Printf.sprintf "(%d,%d)" a b in
+  let flip = function
+    | Toggle_up i -> Printf.sprintf "up %d" i
+    | Toggle_cut (i, j) -> Printf.sprintf "cut %d-%d" i j
+  in
+  Printf.sprintf
+    "endpoints %d, drop %.1f, dup %.1f, seed %d, down [%s], cuts [%s], \
+     casts [%s], flips [%s]"
+    sc.endpoints sc.drop sc.dup sc.seed (ints sc.down)
+    (String.concat ";" (List.map pair sc.cuts))
+    (String.concat ";"
+       (List.map
+          (fun (at, src, dsts) ->
+            Printf.sprintf "%d: %d->[%s]" at src (ints dsts))
+          sc.casts))
+    (String.concat ";"
+       (List.map (fun (at, f) -> Printf.sprintf "%d: %s" at (flip f)) sc.flips))
+
+(* Casts go out in the first 300 µs and take 100 µs, so flips drawn
+   from the first 400 µs land before, among and after deliveries. *)
+let twin_gen =
+  let open QCheck2.Gen in
+  let* endpoints = int_range 2 8 in
+  let node = int_bound (endpoints - 1) in
+  let* drop = oneofl [ 0.0; 0.3 ]
+  and* dup = oneofl [ 0.0; 0.3 ]
+  and* seed = int_bound 1_000_000
+  and* down = list_size (int_bound 2) node
+  and* cuts = list_size (int_bound 3) (pair node node)
+  and* casts =
+    list_size (int_range 1 8)
+      (triple (int_bound 300) node (list_size (int_bound 9) node))
+  and* flips =
+    list_size (int_bound 6)
+      (pair (int_bound 400)
+         (oneof
+            [
+              map (fun i -> Toggle_up i) node;
+              map2 (fun i j -> Toggle_cut (i, j)) node node;
+            ]))
+  in
+  return { endpoints; drop; dup; seed; down; cuts; casts; flips }
+
+(* Everything a caller can read off one run: the delivery log (instant,
+   src, dst, payload, in order), [stats], every meter counter and the
+   next draw of the RNG. The counters are read mid-flight too. *)
+let run_twin sc ~multicast =
+  let engine = Engine.create () in
+  let rng = Rng.create ~seed:sc.seed in
+  let meter = Network.Meter.create ~tags:2 in
+  let config =
+    {
+      Network.default_config with
+      drop_probability = sc.drop;
+      duplicate_probability = sc.dup;
+    }
+  in
+  let net : int Network.t =
+    Network.create ~engine ~rng ~tag_of:(fun p -> p land 1) ~meter config
+  in
+  let log = ref [] in
+  let addrs =
+    Array.init sc.endpoints (fun i ->
+        Network.register net ~name:(string_of_int i) (fun env ->
+            log :=
+              ( Time.to_ns (Engine.now engine),
+                Address.index env.Network.src,
+                Address.index env.Network.dst,
+                env.Network.payload )
+              :: !log))
+  in
+  List.iter (fun i -> Network.set_down net addrs.(i)) sc.down;
+  List.iter
+    (fun (i, j) -> Network.partition net [ addrs.(i) ] [ addrs.(j) ])
+    sc.cuts;
+  let at_us us = Time.of_ns (us * 1_000) in
+  List.iter
+    (fun (us, flip) ->
+      ignore
+        (Engine.schedule_at engine ~at:(at_us us) (fun () ->
+             match flip with
+             | Toggle_up i ->
+                 let a = addrs.(i) in
+                 if Network.is_up net a then Network.set_down net a
+                 else Network.set_up net a
+             | Toggle_cut (i, j) ->
+                 let a = addrs.(i) and b = addrs.(j) in
+                 if Network.reachable net a b then
+                   Network.partition net [ a ] [ b ]
+                 else Network.heal_pair net a b)))
+    sc.flips;
+  List.iteri
+    (fun payload (us, src, dsts) ->
+      let src = addrs.(src) in
+      let dsts = Array.of_list (List.map (fun i -> addrs.(i)) dsts) in
+      ignore
+        (Engine.schedule_at engine ~at:(at_us us) (fun () ->
+             if multicast then Network.multicast net ~src ~dsts payload
+             else
+               Array.iter
+                 (fun dst -> Network.send net ~src ~dst payload)
+                 dsts)))
+    sc.casts;
+  let books () =
+    ( Network.stats net,
+      Network.in_flight net,
+      List.init 2 (fun tag ->
+          Network.Meter.
+            [
+              sent meter tag;
+              delivered meter tag;
+              dup_delivered meter tag;
+              dropped meter tag;
+              rejected meter tag;
+              in_flight meter tag;
+            ]),
+      Network.Meter.check meter )
+  in
+  ignore (Engine.run ~until:(at_us 250) engine);
+  let mid = books () in
+  ignore (Engine.run engine);
+  (List.rev !log, mid, books (), Rng.bits64 rng)
+
+let prop_multicast_matches_sends =
+  QCheck2.Test.make ~name:"multicast matches per-destination sends"
+    ~count:300 ~print:twin_print twin_gen (fun sc ->
+      let ((_, (_, _, _, mid_check), (_, _, _, end_check), _) as cast) =
+        run_twin sc ~multicast:true
+      in
+      cast = run_twin sc ~multicast:false && mid_check = [] && end_check = [])
+
 let () =
   Alcotest.run "netsim"
     [
@@ -394,7 +580,7 @@ let () =
         [
           Alcotest.test_case "latency" `Quick test_latency;
           Alcotest.test_case "envelope" `Quick test_envelope_fields;
-          Alcotest.test_case "fifo under jitter" `Quick test_fifo_under_jitter;
+          Alcotest.test_case "fifo links" `Quick test_fifo_links;
           Alcotest.test_case "down drops" `Quick test_down_drops;
           Alcotest.test_case "partition" `Quick test_partition;
           Alcotest.test_case "heal pair" `Quick test_heal_pair;
@@ -405,6 +591,7 @@ let () =
           Alcotest.test_case "self send" `Quick test_self_send;
           Alcotest.test_case "in flight count" `Quick test_in_flight_count;
           Alcotest.test_case "endpoints" `Quick test_endpoints;
+          QCheck_alcotest.to_alcotest prop_multicast_matches_sends;
         ] );
       ( "meter",
         [

@@ -285,12 +285,23 @@ let prop_engine_fifo_ties =
 
 (* Model test for the event queue: random interleavings of scheduling
    (with timestamp ties and same-instant bursts, which the engine queues
-   as runs), cancellation, stepping and bounded runs, checked against a
-   sorted-list reference after every operation. *)
+   as runs, and batches), cancellation, stepping and bounded runs,
+   checked against a sorted-list reference after every operation. The
+   reference expands a batch into its members, one id each. *)
 type engine_op =
   | Sched of int  (** [schedule ~after] *)
   | Sched_at of int  (** [schedule_at], [now + d] *)
   | Burst of int * int  (** [n] back-to-back [Sched_at d] *)
+  | Batch of int * int
+      (** [schedule_batch] of [n] members at [now + d]: to the
+          reference, [Burst (n, d)] whose ids share one handle *)
+  | Batch_canceller of int * int * int
+      (** as [Batch (n, d)]; its second member (its only one if
+          [n = 1]) cancels the [k]-th handle created up to the batch
+          (mod their count + 1), the last being the batch's own *)
+  | Batch_deferrer of int * int
+      (** as [Batch (n, d)]; every member [defer]s an event at its own
+          instant *)
   | Sched_canceller of int * int
       (** as [Sched_at d]; the callback cancels the [k]-th handle
           created before it (mod their count) *)
@@ -309,6 +320,10 @@ let engine_op_print = function
   | Sched d -> Printf.sprintf "Sched %d" d
   | Sched_at d -> Printf.sprintf "Sched_at %d" d
   | Burst (n, d) -> Printf.sprintf "Burst (%d, %d)" n d
+  | Batch (n, d) -> Printf.sprintf "Batch (%d, %d)" n d
+  | Batch_canceller (n, d, k) ->
+      Printf.sprintf "Batch_canceller (%d, %d, %d)" n d k
+  | Batch_deferrer (n, d) -> Printf.sprintf "Batch_deferrer (%d, %d)" n d
   | Sched_canceller (d, k) -> Printf.sprintf "Sched_canceller (%d, %d)" d k
   | Sched_deferrer d -> Printf.sprintf "Sched_deferrer %d" d
   | Cancel k -> Printf.sprintf "Cancel %d" k
@@ -326,6 +341,12 @@ let engine_op_gen =
       (4, map (fun d -> Sched d) delay);
       (2, map (fun d -> Sched_at d) delay);
       (2, map2 (fun n d -> Burst (n, d)) (int_range 1 8) delay);
+      (2, map2 (fun n d -> Batch (n, d)) (int_range 1 8) delay);
+      ( 1,
+        map3
+          (fun n d k -> Batch_canceller (n, d, k))
+          (int_range 1 8) delay small_nat );
+      (1, map2 (fun n d -> Batch_deferrer (n, d)) (int_range 1 8) delay);
       (1, map2 (fun d k -> Sched_canceller (d, k)) delay small_nat);
       (1, map (fun d -> Sched_deferrer d) delay);
       (2, map (fun k -> Cancel k) small_nat);
@@ -340,10 +361,14 @@ let engine_op_gen =
    [(at, id)] sorted by dispatch order, ids being creation order and so
    the engine's tie-break — and checks the dispatch log, [pending],
    [pending_high_water] and every handle's [is_pending] after each
-   operation. *)
+   operation. Every member of a batch maps to the batch's handle, so
+   cancelling any of them drops every member still pending. *)
 let engine_matches_model ops =
   let e = Engine.create () in
   let handles = Hashtbl.create 64 in
+  (* Member id -> the batch's first id; absent for plain events. *)
+  let batch_of = Hashtbl.create 16 in
+  let group id = Option.value (Hashtbl.find_opt batch_of id) ~default:id in
   let created = ref 0 in
   let log = ref [] in
   (* Reference state. *)
@@ -354,7 +379,10 @@ let engine_matches_model ops =
   let spawned = Hashtbl.create 8 in
   let ref_log = ref [] in
   let ref_hwm = ref 0 in
-  let ref_remove id = live := List.filter (fun (_, i) -> i <> id) !live in
+  let ref_remove id =
+    let g = group id in
+    live := List.filter (fun (_, i) -> group i <> g) !live
+  in
   let ref_add at id =
     live := List.merge compare !live [ (at, id) ];
     ref_hwm := max !ref_hwm (List.length !live)
@@ -396,6 +424,29 @@ let engine_matches_model ops =
     let at_ns = !clock + d in
     add ?target ?defers ~at_ns (Engine.schedule_at e ~at:(Time.of_ns at_ns))
   in
+  let add_batch ?cancels ?(defers = false) n d =
+    let at_ns = !clock + d in
+    let base = !created in
+    let target = Option.map (fun k -> k mod (base + 1)) cancels in
+    created := base + n;
+    let canceller = min 1 (n - 1) in
+    let calls = ref 0 in
+    let callback () =
+      let m = !calls in
+      incr calls;
+      log := (base + m) :: !log;
+      if m = canceller then
+        Option.iter (fun k -> Engine.cancel (Hashtbl.find handles k)) target;
+      if defers then defer_from (base + m)
+    in
+    let h = Engine.schedule_batch e ~at:(Time.of_ns at_ns) ~count:n callback in
+    for m = 0 to n - 1 do
+      Hashtbl.replace handles (base + m) h;
+      Hashtbl.replace batch_of (base + m) base;
+      ref_add at_ns (base + m)
+    done;
+    Option.iter (Hashtbl.replace targets (base + canceller)) target
+  in
   let cancel_id id =
     Engine.cancel (Hashtbl.find handles id);
     ref_remove id
@@ -408,6 +459,9 @@ let engine_matches_model ops =
         for _ = 1 to n do
           add_at d
         done
+    | Batch (n, d) -> add_batch n d
+    | Batch_canceller (n, d, k) -> add_batch ~cancels:k n d
+    | Batch_deferrer (n, d) -> add_batch ~defers:true n d
     | Sched_canceller (d, k) ->
         let target = if !created = 0 then None else Some (k mod !created) in
         add_at ?target d
@@ -444,7 +498,9 @@ let engine_matches_model ops =
   let pending_agrees () =
     Hashtbl.fold
       (fun id h ok ->
-        ok && Engine.is_pending h = List.exists (fun (_, i) -> i = id) !live)
+        let g = group id in
+        ok
+        && Engine.is_pending h = List.exists (fun (_, i) -> group i = g) !live)
       handles true
   in
   List.for_all
@@ -522,6 +578,82 @@ let test_engine_runs_directed () =
       ( "callback cancels its follower",
         [ Burst (2, 1); Sched_canceller (1, 3); Sched_at 1; Run_until 1 ] );
     ]
+
+(* The same for batches — members behind one handle: cancelled before
+   the first member and from inside the second, a bounded run that stops
+   mid-batch and a step that resumes it, members that enqueue events for
+   their own instant, a batch that follows an event in a run and one
+   that heads a run with followers. *)
+let test_engine_batches_directed () =
+  check_model
+    [
+      ("cancel before the first", [ Batch (4, 1); Cancel 2; Step; Step ]);
+      ( "cancel from inside the second",
+        [ Sched_at 1; Batch_canceller (4, 1, 1); Sched_at 1; Run_until 1 ] );
+      ( "stop mid-batch, then step",
+        [ Batch (5, 1); Run_max 2; Step; Cancel_rank 1; Step; Step ] );
+      ( "members enqueue for their instant",
+        [ Batch_deferrer (3, 1); Run_max 2; Sched_at 0; Run_until 1 ] );
+      ( "a run follower",
+        [ Sched_at 1; Batch (3, 1); Sched_at 1; Cancel 0; Run_until 1 ] );
+      ( "a run head with followers",
+        [ Batch (3, 2); Burst (2, 2); Step; Cancel_rank 2; Step; Step; Step ]
+      );
+      ( "a member cancels another batch",
+        [ Batch (3, 2); Batch_canceller (2, 1, 0); Run_until 3 ] );
+    ]
+
+(* A batch's members are dispatched one by one to the hooks too: each
+   gets a tap call and an observer pair, whether a bounded run stops
+   among them or not. *)
+let test_engine_batch_hooks () =
+  let e = Engine.create () in
+  let taps = ref 0 and before = ref 0 and after = ref 0 in
+  Engine.set_dispatch_tap e (fun _ _ -> incr taps);
+  Engine.set_dispatch_observer e
+    ~before:(fun () -> incr before)
+    ~after:(fun _ -> incr after);
+  let h = Engine.schedule_batch e ~at:(Time.of_ns 5) ~count:6 ignore in
+  Alcotest.(check int) "pending" 6 (Engine.pending e);
+  Alcotest.(check int) "high water" 6 (Engine.pending_high_water e);
+  Alcotest.(check bool) "stopped" true
+    (Engine.run ~max_events:4 e = Engine.Reached_limit);
+  Alcotest.(check (list int))
+    "tap, before, after, dispatched after 4" [ 4; 4; 4; 4 ]
+    [ !taps; !before; !after; Engine.dispatched e ];
+  Alcotest.(check bool) "still pending" true (Engine.is_pending h);
+  Alcotest.(check int) "members left" 2 (Engine.pending e);
+  ignore (Engine.run e);
+  Alcotest.(check (list int))
+    "tap, before, after, dispatched after 6" [ 6; 6; 6; 6 ]
+    [ !taps; !before; !after; Engine.dispatched e ];
+  Alcotest.(check bool) "done" false (Engine.is_pending h)
+
+(* A member that raises stops the run like any event, and leaves the
+   members behind it queued for the next [run]. *)
+let test_engine_batch_failure () =
+  let e = Engine.create () in
+  let calls = ref 0 in
+  let h =
+    Engine.schedule_batch e ~label:(Label.v Other "fanout")
+      ~at:(Time.of_ns 1) ~count:4 (fun () ->
+        incr calls;
+        if !calls = 2 then failwith "kaput")
+  in
+  (match Engine.run e with
+  | exception Engine.Event_failure (label, _) ->
+      Alcotest.(check string) "label" "fanout" label
+  | _ -> Alcotest.fail "expected Event_failure");
+  Alcotest.(check int) "calls" 2 !calls;
+  Alcotest.(check int) "rest queued" 2 (Engine.pending e);
+  Alcotest.(check bool) "pending" true (Engine.is_pending h);
+  Alcotest.(check bool) "drained" true (Engine.run e = Engine.Drained);
+  Alcotest.(check int) "all members ran" 4 !calls;
+  Alcotest.(check int) "dispatched" 4 (Engine.dispatched e);
+  Alcotest.(check bool) "done" false (Engine.is_pending h);
+  Alcotest.check_raises "empty batch"
+    (Invalid_argument "Engine.schedule_batch: count below 1") (fun () ->
+      ignore (Engine.schedule_batch e ~at:(Engine.now e) ~count:0 ignore))
 
 (* The queue holds no reference to events that have left it: 10,000
    cancelled 60 s timers must leave nothing reachable before their
@@ -624,12 +756,13 @@ let test_timeline_render () =
    Pins column sizing, padding, the '~' truncation marker and row
    order; drift in the renderer or in the protocol's deterministic
    timing shows up as a line diff here. *)
-let test_timeline_golden () =
+(* The trace of one distributed CREATE on a traced two-node cluster. *)
+let traced_create protocol =
   let config =
     {
       Opc.Config.default with
       servers = 2;
-      protocol = Opc.Acp.Protocol.Opc;
+      protocol;
       placement = Opc.Mds.Placement.Spread;
       record_trace = true;
     }
@@ -645,10 +778,13 @@ let test_timeline_golden () =
     ~on_done:(fun _ -> ());
   (match Opc.Cluster.settle cluster with
   | Opc.Cluster.Quiescent -> ()
-  | _ -> Alcotest.fail "two-node 1PC CREATE did not settle");
+  | _ -> Alcotest.fail "two-node CREATE did not settle");
+  Trace.entries (Opc.Cluster.trace cluster)
+
+let test_timeline_golden () =
   let rendered =
     Timeline.render ~sources:[ "mds0"; "mds1" ]
-      (Trace.entries (Opc.Cluster.trace cluster))
+      (traced_create Opc.Acp.Protocol.Opc)
   in
   let expected =
     String.concat "\n"
@@ -683,6 +819,30 @@ let test_timeline_golden () =
       ]
   in
   Alcotest.(check string) "swimlane" expected rendered
+
+(* The same CREATE under PrN: its start and log-collection entries,
+   whose details 2PC and the WAL build only while tracing. *)
+let test_trace_prn_details () =
+  let lines =
+    List.filter_map
+      (fun (e : Trace.entry) ->
+        if String.equal e.kind "txn.start" || String.equal e.kind "log.gc"
+        then
+          Some
+            (Fmt.str "%a %s %s %s" Time.pp e.time e.source e.kind e.detail)
+        else None)
+      (traced_create Opc.Acp.Protocol.Prn)
+  in
+  Alcotest.(check (list string))
+    "entries"
+    [
+      "0s mds0 txn.start t0.0 PrN coordinator";
+      "10.34ms mds1 txn.start t0.0 PrN worker";
+      "51.6ms mds1 log.gc 3 record(s) collected";
+      "51.7ms mds0 log.gc 4 record(s) collected";
+      "61.94ms mds0 log.gc 1 record(s) collected";
+    ]
+    lines
 
 let test_timeline_truncation () =
   let tr = Trace.create () in
@@ -839,6 +999,10 @@ let () =
           Alcotest.test_case "model, directed" `Quick
             test_engine_model_directed;
           Alcotest.test_case "runs, directed" `Quick test_engine_runs_directed;
+          Alcotest.test_case "batches, directed" `Quick
+            test_engine_batches_directed;
+          Alcotest.test_case "batch hooks" `Quick test_engine_batch_hooks;
+          Alcotest.test_case "batch failure" `Quick test_engine_batch_failure;
           Alcotest.test_case "cancel releases" `Quick
             test_engine_cancel_releases;
         ]
@@ -862,6 +1026,7 @@ let () =
           Alcotest.test_case "disabled" `Quick test_trace_disabled;
           Alcotest.test_case "timeline" `Quick test_timeline_render;
           Alcotest.test_case "timeline golden" `Quick test_timeline_golden;
+          Alcotest.test_case "PrN trace details" `Quick test_trace_prn_details;
           Alcotest.test_case "timeline truncation" `Quick
             test_timeline_truncation;
         ] );
