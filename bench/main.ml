@@ -41,8 +41,11 @@
    of [--against] (default BENCH_scale.json) and exits nonzero if
    events/s fell more than [--tolerance] (default 0.15) below the
    baseline, naming the subsystem whose self-time grew most when the
-   baseline carries a profile section. Unknown subcommands and flags
-   exit with status 2. *)
+   baseline carries a profile section. [scale], [profile] and [check]
+   record the dune profile the bench was built under as
+   "build_profile"; [check] exits with status 2, naming both, when its
+   baseline was timed under another profile or records none. Unknown
+   subcommands and flags exit with status 2. *)
 
 let section title =
   Fmt.pr "@.== %s ==@." title
@@ -766,6 +769,7 @@ let profile ~smoke ~txns () =
   ( Json.Obj
       [
         ("benchmark", Json.Str "profile");
+        ("build_profile", Json.Str Build_info.profile);
         ("smoke", Json.Bool smoke);
         ("servers", Json.Int servers);
         ("seed", Json.Int seed);
@@ -889,6 +893,7 @@ let scale ~smoke ~seeds ~txns () =
   Json.Obj
     [
       ("benchmark", Json.Str "scale");
+      ("build_profile", Json.Str Build_info.profile);
       ("smoke", Json.Bool smoke);
       ("txns_per_point", Json.Int txns);
       ("seeds", Json.Int seeds);
@@ -1198,6 +1203,19 @@ let regression_check ~against ~tolerance () =
       Fmt.epr "bench check: cannot parse %s: %s@." against msg;
       exit 2
   in
+  (* Build profiles time further apart than the tolerance (release
+     took up to 21% less host time than dev on the repo benchmark), so
+     only a baseline timed under this binary's profile can judge it. *)
+  (match Json.(to_str (member "build_profile" baseline)) with
+  | Some p when p = Build_info.profile -> ()
+  | recorded ->
+      Fmt.epr
+        "bench check: build profile mismatch: %s was timed under %s, this \
+         binary is %S; rerun `bench scale` with this build@."
+        against
+        (match recorded with Some p -> Fmt.str "%S" p | None -> "no profile")
+        Build_info.profile;
+      exit 2);
   let points =
     match Json.member "points" baseline with
     | Some (Json.List l) -> l
@@ -1428,6 +1446,7 @@ let regression_check ~against ~tolerance () =
            | Some d -> [ ("incident", Json.Str d) ]
            | None -> []))
           @ [
+            ("build_profile", Json.Str Build_info.profile);
             ("against", Json.Str against);
             ("tolerance", Json.Float tolerance);
             ("protocol", Json.Str opc_name);

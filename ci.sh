@@ -3,7 +3,11 @@
 #
 #   ./ci.sh
 #
-# 1. full build + test suite (unit, property, golden, crash sweeps);
+# 1. full build + test suite (unit, property, golden, crash sweeps),
+#    under the workspace's default `release` profile — plus a negative
+#    control: a throwaway library with an unused variable must fail the
+#    build with warning 27, proving the root `dune` file still makes
+#    warnings errors outside the dev profile;
 # 2. bounded chaos smoke: 30 seeds x 5 protocols of randomized
 #    fault-schedule campaigns (~150 runs, a few seconds);
 # 3. scale-campaign smoke: emits BENCH_scale.json so the machine-readable
@@ -26,7 +30,8 @@
 #    fails if events/s drops more than 15% (a tighter bound sits inside
 #    run-to-run noise); first proves the gate can fail (and names the
 #    worst-regressing subsystem) by checking against a synthetically
-#    inflated baseline;
+#    inflated baseline, and that it refuses a baseline whose recorded
+#    build profile is not this build's;
 # 8. overload smoke: open-loop retry storms for every protocol
 #    through the admission-controlled ingress — the in-bench
 #    graceful-degradation gate must pass with admission control on,
@@ -58,7 +63,7 @@ cd "$(dirname "$0")"
 started=$(date +%s)
 
 # The negative controls' temp files; removed on exit, pass or fail.
-trap 'rm -rf BENCH_*.negative.* BENCH_*.inflated.json BENCH_*.unbounded.json AUTOPSY_smoke*' EXIT
+trap 'rm -rf BENCH_*.negative.* BENCH_*.inflated.json BENCH_*.unbounded.json AUTOPSY_smoke* CI_warning_probe*' EXIT
 
 # must_print OUT PATTERN: file OUT must hold a line matching the grep
 # pattern PATTERN; the matching lines are echoed.
@@ -87,6 +92,17 @@ must_trip() {
 echo "== dune build && dune runtest =="
 dune build
 dune runtest
+
+echo "== warnings negative test (an unused variable must fail the build) =="
+# The default profile is `release`, whose own flags leave warnings off;
+# the root `dune` file restores the dev profile's checks. A library
+# whose only function ignores its argument must then fail to build on
+# warning 27, as it would under dev.
+mkdir -p CI_warning_probe
+echo '(library (name ci_warning_probe))' > CI_warning_probe/dune
+echo 'let f x = 0' > CI_warning_probe/probe.ml
+must_trip CI_warning_probe.out "Error (warning 27" dune build ./CI_warning_probe
+rm -rf CI_warning_probe
 
 echo "== chaos smoke: 30 seeds x 5 protocols =="
 dune exec bin/chaos.exe -- --seeds 30 --first-seed 1
@@ -125,6 +141,16 @@ awk '{ gsub(/"events_per_cpu_s":[0-9.eE+-]+/, "\"events_per_cpu_s\":999999999");
   BENCH_scale.json > BENCH_scale.inflated.json
 must_trip BENCH_check.negative.out "subsystem attribution" \
   dune exec bench/main.exe -- check --against BENCH_scale.inflated.json --tolerance 0.15
+
+echo "== bench check negative test (baseline from another build must fail) =="
+# Builds time differently (dev runs every cross-module call out of
+# line), so a baseline must come from the build it judges: one whose
+# build_profile is rewritten must be refused, naming both profiles.
+awk '{ gsub(/"build_profile":"[^"]*"/, "\"build_profile\":\"another-build\""); print }' \
+  BENCH_scale.json > BENCH_scale.negative.json
+must_trip BENCH_check.negative.profile.out \
+  'build profile mismatch: .* timed under "another-build", this binary is "' \
+  dune exec bench/main.exe -- check --against BENCH_scale.negative.json --tolerance 0.15
 
 echo "== bench check (perf-regression gate vs freshly written baseline) =="
 dune exec bench/main.exe -- check --against BENCH_scale.json --tolerance 0.15

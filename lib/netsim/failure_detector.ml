@@ -1,20 +1,24 @@
 let label_sweep = Simkit.Label.v Net "detector.sweep"
 
-type peer_state = {
-  address : Address.t;
-  mutable last_heard : Simkit.Time.t;
-  mutable suspected : bool;
-}
+(* A peer's state byte, at its {!Address.index} in [state]. *)
+let not_peer = '\000'
+let alive = '\001'
+let suspect = '\002'
 
 type t = {
   engine : Simkit.Engine.t;
-  timeout : Simkit.Time.span;
+  timeout : int;  (* ns *)
   sweep_interval : Simkit.Time.span;
-  peers : peer_state list;
-  (* Peer states keyed by {!Address.index} for O(1) [heard_from]: with a
-     full heartbeat mesh every node calls it n-1 times per interval, so
-     a list scan here turns the fabric O(n^3). *)
-  by_index : peer_state option array;
+  (* The peers, in the order given to [create]: sweeps fire [on_suspect]
+     and [suspected] lists peers in this order. *)
+  peers : Address.t array;
+  (* Per-peer state in flat tables keyed by {!Address.index}, so
+     [heard_from] — n-1 calls per heartbeat interval on every node of a
+     full mesh — reads one byte and writes one int, with no record or
+     option box to chase. [state] also answers membership: a non-peer
+     inside the range reads [not_peer]. *)
+  state : Bytes.t;
+  last_heard : int array;  (* ns; meaningful for peers only *)
   on_suspect : Address.t -> unit;
   on_alive : Address.t -> unit;
   mutable running : bool;
@@ -30,39 +34,39 @@ let create ~engine ~timeout ?sweep_interval ~peers ~on_suspect
         let q = Simkit.Time.span_to_ns timeout / 4 in
         Simkit.Time.span_ns (max 1 q)
   in
-  let now = Simkit.Engine.now engine in
-  let peers =
-    List.map
-      (fun address -> { address; last_heard = now; suspected = false })
-      peers
+  let now = (Simkit.Engine.now engine :> int) in
+  let peers = Array.of_list peers in
+  let width =
+    Array.fold_left (fun m a -> max m (Address.index a + 1)) 0 peers
   in
-  let max_index =
-    List.fold_left (fun m p -> max m (Address.index p.address)) (-1) peers
-  in
-  let by_index = Array.make (max_index + 1) None in
-  List.iter (fun p -> by_index.(Address.index p.address) <- Some p) peers;
+  let state = Bytes.make width not_peer in
+  Array.iter (fun a -> Bytes.set state (Address.index a) alive) peers;
   {
     engine;
-    timeout;
+    timeout = Simkit.Time.span_to_ns timeout;
     sweep_interval;
     peers;
-    by_index;
+    state;
+    last_heard = Array.make width now;
     on_suspect;
     on_alive;
     running = false;
     sweep = None;
   }
 
-let find t a =
+(* [a]'s state byte; [not_peer] for any address outside the table. *)
+let[@inline] state_of t a =
   let i = Address.index a in
-  if i < 0 || i >= Array.length t.by_index then None else t.by_index.(i)
+  if i >= 0 && i < Bytes.length t.state then Bytes.unsafe_get t.state i
+  else not_peer
 
-let check_peer t now p =
-  if (not p.suspected)
-     && Simkit.Time.( >= ) now (Simkit.Time.add p.last_heard t.timeout)
+let check_peer t now a =
+  let i = Address.index a in
+  if Bytes.unsafe_get t.state i = alive
+     && now >= Array.unsafe_get t.last_heard i + t.timeout
   then begin
-    p.suspected <- true;
-    t.on_suspect p.address
+    Bytes.unsafe_set t.state i suspect;
+    t.on_suspect a
   end
 
 let rec arm t =
@@ -70,8 +74,8 @@ let rec arm t =
     Simkit.Engine.schedule t.engine ~label:label_sweep
       ~after:t.sweep_interval (fun () ->
         if t.running then begin
-          let now = Simkit.Engine.now t.engine in
-          List.iter (check_peer t now) t.peers;
+          let now = (Simkit.Engine.now t.engine :> int) in
+          Array.iter (check_peer t now) t.peers;
           arm t
         end)
   in
@@ -90,23 +94,27 @@ let stop t =
     t.sweep <- None
   end
 
+(* Addresses are equal exactly when their indices are, so [a] is the
+   peer [create] was given. *)
 let heard_from t a =
-  match find t a with
-  | None -> ()
-  | Some p ->
-      p.last_heard <- Simkit.Engine.now t.engine;
-      if p.suspected then begin
-        p.suspected <- false;
-        t.on_alive p.address
-      end
+  let s = state_of t a in
+  if s <> not_peer then begin
+    let i = Address.index a in
+    Array.unsafe_set t.last_heard i (Simkit.Engine.now t.engine :> int);
+    if s = suspect then begin
+      Bytes.unsafe_set t.state i alive;
+      t.on_alive a
+    end
+  end
 
-let is_suspected t a =
-  match find t a with None -> false | Some p -> p.suspected
+let is_suspected t a = state_of t a = suspect
 
 let suspected t =
-  List.filter_map
-    (fun p -> if p.suspected then Some p.address else None)
-    t.peers
+  Array.fold_right
+    (fun a acc -> if is_suspected t a then a :: acc else acc)
+    t.peers []
 
 let suspected_count t =
-  List.fold_left (fun acc p -> if p.suspected then acc + 1 else acc) 0 t.peers
+  Array.fold_left
+    (fun acc a -> if is_suspected t a then acc + 1 else acc)
+    0 t.peers

@@ -80,10 +80,11 @@ let follower = -2
    Every enqueue moves [tail], so the seqs of a run are consecutive
    apart from cancelled events and no other live event sorts between two
    neighbours in a run: a head's successor can take over the head's heap
-   slot with no sift. *)
-let before a b =
-  let c = Time.compare a.at b.at in
-  if c <> 0 then c < 0 else a.seq < b.seq
+   slot with no sift. The instants compare as the ints they are, so the
+   sifts' comparison inlines under any build profile. *)
+let[@inline] before a b =
+  let x = (a.at :> int) and y = (b.at :> int) in
+  x < y || (x = y && a.seq < b.seq)
 
 (* [vacant] fills every heap slot at or beyond [qlen], ends every run
    and is the [tail] of an engine with nothing queued. It is never

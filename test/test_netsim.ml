@@ -355,6 +355,252 @@ let test_detector_unknown_peer () =
   Alcotest.(check bool) "unknown never suspected" false
     (Failure_detector.is_suspected d q)
 
+(* The list-and-record detector that the flat-table one replaced, kept
+   as the model: a list of peer records in [create] order, found by
+   index through an option array. *)
+module Reference_detector = struct
+  type peer_state = {
+    address : Address.t;
+    mutable last_heard : Time.t;
+    mutable suspected : bool;
+  }
+
+  type t = {
+    engine : Engine.t;
+    timeout : Time.span;
+    sweep_interval : Time.span;
+    peers : peer_state list;
+    by_index : peer_state option array;
+    on_suspect : Address.t -> unit;
+    on_alive : Address.t -> unit;
+    mutable running : bool;
+    mutable sweep : Engine.handle option;
+  }
+
+  let create ~engine ~timeout ?sweep_interval ~peers ~on_suspect
+      ?(on_alive = fun _ -> ()) () =
+    let sweep_interval =
+      match sweep_interval with
+      | Some s -> s
+      | None -> Time.span_ns (max 1 (Time.span_to_ns timeout / 4))
+    in
+    let now = Engine.now engine in
+    let peers =
+      List.map
+        (fun address -> { address; last_heard = now; suspected = false })
+        peers
+    in
+    let max_index =
+      List.fold_left (fun m p -> max m (Address.index p.address)) (-1) peers
+    in
+    let by_index = Array.make (max_index + 1) None in
+    List.iter (fun p -> by_index.(Address.index p.address) <- Some p) peers;
+    {
+      engine;
+      timeout;
+      sweep_interval;
+      peers;
+      by_index;
+      on_suspect;
+      on_alive;
+      running = false;
+      sweep = None;
+    }
+
+  let find t a =
+    let i = Address.index a in
+    if i < 0 || i >= Array.length t.by_index then None else t.by_index.(i)
+
+  let check_peer t now p =
+    if (not p.suspected) && Time.( >= ) now (Time.add p.last_heard t.timeout)
+    then begin
+      p.suspected <- true;
+      t.on_suspect p.address
+    end
+
+  let rec arm t =
+    let h =
+      Engine.schedule t.engine ~after:t.sweep_interval (fun () ->
+          if t.running then begin
+            List.iter (check_peer t (Engine.now t.engine)) t.peers;
+            arm t
+          end)
+    in
+    t.sweep <- Some h
+
+  let start t =
+    if not t.running then begin
+      t.running <- true;
+      arm t
+    end
+
+  let stop t =
+    if t.running then begin
+      t.running <- false;
+      Option.iter Engine.cancel t.sweep;
+      t.sweep <- None
+    end
+
+  let heard_from t a =
+    match find t a with
+    | None -> ()
+    | Some p ->
+        p.last_heard <- Engine.now t.engine;
+        if p.suspected then begin
+          p.suspected <- false;
+          t.on_alive p.address
+        end
+
+  let is_suspected t a =
+    match find t a with None -> false | Some p -> p.suspected
+
+  let suspected t =
+    List.filter_map
+      (fun p -> if p.suspected then Some p.address else None)
+      t.peers
+
+  let suspected_count t =
+    List.fold_left (fun acc p -> if p.suspected then acc + 1 else acc) 0 t.peers
+end
+
+type detector_step =
+  | Heard of int  (* endpoint index: a peer or not *)
+  | Advance of int  (* ns; the timeout is 100 µs *)
+  | Stop_detector
+  | Start_detector
+
+type detector_scenario = {
+  endpoints : int;
+  members : int list;  (* distinct endpoint indices, in [create] order *)
+  sweep_us : int option;  (* None: the default, timeout / 4 *)
+  steps : detector_step list;
+}
+
+let detector_print sc =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  let step = function
+    | Heard i -> Printf.sprintf "heard %d" i
+    | Advance ns -> Printf.sprintf "+%dns" ns
+    | Stop_detector -> "stop"
+    | Start_detector -> "start"
+  in
+  Printf.sprintf "endpoints %d, peers [%s], sweep %s, steps [%s]"
+    sc.endpoints (ints sc.members)
+    (match sc.sweep_us with Some us -> string_of_int us | None -> "default")
+    (String.concat "; " (List.map step sc.steps))
+
+(* Peer sets skip indices at random, so the tables have gaps and
+   endpoints past the highest peer. Clock jumps reach three timeouts;
+   nudges of a nanosecond either way move traffic and sweeps off each
+   other's microsecond grid, so sweeps land one nanosecond either side of
+   a deadline. *)
+let detector_gen =
+  let open QCheck2.Gen in
+  let* endpoints = int_range 1 10 in
+  let* picks = list_repeat endpoints bool in
+  let chosen =
+    List.concat (List.mapi (fun i p -> if p then [ i ] else []) picks)
+  in
+  let* members = shuffle_l chosen
+  and* sweep_us = option (int_range 1 100)
+  and* steps =
+    list_size (int_range 1 40)
+      (frequency
+         [
+           (5, map (fun i -> Heard i) (int_bound (endpoints - 1)));
+           (4, map (fun us -> Advance (us * 1_000)) (int_bound 300));
+           (1, map (fun ns -> Advance ns) (oneofl [ 1; 999 ]));
+           (1, return Stop_detector);
+           (1, return Start_detector);
+         ])
+  in
+  return { endpoints; members; sweep_us; steps }
+
+(* The operations both detectors offer, so one script drives either. *)
+type detector_ops = {
+  start : unit -> unit;
+  stop : unit -> unit;
+  heard : Address.t -> unit;
+  is_suspected : Address.t -> bool;
+  suspected : unit -> Address.t list;
+  suspected_count : unit -> int;
+}
+
+let flat_detector ~engine ~timeout ~sweep_interval ~peers ~on_suspect
+    ~on_alive =
+  let d =
+    Failure_detector.create ~engine ~timeout ?sweep_interval ~peers
+      ~on_suspect ~on_alive ()
+  in
+  {
+    start = (fun () -> Failure_detector.start d);
+    stop = (fun () -> Failure_detector.stop d);
+    heard = Failure_detector.heard_from d;
+    is_suspected = Failure_detector.is_suspected d;
+    suspected = (fun () -> Failure_detector.suspected d);
+    suspected_count = (fun () -> Failure_detector.suspected_count d);
+  }
+
+let reference_detector ~engine ~timeout ~sweep_interval ~peers ~on_suspect
+    ~on_alive =
+  let module R = Reference_detector in
+  let d =
+    R.create ~engine ~timeout ?sweep_interval ~peers ~on_suspect ~on_alive ()
+  in
+  {
+    start = (fun () -> R.start d);
+    stop = (fun () -> R.stop d);
+    heard = R.heard_from d;
+    is_suspected = R.is_suspected d;
+    suspected = (fun () -> R.suspected d);
+    suspected_count = (fun () -> R.suspected_count d);
+  }
+
+(* The callback log (kind, instant, index, name) and, after every step,
+   the suspected list, its count and [is_suspected] of every endpoint. *)
+let run_detector sc detector =
+  let engine, net = make () in
+  let addrs =
+    Array.init sc.endpoints (fun i -> mk_addr net (string_of_int i))
+  in
+  let log = ref [] in
+  let note kind a =
+    log :=
+      (kind, Time.to_ns (Engine.now engine), Address.index a, Address.name a)
+      :: !log
+  in
+  let d =
+    detector ~engine ~timeout:(Time.span_us 100)
+      ~sweep_interval:(Option.map Time.span_us sc.sweep_us)
+      ~peers:(List.map (fun i -> addrs.(i)) sc.members)
+      ~on_suspect:(note "suspect") ~on_alive:(note "alive")
+  in
+  let observe () =
+    ( List.map Address.index (d.suspected ()),
+      d.suspected_count (),
+      Array.map d.is_suspected addrs )
+  in
+  d.start ();
+  let seen =
+    List.map
+      (fun step ->
+        (match step with
+        | Heard i -> d.heard addrs.(i)
+        | Advance ns ->
+            let until = Time.to_ns (Engine.now engine) + ns in
+            ignore (Engine.run ~until:(Time.of_ns until) engine)
+        | Stop_detector -> d.stop ()
+        | Start_detector -> d.start ());
+        observe ())
+      sc.steps
+  in
+  (List.rev !log, seen)
+
+let prop_detector_matches_reference =
+  QCheck2.Test.make ~name:"flat detector matches the list-and-record model"
+    ~count:500 ~print:detector_print detector_gen (fun sc ->
+      run_detector sc flat_detector = run_detector sc reference_detector)
+
 (* ------------------------------------------------------------------ *)
 (* Message-conservation meter                                          *)
 (* ------------------------------------------------------------------ *)
@@ -608,5 +854,6 @@ let () =
           Alcotest.test_case "recovers" `Quick test_detector_recovers;
           Alcotest.test_case "stop is quiet" `Quick test_detector_stop_is_quiet;
           Alcotest.test_case "unknown peer" `Quick test_detector_unknown_peer;
+          QCheck_alcotest.to_alcotest prop_detector_matches_reference;
         ] );
     ]
