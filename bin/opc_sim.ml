@@ -1,13 +1,9 @@
 (* opc_sim — command-line driver for the One Phase Commit simulator.
 
    Subcommands:
-     fig6      reproduce the paper's Figure 6
-     table1    reproduce the paper's Table I (analytic + measured)
-     sweep     ablation sweeps (disk | net | conc | colo | batch | dirs)
      run       run a custom workload and print the metrics
      replay    replay a namespace-operation trace file
-     trace     print a protocol timeline for one distributed CREATE
-     faults    crash-point consistency matrix *)
+     trace     print a protocol timeline for one distributed CREATE *)
 
 open Cmdliner
 
@@ -27,10 +23,6 @@ let protocol_arg =
   let doc = "Protocol: prn (2pc), prc, ep, 1pc or l1pc." in
   Arg.(value & opt protocol_conv Opc.Acp.Protocol.Opc & info [ "p"; "protocol" ] ~doc)
 
-let count_arg default =
-  let doc = "Number of operations." in
-  Arg.(value & opt int default & info [ "n"; "count" ] ~doc)
-
 let seed_arg =
   let doc = "Random seed (runs are deterministic per seed)." in
   Arg.(value & opt int 42 & info [ "seed" ] ~doc)
@@ -38,114 +30,6 @@ let seed_arg =
 let servers_arg =
   let doc = "Metadata servers in the cluster." in
   Arg.(value & opt int 4 & info [ "servers" ] ~doc)
-
-(* ------------------------------------------------------------------ *)
-(* fig6                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let fig6 count =
-  let t =
-    Opc.Metrics.Table.create
-      ~columns:
-        [ "protocol"; "paper [ops/s]"; "measured [ops/s]"; "mean latency" ]
-  in
-  List.iter
-    (fun protocol ->
-      let p = Opc.Experiment.run_fig6_point ~count protocol in
-      Opc.Metrics.Table.add_row t
-        [
-          Opc.Acp.Protocol.name protocol;
-          Fmt.str "%.2f" (Opc.Experiment.paper_fig6 protocol);
-          Fmt.str "%.2f" p.Opc.Experiment.throughput;
-          Fmt.str "%a" Opc.Simkit.Time.pp_span p.Opc.Experiment.mean_latency;
-        ])
-    Opc.Acp.Protocol.all;
-  Opc.Metrics.Table.print t
-
-let fig6_cmd =
-  Cmd.v
-    (Cmd.info "fig6" ~doc:"Reproduce Figure 6 (ops/s per protocol).")
-    Term.(const fig6 $ count_arg 100)
-
-(* ------------------------------------------------------------------ *)
-(* table1                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let table1 () =
-  Opc.Metrics.Table.print (Opc.Acp.Cost_model.table ());
-  Fmt.pr "@.Instrumented totals per transaction (must match the analytic \
-          columns):@.";
-  let t =
-    Opc.Metrics.Table.create
-      ~columns:[ "protocol"; "sync/txn"; "async/txn"; "ACP msgs/txn" ]
-  in
-  List.iter
-    (fun kind ->
-      let m = Opc.Experiment.run_table1_measured kind in
-      Opc.Metrics.Table.add_row t
-        [
-          Opc.Acp.Protocol.name kind;
-          Fmt.str "%.2f" m.Opc.Experiment.sync_writes_per_txn;
-          Fmt.str "%.2f" m.Opc.Experiment.async_writes_per_txn;
-          Fmt.str "%.2f" m.Opc.Experiment.acp_messages_per_txn;
-        ])
-    Opc.Acp.Protocol.all;
-  Opc.Metrics.Table.print t
-
-let table1_cmd =
-  Cmd.v
-    (Cmd.info "table1" ~doc:"Reproduce Table I (analytic and measured).")
-    Term.(const table1 $ const ())
-
-(* ------------------------------------------------------------------ *)
-(* sweep                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let print_sweep ~x_label points =
-  let t =
-    Opc.Metrics.Table.create
-      ~columns:
-        (x_label :: List.map Opc.Acp.Protocol.name Opc.Acp.Protocol.all)
-  in
-  List.iter
-    (fun (p : Opc.Experiment.sweep_point) ->
-      Opc.Metrics.Table.add_row t
-        (Fmt.str "%g" p.Opc.Experiment.x
-        :: List.map
-             (fun k -> Fmt.str "%.1f" (List.assoc k p.Opc.Experiment.series))
-             Opc.Acp.Protocol.all))
-    points;
-  Opc.Metrics.Table.print t
-
-let sweep kind count =
-  match kind with
-  | "disk" ->
-      print_sweep ~x_label:"KB/s"
-        (Opc.Experiment.sweep_disk_bandwidth ~count ())
-  | "net" ->
-      print_sweep ~x_label:"latency us"
-        (Opc.Experiment.sweep_network_latency ~count ())
-  | "conc" -> print_sweep ~x_label:"in flight" (Opc.Experiment.sweep_concurrency ())
-  | "colo" ->
-      print_sweep ~x_label:"p(colocated)"
-        (Opc.Experiment.sweep_colocation ~count ())
-  | "batch" ->
-      print_sweep ~x_label:"batch" (Opc.Experiment.sweep_batching ~count ())
-  | "dirs" ->
-      print_sweep ~x_label:"dirs" (Opc.Experiment.sweep_directories ~count ())
-  | other ->
-      Fmt.epr "unknown sweep %S (disk|net|conc|colo|batch|dirs)@." other
-
-let sweep_cmd =
-  let kind =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"KIND" ~doc:"disk, net, conc, colo, batch or dirs.")
-  in
-  Cmd.v
-    (Cmd.info "sweep" ~doc:"Ablation sweeps of the Figure 6 experiment.")
-    Term.(const sweep $ kind $ count_arg 100)
 
 (* ------------------------------------------------------------------ *)
 (* run                                                                 *)
@@ -301,31 +185,6 @@ let trace_cmd =
     Term.(const trace $ protocol_arg)
 
 (* ------------------------------------------------------------------ *)
-(* faults                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let faults () =
-  Fmt.pr
-    "Crash-point matrix: one distributed CREATE, a crash injected every \
-     2 ms,@.coordinator and worker, all protocols. C = committed, A = \
-     aborted;@.every cell also passed the atomicity and invariant \
-     checks.@.@.";
-  List.iter
-    (fun (protocol, server, cells) ->
-      Fmt.pr "%-4s crash %s  %s@."
-        (Opc.Acp.Protocol.name protocol)
-        (if server = 0 then "coord " else "worker")
-        cells)
-    (Opc.Experiment.run_fault_matrix ());
-  Fmt.pr "@.(time axis: 0ms .. 60ms in 2ms steps)@."
-
-let faults_cmd =
-  Cmd.v
-    (Cmd.info "faults"
-       ~doc:"Crash-point consistency matrix across all protocols.")
-    Term.(const faults $ const ())
-
-(* ------------------------------------------------------------------ *)
 
 let main =
   Cmd.group
@@ -334,14 +193,6 @@ let main =
          "Simulator for 'One Phase Commit: A Low Overhead Atomic \
           Commitment Protocol for Scalable Metadata Services' (CLUSTER \
           2012).")
-    [
-      fig6_cmd;
-      table1_cmd;
-      sweep_cmd;
-      run_cmd;
-      replay_cmd;
-      trace_cmd;
-      faults_cmd;
-    ]
+    [ run_cmd; replay_cmd; trace_cmd ]
 
 let () = exit (Cmd.eval main)
