@@ -16,10 +16,11 @@ type t = {
   is_hardened : Txn.id -> bool;
   compute : n:int -> (unit -> unit) -> unit;
   set_timer :
+    Simkit.Engine.handle option ref ->
     label:Simkit.Label.t ->
     after:Simkit.Time.span ->
     (unit -> unit) ->
-    Simkit.Engine.handle;
+    unit;
   timeout : Simkit.Time.span;
   resend_interval : Simkit.Time.span;
   max_soft_retries : int;
@@ -33,7 +34,18 @@ type t = {
   cover : Obs.Coverage.t;
   client_reply : Txn.id -> Txn.outcome -> unit;
   lock_hold : locked_at:Simkit.Time.t -> unit;
+  alive : unit -> bool;
 }
+
+let slot_timer engine ~alive slot ~label ~after f =
+  Option.iter Simkit.Engine.cancel !slot;
+  slot :=
+    Some
+      (Simkit.Engine.schedule engine ~label ~after (fun () ->
+           if alive () then begin
+             slot := None;
+             f ()
+           end))
 
 let hit t id = Obs.Coverage.hit t.cover id
 

@@ -14,7 +14,13 @@
       once per transaction (idempotent across recovery replays).
     - [lock_hold ~locked_at] reports a coordinator's first release of the
       locks it finished taking at [locked_at]; the cluster books the
-      hold time for the Figure 6 lock-hold experiments. *)
+      hold time for the Figure 6 lock-hold experiments.
+    - [set_timer slot ~label ~after f] arms [slot], cancelling the timer
+      it held; when the timer fires in a live incarnation, the slot is
+      cleared and [f] runs.
+    - [alive ()] turns false for good once this incarnation crashes. The
+      services above already check it; a caller needs it only to stop
+      work that touches no service, such as taking its next lock. *)
 
 type t = {
   engine : Simkit.Engine.t;
@@ -36,10 +42,11 @@ type t = {
   compute : n:int -> (unit -> unit) -> unit;
       (** continue after [n] object-method latencies *)
   set_timer :
+    Simkit.Engine.handle option ref ->
     label:Simkit.Label.t ->
     after:Simkit.Time.span ->
     (unit -> unit) ->
-    Simkit.Engine.handle;
+    unit;
   timeout : Simkit.Time.span;  (** protocol timeout (votes, decisions) *)
   resend_interval : Simkit.Time.span;
       (** base retransmission period (historically equal to [timeout]) *)
@@ -60,7 +67,19 @@ type t = {
       (** transition-coverage tap, sized for {!Edges.count} *)
   client_reply : Txn.id -> Txn.outcome -> unit;
   lock_hold : locked_at:Simkit.Time.t -> unit;
+  alive : unit -> bool;
 }
+
+val slot_timer :
+  Simkit.Engine.t ->
+  alive:(unit -> bool) ->
+  Simkit.Engine.handle option ref ->
+  label:Simkit.Label.t ->
+  after:Simkit.Time.span ->
+  (unit -> unit) ->
+  unit
+(** The [set_timer] service over an engine, for an incarnation that is
+    live while [alive ()] holds. *)
 
 val hit : t -> int -> unit
 (** Record one traversal of a declared {!Edges} edge (no-op when the

@@ -202,11 +202,6 @@ let predicted_storm_throughput ~bandwidth_bytes_per_s ~block_bytes kind =
   if writes = 0 then Float.infinity
   else float_of_int bandwidth_bytes_per_s /. float_of_int (block_bytes * writes)
 
-let pp_costs ppf c =
-  Fmt.pf ppf "(%d,%d) total, (%d,%d) critical, %d msgs (%d critical)"
-    c.total_sync c.total_async c.critical_sync c.critical_async
-    c.total_messages c.critical_messages
-
 let table () =
   let t =
     Metrics.Table.create

@@ -55,7 +55,5 @@ val predicted_storm_throughput :
     all, so the disk is never its bottleneck: the prediction is
     [infinity] (the network, not this formula, limits it). *)
 
-val pp_costs : Format.formatter -> costs -> unit
-
 val table : unit -> Metrics.Table.t
 (** Rendered Table I, one row per protocol. *)

@@ -43,13 +43,3 @@ let label = function
   | Committed _ -> "COMMITTED"
   | Aborted _ -> "ABORTED"
   | Ended _ -> "ENDED"
-
-let pp ppf r =
-  match r with
-  | Updates { txn; updates } ->
-      Fmt.pf ppf "UPDATES %a (%d)" Txn.pp_id txn (List.length updates)
-  | Started { txn; participants } ->
-      Fmt.pf ppf "STARTED %a (workers %a)" Txn.pp_id txn
-        Fmt.(list ~sep:comma int)
-        participants
-  | other -> Fmt.pf ppf "%s %a" (label other) Txn.pp_id (txn other)

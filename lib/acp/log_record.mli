@@ -34,4 +34,3 @@ val default_sizing : sizing
 val size : sizing -> t -> int
 val txn : t -> Txn.id
 val label : t -> string
-val pp : Format.formatter -> t -> unit

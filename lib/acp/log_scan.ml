@@ -39,7 +39,7 @@ let scan records =
   List.iter
     (fun r ->
       let id = Log_record.txn r in
-      let key = (id.Txn.origin, id.Txn.seq) in
+      let key = Txn.key id in
       let img =
         match Hashtbl.find_opt table key with
         | Some img -> img

@@ -10,19 +10,7 @@ type cphase =
   | C_voting  (* VOTE_REQ out, waiting for the worker's vote *)
   | C_deciding  (* committed and replied; resending DECIDE until acked *)
 
-type coord = {
-  id : Txn.id;
-  worker : int;
-  worker_updates : Mds.Update.t list;
-  own_updates : Mds.Update.t list;
-  own_lock_oids : int list;
-  mutable phase : cphase;
-  mutable undo_list : Mds.Update.t list;
-  mutable retries : int;
-  mutable locked_at : Simkit.Time.t option;  (* until the first release *)
-  mutable ospan : int;  (* open coordinator-lifetime Phase span, -1 = none *)
-  timer : Simkit.Engine.handle option ref;
-}
+type coord = cphase Common.pair_coord
 
 type wstate =
   | W_locking  (* acquiring locks / applying updates *)
@@ -89,28 +77,6 @@ type t = {
   mutable recovering : recovery option;
 }
 
-let key (id : Txn.id) = (id.origin, id.seq)
-
-let create ctx =
-  {
-    ctx;
-    coords = Tbl.create 64;
-    works = Tbl.create 64;
-    replica = Tbl.create 64;
-    oldest = None;
-    newest = None;
-    recovering = None;
-  }
-
-(* Replica-store entries are passive (no timers, no liveness obligations),
-   so they do not count as outstanding work. *)
-let outstanding t = Tbl.length t.coords + Tbl.length t.works
-
-let owns t id =
-  Tbl.mem t.coords (key id)
-  || Tbl.mem t.works (key id)
-  || Tbl.mem t.replica (key id)
-
 let send_to t server msg =
   t.ctx.Context.send ~dst:(t.ctx.Context.address_of server) msg
 
@@ -121,20 +87,10 @@ let hit t id = Context.hit t.ctx id
 (* Coordinator                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let coord_drop t c =
-  Context.obs_finish t.ctx c.ospan;
-  c.ospan <- -1;
-  Tbl.remove t.coords (key c.id)
-
-let coord_release t c =
-  Common.release t.ctx c.id;
-  Option.iter (fun locked_at -> t.ctx.Context.lock_hold ~locked_at) c.locked_at;
-  c.locked_at <- None
-
-let send_vote_req t c =
+let send_vote_req t (c : coord) =
   send_to t c.worker (Wire.Vote_req { txn = c.id; updates = c.worker_updates })
 
-let send_decide t c =
+let send_decide t (c : coord) =
   send_to t c.worker
     (Wire.Decide { txn = c.id; commit = true; updates = c.worker_updates })
 
@@ -145,7 +101,7 @@ let send_decide t c =
    (or still-replicating) entry; lost copies are survivable because the
    worker's vote resends eventually reach the stateless coordinator,
    which re-answers abort (presumed abort). *)
-let coord_abort ?(notify_worker = false) t c reason =
+let coord_abort ?(notify_worker = false) t (c : coord) reason =
   Common.cancel_timer c.timer;
   Context.obs_phase t.ctx c.id "l1pc.coord.abort";
   Common.undo t.ctx c.undo_list;
@@ -153,29 +109,25 @@ let coord_abort ?(notify_worker = false) t c reason =
   trace t c.id ~kind:"txn.abort" reason;
   if notify_worker then
     send_to t c.worker (Wire.Decide { txn = c.id; commit = false; updates = [] });
-  coord_release t c;
+  Common.release_coordinator t.ctx c.id ~locked_at:c.locked_at;
   t.ctx.Context.client_reply c.id (Txn.Aborted reason);
-  coord_drop t c
+  Common.drop t.ctx t.coords c.id ~span:c.ospan
 
-let rec arm_decide_timer t c =
-  Common.cancel_timer c.timer;
-  c.timer :=
-    Some
-      (t.ctx.Context.set_timer ~label:label_decide_resend
-         ~after:t.ctx.Context.resend_interval (fun () ->
-           c.timer := None;
-           if c.phase = C_deciding then begin
-             hit t Edges.Lp1.c_decide_resend;
-             c.retries <- c.retries + 1;
-             send_decide t c;
-             arm_decide_timer t c
-           end))
+let rec arm_decide_timer t (c : coord) =
+  t.ctx.Context.set_timer c.timer ~label:label_decide_resend
+    ~after:t.ctx.Context.resend_interval (fun () ->
+      if c.phase = C_deciding then begin
+        hit t Edges.Lp1.c_decide_resend;
+        c.retries <- c.retries + 1;
+        send_decide t c;
+        arm_decide_timer t c
+      end)
 
 (* The worker's YES vote is durable at a quorum of its replica group;
    together with hardening our own half that makes the decision stable
    without any log force — reply and release immediately (the paper's
    critical-path cut, now with zero forces on it). *)
-let coord_decide_commit t c =
+let coord_decide_commit t (c : coord) =
   hit t Edges.Lp1.c_vote_yes;
   Common.cancel_timer c.timer;
   c.phase <- C_deciding;
@@ -183,62 +135,34 @@ let coord_decide_commit t c =
   Context.obs_phase t.ctx c.id "l1pc.coord.commit";
   t.ctx.Context.harden c.id c.own_updates;
   t.ctx.Context.client_reply c.id Txn.Committed;
-  coord_release t c;
+  Common.release_coordinator t.ctx c.id ~locked_at:c.locked_at;
   trace t c.id ~kind:"txn.commit" "worker voted yes; deciding commit";
   send_decide t c;
   arm_decide_timer t c
 
-let rec arm_vote_timer t c =
-  Common.cancel_timer c.timer;
-  c.timer :=
-    Some
-      (t.ctx.Context.set_timer ~label:label_vote_timeout
-         ~after:t.ctx.Context.resend_interval (fun () ->
-           c.timer := None;
-           if c.phase = C_voting then
-             if t.ctx.Context.suspects (t.ctx.Context.address_of c.worker)
-             then begin
-               hit t Edges.Lp1.c_suspect_abort;
-               coord_abort ~notify_worker:true t c "worker failed to vote"
-             end
-             else if c.retries >= t.ctx.Context.max_soft_retries then begin
-               hit t Edges.Lp1.c_timeout_abort;
-               coord_abort ~notify_worker:true t c "worker failed to vote"
-             end
-             else begin
-               hit t Edges.Lp1.c_resend;
-               c.retries <- c.retries + 1;
-               send_vote_req t c;
-               arm_vote_timer t c
-             end))
-
-let coord_of_plan (txn : Txn.t) =
-  match txn.plan.Mds.Plan.workers with
-  | [ w ] ->
-      {
-        id = txn.id;
-        worker = w.Mds.Plan.server;
-        worker_updates = w.Mds.Plan.updates;
-        own_updates = txn.plan.Mds.Plan.coordinator.updates;
-        own_lock_oids = txn.plan.Mds.Plan.coordinator.lock_oids;
-        phase = C_starting;
-        undo_list = [];
-        retries = 0;
-        locked_at = None;
-        ospan = -1;
-        timer = ref None;
-      }
-  | [] -> invalid_arg "Logless.submit: local plan needs no ACP"
-  | _ :: _ :: _ ->
-      invalid_arg
-        "Logless.submit: L1PC handles exactly one worker (route wider \
-         plans to 2PC)"
+let rec arm_vote_timer t (c : coord) =
+  t.ctx.Context.set_timer c.timer ~label:label_vote_timeout
+    ~after:t.ctx.Context.resend_interval (fun () ->
+      if c.phase = C_voting then
+        if t.ctx.Context.suspects (t.ctx.Context.address_of c.worker) then begin
+          hit t Edges.Lp1.c_suspect_abort;
+          coord_abort ~notify_worker:true t c "worker failed to vote"
+        end
+        else if c.retries >= t.ctx.Context.max_soft_retries then begin
+          hit t Edges.Lp1.c_timeout_abort;
+          coord_abort ~notify_worker:true t c "worker failed to vote"
+        end
+        else begin
+          hit t Edges.Lp1.c_resend;
+          c.retries <- c.retries + 1;
+          send_vote_req t c;
+          arm_vote_timer t c
+        end)
 
 let submit t (txn : Txn.t) =
-  let c = coord_of_plan txn in
+  let c = Common.pair_coord Kind.Lp1 txn C_starting in
   hit t Edges.Lp1.c_submit;
-  Tbl.replace t.coords (key c.id) c;
-  c.ospan <- Context.obs_start t.ctx c.id ~name:"l1pc.coord";
+  c.ospan <- Common.track t.ctx t.coords c.id c ~name:"l1pc.coord";
   trace t c.id ~kind:"txn.start" "L1PC coordinator";
   Common.acquire_locks t.ctx ~txn:c.id ~oids:c.own_lock_oids
     ~on_granted:(fun () ->
@@ -264,7 +188,7 @@ let submit t (txn : Txn.t) =
       end)
 
 let coord_on_vote t ~src txn vote =
-  match Tbl.find_opt t.coords (key txn) with
+  match Tbl.find_opt t.coords (Txn.key txn) with
   | Some c -> (
       match c.phase with
       | C_voting ->
@@ -293,11 +217,11 @@ let coord_on_vote t ~src txn vote =
       end
 
 let coord_on_decide_ack t txn =
-  match Tbl.find_opt t.coords (key txn) with
+  match Tbl.find_opt t.coords (Txn.key txn) with
   | Some c when c.phase = C_deciding ->
       hit t Edges.Lp1.c_decide_ack;
       Common.cancel_timer c.timer;
-      coord_drop t c
+      Common.drop t.ctx t.coords c.id ~span:c.ospan
   | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -305,10 +229,8 @@ let coord_on_decide_ack t txn =
 (* ------------------------------------------------------------------ *)
 
 let work_drop t w =
-  Context.obs_finish t.ctx w.w_ospan;
-  w.w_ospan <- -1;
   Common.cancel_timer w.w_timer;
-  Tbl.remove t.works (key w.w_id)
+  Common.drop t.ctx t.works w.w_id ~span:w.w_ospan
 
 let rep_drop_all t txn =
   List.iter
@@ -329,22 +251,17 @@ let send_rep_store t w =
     t.ctx.Context.replicas
 
 let rec arm_work_timer t w =
-  Common.cancel_timer w.w_timer;
-  w.w_timer :=
-    Some
-      (t.ctx.Context.set_timer ~label:label_work_resend
-         ~after:t.ctx.Context.resend_interval (fun () ->
-           w.w_timer := None;
-           if Tbl.mem t.works (key w.w_id) then begin
-             (match w.wstate with
-             | W_replicating -> send_rep_store t w
-             | W_voted ->
-                 hit t Edges.Lp1.w_vote_resend;
-                 send_to t w.coordinator
-                   (Wire.Vote { txn = w.w_id; vote = true })
-             | W_locking -> ());
-             arm_work_timer t w
-           end))
+  t.ctx.Context.set_timer w.w_timer ~label:label_work_resend
+    ~after:t.ctx.Context.resend_interval (fun () ->
+      if Tbl.mem t.works (Txn.key w.w_id) then begin
+        (match w.wstate with
+        | W_replicating -> send_rep_store t w
+        | W_voted ->
+            hit t Edges.Lp1.w_vote_resend;
+            send_to t w.coordinator (Wire.Vote { txn = w.w_id; vote = true })
+        | W_locking -> ());
+        arm_work_timer t w
+      end)
 
 (* First REP_ACK = the vote survives one crash of this node; send it.
    The coordinator's reply latency therefore rides on the *fastest*
@@ -388,7 +305,7 @@ let must_die t txn oids =
     oids
 
 let work_on_vote_req t ~src txn updates =
-  match Tbl.find_opt t.works (key txn) with
+  match Tbl.find_opt t.works (Txn.key txn) with
   | Some w when w.wstate = W_voted ->
       (* Coordinator retry racing our vote. *)
       hit t Edges.Lp1.w_vote_dup;
@@ -421,8 +338,7 @@ let work_on_vote_req t ~src txn updates =
           }
         in
         hit t Edges.Lp1.w_fresh;
-        Tbl.replace t.works (key txn) w;
-        w.w_ospan <- Context.obs_start t.ctx txn ~name:"l1pc.worker";
+        w.w_ospan <- Common.track t.ctx t.works txn w ~name:"l1pc.worker";
         trace t txn ~kind:"txn.start" "L1PC worker";
         Common.acquire_locks t.ctx ~txn
           ~oids:(Common.lock_oids_of_updates updates)
@@ -468,7 +384,7 @@ let work_on_vote_req t ~src txn updates =
       end
 
 let work_on_rep_ack t ~src txn =
-  match Tbl.find_opt t.works (key txn) with
+  match Tbl.find_opt t.works (Txn.key txn) with
   | Some w ->
       let member = Netsim.Address.index src in
       let first = w.rep_acked = [] in
@@ -481,7 +397,7 @@ let work_on_rep_ack t ~src txn =
   | None -> ()
 
 let work_on_decide t ~src txn commit updates =
-  match Tbl.find_opt t.works (key txn) with
+  match Tbl.find_opt t.works (Txn.key txn) with
   | Some w -> (
       match w.wstate with
       | W_locking ->
@@ -567,7 +483,7 @@ let replica_gc t =
 (* A re-sent REP_STORE refreshes the entry in place; its age is that of
    its first store. *)
 let replica_on_store t ~src txn owner updates =
-  let k = key txn in
+  let k = Txn.key txn in
   hit t Edges.Lp1.rep_store;
   (match Tbl.find_opt t.replica k with
   | Some p ->
@@ -614,38 +530,33 @@ let replica_on_recover_req t ~src owner =
    volatile state that matters, and the replica group holds them. *)
 
 let rec arm_recover_timer t r =
-  Common.cancel_timer r.rec_timer;
-  r.rec_timer :=
-    Some
-      (t.ctx.Context.set_timer ~label:label_recover_resend
-         ~after:t.ctx.Context.resend_interval
-         (fun () ->
-           r.rec_timer := None;
-           if (not r.collected) && r.awaiting <> [] then
-             if r.rec_attempts >= t.ctx.Context.max_soft_retries then begin
-               hit t Edges.Lp1.r_short;
-               (* A group member is down (possibly in the same failure
-                  burst). Proceed on the copies we have: every vote
-                  reached the quorum before it was cast, so only votes
-                  the coordinator never saw can be lost — and those are
-                  presumed abort anyway. *)
-               Context.trace_txn t.ctx
-                 { Txn.origin = t.ctx.Context.self_server; seq = 0 }
-                 ~kind:"txn.recover"
-                 (Fmt.str "quorum read short %d member(s); proceeding"
-                    (List.length r.awaiting));
-               finish_collection t r
-             end
-             else begin
-               hit t Edges.Lp1.r_resend;
-               r.rec_attempts <- r.rec_attempts + 1;
-               List.iter
-                 (fun m ->
-                   send_to t m
-                     (Wire.Recover_req { owner = t.ctx.Context.self_server }))
-                 r.awaiting;
-               arm_recover_timer t r
-             end))
+  t.ctx.Context.set_timer r.rec_timer ~label:label_recover_resend
+    ~after:t.ctx.Context.resend_interval (fun () ->
+      if (not r.collected) && r.awaiting <> [] then
+        if r.rec_attempts >= t.ctx.Context.max_soft_retries then begin
+          hit t Edges.Lp1.r_short;
+          (* A group member is down (possibly in the same failure
+             burst). Proceed on the copies we have: every vote reached
+             the quorum before it was cast, so only votes the
+             coordinator never saw can be lost — and those are presumed
+             abort anyway. *)
+          Context.trace_txn t.ctx
+            { Txn.origin = t.ctx.Context.self_server; seq = 0 }
+            ~kind:"txn.recover"
+            (Fmt.str "quorum read short %d member(s); proceeding"
+               (List.length r.awaiting));
+          finish_collection t r
+        end
+        else begin
+          hit t Edges.Lp1.r_resend;
+          r.rec_attempts <- r.rec_attempts + 1;
+          List.iter
+            (fun m ->
+              send_to t m
+                (Wire.Recover_req { owner = t.ctx.Context.self_server }))
+            r.awaiting;
+          arm_recover_timer t r
+        end)
 
 and resurrection_done t r =
   r.resurrecting <- r.resurrecting - 1;
@@ -683,8 +594,7 @@ and resurrect t r (id : Txn.id) updates =
         w_timer = ref None;
       }
     in
-    Tbl.replace t.works (key id) w;
-    w.w_ospan <- Context.obs_start t.ctx id ~name:"l1pc.worker.recover";
+    w.w_ospan <- Common.track t.ctx t.works id w ~name:"l1pc.worker.recover";
     trace t id ~kind:"txn.recover" "re-voting from replica quorum";
     Common.acquire_locks t.ctx ~txn:id
       ~oids:(Common.lock_oids_of_updates updates)
@@ -735,8 +645,8 @@ let on_recover_resp t ~src owner items =
           r.awaiting <- List.filter (fun m -> m <> member) r.awaiting;
           List.iter
             (fun (id, updates) ->
-              if not (Tbl.mem r.rec_items (key id)) then
-                Tbl.replace r.rec_items (key id) (id, updates))
+              if not (Tbl.mem r.rec_items (Txn.key id)) then
+                Tbl.replace r.rec_items (Txn.key id) (id, updates))
             items;
           if r.awaiting = [] then finish_collection t r
         end
@@ -781,7 +691,7 @@ let on_message t ~src (msg : Wire.t) =
       work_on_decide t ~src txn commit updates
   | Wire.Decide_ack { txn } -> coord_on_decide_ack t txn
   | Wire.Rep_drop { txn } -> (
-      match Tbl.find_opt t.replica (key txn) with
+      match Tbl.find_opt t.replica (Txn.key txn) with
       | Some p ->
           hit t Edges.Lp1.rep_drop;
           replica_remove t p
@@ -801,15 +711,42 @@ let on_suspect t peer =
      table under iteration is unspecified. Sorted for determinism. *)
   let victims =
     Tbl.fold
-      (fun _ c acc ->
+      (fun _ (c : coord) acc ->
         if c.worker = server && c.phase = C_voting then c :: acc else acc)
       t.coords []
-    |> List.sort (fun a b -> Txn.id_compare a.id b.id)
+    |> List.sort (fun (a : coord) b -> Txn.id_compare a.id b.id)
   in
   List.iter
-    (fun c ->
+    (fun (c : coord) ->
       if c.phase = C_voting then begin
         hit t Edges.Lp1.c_suspect_abort;
         coord_abort ~notify_worker:true t c "worker suspected before voting"
       end)
     victims
+
+let instantiate ctx =
+  let t =
+    {
+      ctx;
+      coords = Tbl.create 64;
+      works = Tbl.create 64;
+      replica = Tbl.create 64;
+      oldest = None;
+      newest = None;
+      recovering = None;
+    }
+  in
+  {
+    Common.kind = Kind.Lp1;
+    submit = submit t;
+    on_message = on_message t;
+    recover = recover t;
+    on_suspect = on_suspect t;
+    (* Replica-store entries are passive (no timers, no liveness
+       obligations), so they do not count as outstanding work. *)
+    outstanding = (fun () -> Tbl.length t.coords + Tbl.length t.works);
+    owns =
+      (fun id ->
+        let k = Txn.key id in
+        Tbl.mem t.coords k || Tbl.mem t.works k || Tbl.mem t.replica k);
+  }

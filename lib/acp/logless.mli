@@ -19,34 +19,25 @@
     coordinator answers a resent vote from its durable image (hardened
     means commit, otherwise abort). *)
 
-type t
+val instantiate : Context.t -> Common.instance
+(** A fresh L1PC engine with no in-flight state.
 
-val create : Context.t -> t
-
-val submit : t -> Txn.t -> unit
-(** @raise Invalid_argument unless the plan has exactly one worker. *)
-
-val on_message : t -> src:Netsim.Address.t -> Wire.t -> unit
-
-val recover : t -> on_done:(unit -> unit) -> unit
-(** Quorum-read restart procedure. Call once on a fresh instance while
-    the node is {e not yet serving} (peers answer RECOVER_REQ in that
-    window — see {!Wire.is_recovery}). [on_done] fires when every parked
-    vote has been resurrected (synchronously when the replica group is
-    empty); the node should only start serving then. Members that never
-    answer are given up on after [max_soft_retries] rounds — sound,
-    because a vote was quorum-held before it was cast, and votes the
-    coordinator never saw are presumed abort regardless. *)
-
-val on_suspect : t -> Netsim.Address.t -> unit
-(** Heartbeat detector verdict: presumed-abort every transaction still
-    waiting on a vote from that worker (with a fire-and-forget
-    DECIDE(abort) so the worker can shed its entry). *)
-
-val outstanding : t -> int
-(** Live coordinator/worker state. Passive replica-store entries are
-    excluded: they carry no liveness obligation. *)
-
-val owns : t -> Txn.id -> bool
-(** This engine holds state for the transaction in any role, including
-    a passive replica copy (message-routing hook). *)
+    - [submit]: coordinator entry point; the plan must have exactly one
+      worker ([Invalid_argument] otherwise).
+    - [recover]: the quorum-read restart procedure. Call once on a fresh
+      instance while the node is {e not yet serving} (peers answer
+      RECOVER_REQ in that window — see {!Wire.is_recovery}). [on_done]
+      fires when every parked vote has been resurrected (synchronously
+      when the replica group is empty); the node should only start
+      serving then. Members that never answer are given up on after
+      [max_soft_retries] rounds — sound, because a vote was quorum-held
+      before it was cast, and votes the coordinator never saw are
+      presumed abort regardless.
+    - [on_suspect]: heartbeat detector verdict — presumed-abort every
+      transaction still waiting on a vote from that worker (with a
+      fire-and-forget DECIDE(abort) so the worker can shed its entry).
+    - [outstanding]: live coordinator/worker state. Passive
+      replica-store entries are excluded: they carry no liveness
+      obligation.
+    - [owns]: this engine holds state for the transaction in any role,
+      including a passive replica copy (message-routing hook). *)

@@ -10,19 +10,7 @@ type cphase =
   | C_committing  (* client answered; own commit force in flight *)
   | C_aborting
 
-type coord = {
-  id : Txn.id;
-  worker : int;
-  worker_updates : Mds.Update.t list;
-  own_updates : Mds.Update.t list;
-  own_lock_oids : int list;
-  mutable phase : cphase;
-  mutable undo_list : Mds.Update.t list;
-  mutable retries : int;
-  mutable locked_at : Simkit.Time.t option;  (* until the first release *)
-  mutable ospan : int;  (* open coordinator-lifetime Phase span, -1 = none *)
-  timer : Simkit.Engine.handle option ref;
-}
+type coord = cphase Common.pair_coord
 
 type work = {
   w_id : Txn.id;
@@ -62,18 +50,6 @@ type t = {
   reject_fifo : ((int * int) * Simkit.Time.t) Queue.t;
   mutable stale_below : int;
 }
-
-let key (id : Txn.id) = (id.origin, id.seq)
-
-let create ctx =
-  {
-    ctx;
-    coords = Tbl.create 64;
-    works = Tbl.create 64;
-    rejected = Tbl.create 64;
-    reject_fifo = Queue.create ();
-    stale_below = 0;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* NO-vote tombstones                                                  *)
@@ -130,8 +106,6 @@ let touch_tombstone t k =
   Queue.push (k, deadline) t.reject_fifo;
   gc_tombstones t
 
-let outstanding t = Tbl.length t.coords + Tbl.length t.works
-
 let send_to t server msg =
   t.ctx.Context.send ~dst:(t.ctx.Context.address_of server) msg
 
@@ -141,26 +115,16 @@ let trace t id ~kind detail = Context.trace_txn t.ctx id ~kind detail
 (* Coordinator                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let coord_drop t c =
-  Context.obs_finish t.ctx c.ospan;
-  c.ospan <- -1;
-  Tbl.remove t.coords (key c.id)
-
-let coord_release t c =
-  Common.release t.ctx c.id;
-  Option.iter (fun locked_at -> t.ctx.Context.lock_hold ~locked_at) c.locked_at;
-  c.locked_at <- None
-
 (* The worker committed (its UPDATED arrived, or its log said so after
    fencing): answer the client and release the directory lock at once —
    the paper's critical-path cut — then commit our own side and let the
    worker finalize. *)
-let coord_worker_committed t c =
+let coord_worker_committed t (c : coord) =
   Common.cancel_timer c.timer;
   c.phase <- C_committing;
   Context.obs_phase t.ctx c.id "1pc.coord.commit";
   t.ctx.Context.client_reply c.id Txn.Committed;
-  coord_release t c;
+  Common.release_coordinator t.ctx c.id ~locked_at:c.locked_at;
   trace t c.id ~kind:"txn.commit" "worker committed; replying early";
   t.ctx.Context.force
     [
@@ -172,9 +136,9 @@ let coord_worker_committed t c =
       t.ctx.Context.harden c.id c.own_updates;
       send_to t c.worker (Wire.Ack { txn = c.id });
       t.ctx.Context.log_gc c.id;
-      coord_drop t c)
+      Common.drop t.ctx t.coords c.id ~span:c.ospan)
 
-let coord_abort t c reason =
+let coord_abort t (c : coord) reason =
   Common.cancel_timer c.timer;
   c.phase <- C_aborting;
   Context.obs_phase t.ctx c.id "1pc.coord.abort";
@@ -188,14 +152,14 @@ let coord_abort t c reason =
     [ Log_record.Aborted { txn = c.id } ]
     ~on_durable:(fun () ->
       hit t Edges.Opc.c_abort;
-      coord_release t c;
+      Common.release_coordinator t.ctx c.id ~locked_at:c.locked_at;
       t.ctx.Context.client_reply c.id (Txn.Aborted reason);
       t.ctx.Context.log_gc c.id;
-      coord_drop t c)
+      Common.drop t.ctx t.coords c.id ~span:c.ospan)
 
 (* Fence the unresponsive worker and decide from its log partition
    (§III-C, second case). *)
-let coord_fence_and_decide t c =
+let coord_fence_and_decide t (c : coord) =
   if c.phase = C_working then begin
     c.phase <- C_recovering;
     Common.cancel_timer c.timer;
@@ -221,45 +185,40 @@ let coord_fence_and_decide t c =
               coord_abort t c "worker failed before committing")
   end
 
-let rec arm_updated_timer t c =
-  Common.cancel_timer c.timer;
-  c.timer :=
-    Some
-      (t.ctx.Context.set_timer ~label:label_updated_timeout
-         ~after:t.ctx.Context.resend_interval (fun () ->
-           c.timer := None;
-           if c.phase = C_working then
-             if t.ctx.Context.suspects (t.ctx.Context.address_of c.worker)
-             then begin
-               hit t Edges.Opc.c_fence_suspect;
-               coord_fence_and_decide t c
-             end
-             else if c.retries >= t.ctx.Context.max_soft_retries then begin
-               hit t Edges.Opc.c_fence_retries;
-               coord_fence_and_decide t c
-             end
-             else begin
-               (* Alive but slow (or a lost message): retry — the worker
-                  deduplicates. *)
-               hit t Edges.Opc.c_resend;
-               c.retries <- c.retries + 1;
-               send_to t c.worker
-                 (Wire.Update_req
-                    {
-                      txn = c.id;
-                      updates = c.worker_updates;
-                      piggyback_prepare = false;
-                      one_phase = true;
-                    });
-               arm_updated_timer t c
-             end))
+let rec arm_updated_timer t (c : coord) =
+  t.ctx.Context.set_timer c.timer ~label:label_updated_timeout
+    ~after:t.ctx.Context.resend_interval (fun () ->
+      if c.phase = C_working then
+        if t.ctx.Context.suspects (t.ctx.Context.address_of c.worker) then begin
+          hit t Edges.Opc.c_fence_suspect;
+          coord_fence_and_decide t c
+        end
+        else if c.retries >= t.ctx.Context.max_soft_retries then begin
+          hit t Edges.Opc.c_fence_retries;
+          coord_fence_and_decide t c
+        end
+        else begin
+          (* Alive but slow (or a lost message): retry — the worker
+             deduplicates. *)
+          hit t Edges.Opc.c_resend;
+          c.retries <- c.retries + 1;
+          send_to t c.worker
+            (Wire.Update_req
+               {
+                 txn = c.id;
+                 updates = c.worker_updates;
+                 piggyback_prepare = false;
+                 one_phase = true;
+               });
+          arm_updated_timer t c
+        end)
 
 (* [replayed] marks recovery re-execution. A replayed transaction may
    already have committed at the worker, so it must never abort without
    consulting the worker's log: lock waits are retried instead of timing
    out, and a local validation failure is only an abort after a
    fence-and-read confirms the worker never committed. *)
-let rec coord_run t c ~replayed =
+let rec coord_run t (c : coord) ~replayed =
   Common.acquire_locks t.ctx ~txn:c.id ~oids:c.own_lock_oids
     ~on_granted:(fun () ->
       if c.phase = C_starting then begin
@@ -323,33 +282,10 @@ let rec coord_run t c ~replayed =
           coord_abort t c "lock timeout at coordinator"
         end)
 
-let coord_of_plan (txn : Txn.t) =
-  match txn.plan.Mds.Plan.workers with
-  | [ w ] ->
-      {
-        id = txn.id;
-        worker = w.Mds.Plan.server;
-        worker_updates = w.Mds.Plan.updates;
-        own_updates = txn.plan.Mds.Plan.coordinator.updates;
-        own_lock_oids = txn.plan.Mds.Plan.coordinator.lock_oids;
-        phase = C_starting;
-        undo_list = [];
-        retries = 0;
-        locked_at = None;
-        ospan = -1;
-        timer = ref None;
-      }
-  | [] -> invalid_arg "One_phase.submit: local plan needs no ACP"
-  | _ :: _ :: _ ->
-      invalid_arg
-        "One_phase.submit: 1PC handles exactly one worker (route wider \
-         plans to 2PC)"
-
 let submit t (txn : Txn.t) =
-  let c = coord_of_plan txn in
+  let c = Common.pair_coord Kind.Opc txn C_starting in
   hit t Edges.Opc.c_submit;
-  Tbl.replace t.coords (key c.id) c;
-  c.ospan <- Context.obs_start t.ctx c.id ~name:"1pc.coord";
+  c.ospan <- Common.track t.ctx t.coords c.id c ~name:"1pc.coord";
   trace t c.id ~kind:"txn.start" "1PC coordinator";
   t.ctx.Context.force
     [
@@ -358,7 +294,7 @@ let submit t (txn : Txn.t) =
     ]
     ~on_durable:(fun () -> if c.phase = C_starting then coord_run t c ~replayed:false)
 
-let coord_on_updated t c ~ok =
+let coord_on_updated t (c : coord) ~ok =
   match c.phase with
   | C_working ->
       if ok then begin
@@ -372,7 +308,7 @@ let coord_on_updated t c ~ok =
   | C_starting | C_recovering | C_committing | C_aborting -> ()
 
 let coord_on_ack_req t ~src txn =
-  match Tbl.find_opt t.coords (key txn) with
+  match Tbl.find_opt t.coords (Txn.key txn) with
   | Some _ ->
       (* Still committing our side; the ACK will go out when it is done. *)
       hit t Edges.Opc.c_ack_req_pending
@@ -386,31 +322,39 @@ let coord_on_ack_req t ~src txn =
 (* Worker                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let work_drop t w =
-  Context.obs_finish t.ctx w.w_ospan;
-  w.w_ospan <- -1;
-  Tbl.remove t.works (key w.w_id)
+(* A worker entered into [works]; [committed] when its force is done. *)
+let work_track t (id : Txn.id) updates ~committed ~name =
+  let w =
+    {
+      w_id = id;
+      coordinator = id.origin;
+      w_updates = updates;
+      committed;
+      w_ospan = -1;
+      w_timer = ref None;
+    }
+  in
+  w.w_ospan <- Common.track t.ctx t.works id w ~name;
+  w
+
+let work_drop t w = Common.drop t.ctx t.works w.w_id ~span:w.w_ospan
 
 let rec arm_ack_req_timer t w =
-  Common.cancel_timer w.w_timer;
-  w.w_timer :=
-    Some
-      (t.ctx.Context.set_timer ~label:label_ack_req
-         ~after:t.ctx.Context.resend_interval (fun () ->
-           w.w_timer := None;
-           if w.committed then begin
-             hit t Edges.Opc.w_ack_req_resend;
-             send_to t w.coordinator (Wire.Ack_req { txn = w.w_id });
-             arm_ack_req_timer t w
-           end))
+  t.ctx.Context.set_timer w.w_timer ~label:label_ack_req
+    ~after:t.ctx.Context.resend_interval (fun () ->
+      if w.committed then begin
+        hit t Edges.Opc.w_ack_req_resend;
+        send_to t w.coordinator (Wire.Ack_req { txn = w.w_id });
+        arm_ack_req_timer t w
+      end)
 
 let work_reject t txn =
   hit t Edges.Opc.w_reject;
-  touch_tombstone t (key txn)
+  touch_tombstone t (Txn.key txn)
 
 let work_on_update_req t ~src txn updates =
   gc_tombstones t;
-  match Tbl.find_opt t.works (key txn) with
+  match Tbl.find_opt t.works (Txn.key txn) with
   | Some w when w.committed ->
       (* Coordinator retry racing our reply. *)
       hit t Edges.Opc.w_dup_committed;
@@ -422,12 +366,12 @@ let work_on_update_req t ~src txn updates =
         hit t Edges.Opc.w_hardened;
         t.ctx.Context.send ~dst:src (Wire.Updated { txn; ok = true })
       end
-      else if Tbl.mem t.rejected (key txn) then begin
+      else if Tbl.mem t.rejected (Txn.key txn) then begin
         (* Already voted NO: a duplicate or retried request gets the
            same vote. Re-executing could commit a transaction the
            coordinator has meanwhile aborted on our earlier vote. *)
         hit t Edges.Opc.w_tombstone_nack;
-        touch_tombstone t (key txn);
+        touch_tombstone t (Txn.key txn);
         t.ctx.Context.send ~dst:src (Wire.Updated { txn; ok = false })
       end
       else if txn.seq < t.stale_below then begin
@@ -441,19 +385,8 @@ let work_on_update_req t ~src txn updates =
         t.ctx.Context.send ~dst:src (Wire.Updated { txn; ok = false })
       end
       else begin
-        let w =
-          {
-            w_id = txn;
-            coordinator = txn.origin;
-            w_updates = updates;
-            committed = false;
-            w_ospan = -1;
-            w_timer = ref None;
-          }
-        in
         hit t Edges.Opc.w_fresh;
-        Tbl.replace t.works (key txn) w;
-        w.w_ospan <- Context.obs_start t.ctx txn ~name:"1pc.worker";
+        let w = work_track t txn updates ~committed:false ~name:"1pc.worker" in
         trace t txn ~kind:"txn.start" "1PC worker";
         Common.acquire_locks t.ctx ~txn
           ~oids:(Common.lock_oids_of_updates updates)
@@ -493,7 +426,7 @@ let work_on_update_req t ~src txn updates =
       end
 
 let work_on_ack t txn =
-  match Tbl.find_opt t.works (key txn) with
+  match Tbl.find_opt t.works (Txn.key txn) with
   | Some w when w.committed ->
       hit t Edges.Opc.w_ack;
       Common.cancel_timer w.w_timer;
@@ -515,7 +448,7 @@ let on_message t ~src (msg : Wire.t) =
         invalid_arg "One_phase.on_message: two-phase update request";
       work_on_update_req t ~src txn updates
   | Wire.Updated { txn; ok } -> (
-      match Tbl.find_opt t.coords (key txn) with
+      match Tbl.find_opt t.coords (Txn.key txn) with
       | Some c -> coord_on_updated t c ~ok
       | None -> ())
   | Wire.Ack { txn } -> work_on_ack t txn
@@ -538,7 +471,7 @@ let on_message t ~src (msg : Wire.t) =
 let on_suspect t peer =
   let server = Netsim.Address.index peer in
   Tbl.iter
-    (fun _ c ->
+    (fun _ (c : coord) ->
       if c.worker = server && c.phase = C_working then begin
         hit t Edges.Opc.c_fence_suspect;
         coord_fence_and_decide t c
@@ -577,9 +510,10 @@ let recover_coordinator t (img : Log_scan.image) =
     | Some plan ->
         hit t Edges.Opc.r_coord_redo;
         trace t img.id ~kind:"txn.recover" "re-executing from REDO";
-        let c = coord_of_plan { Txn.id = img.id; plan } in
-        Tbl.replace t.coords (key c.id) c;
-        c.ospan <- Context.obs_start t.ctx c.id ~name:"1pc.coord.recover";
+        let c =
+          Common.pair_coord Kind.Opc { Txn.id = img.id; plan } C_starting
+        in
+        c.ospan <- Common.track t.ctx t.coords c.id c ~name:"1pc.coord.recover";
         coord_run t c ~replayed:true
 
 let recover_worker t (img : Log_scan.image) =
@@ -587,17 +521,9 @@ let recover_worker t (img : Log_scan.image) =
     hit t Edges.Opc.r_worker_committed;
     (* Ask for the acknowledgement so the log can be finalized. *)
     let w =
-      {
-        w_id = img.id;
-        coordinator = img.id.origin;
-        w_updates = img.updates;
-        committed = true;
-        w_ospan = -1;
-        w_timer = ref None;
-      }
+      work_track t img.id img.updates ~committed:true
+        ~name:"1pc.worker.recover"
     in
-    Tbl.replace t.works (key w.w_id) w;
-    w.w_ospan <- Context.obs_start t.ctx w.w_id ~name:"1pc.worker.recover";
     trace t w.w_id ~kind:"txn.recover" "asking coordinator to resend ACK";
     send_to t w.coordinator (Wire.Ack_req { txn = w.w_id });
     arm_ack_req_timer t w
@@ -614,20 +540,28 @@ let owns_image t (img : Log_scan.image) =
   if img.id.origin = t.ctx.Context.self_server then img.plan <> None
   else img.committed && not img.prepared
 
-let owns t id =
-  Tbl.mem t.coords (key id) || Tbl.mem t.works (key id)
-
-let recover t =
-  let images = Log_scan.scan (t.ctx.Context.own_log ()) in
-  List.iter
-    (fun (img : Log_scan.image) ->
-      if img.committed && img.updates <> [] then
-        t.ctx.Context.harden img.id img.updates)
-    images;
-  List.iter
-    (fun (img : Log_scan.image) ->
-      if owns_image t img then
-        if img.id.origin = t.ctx.Context.self_server then
-          recover_coordinator t img
-        else recover_worker t img)
-    images
+let instantiate ctx =
+  let t =
+    {
+      ctx;
+      coords = Tbl.create 64;
+      works = Tbl.create 64;
+      rejected = Tbl.create 64;
+      reject_fifo = Queue.create ();
+      stale_below = 0;
+    }
+  in
+  {
+    Common.kind = Kind.Opc;
+    submit = submit t;
+    on_message = on_message t;
+    recover =
+      (fun ~on_done ->
+        Common.recover_log ctx ~owns:(owns_image t)
+          ~coordinator:(recover_coordinator t) ~worker:(recover_worker t);
+        on_done ());
+    on_suspect = on_suspect t;
+    outstanding = (fun () -> Tbl.length t.coords + Tbl.length t.works);
+    owns =
+      (fun id -> Tbl.mem t.coords (Txn.key id) || Tbl.mem t.works (Txn.key id));
+  }

@@ -17,26 +17,19 @@
     COMMITTED but no ENDED asks the coordinator to resend the
     acknowledgement. *)
 
-type t
+val instantiate : Context.t -> Common.instance
+(** A fresh 1PC engine with no in-flight state.
 
-val create : Context.t -> t
-val submit : t -> Txn.t -> unit
-(** @raise Invalid_argument unless the plan has exactly one worker. *)
-
-val on_message : t -> src:Netsim.Address.t -> Wire.t -> unit
-
-val recover : t -> unit
-(** §III-C restart procedure. Call once on a fresh instance. In-doubt
-    coordinator transactions are re-executed in original log order, which
-    realizes the paper's rule that a rebooted coordinator completes
-    outstanding requests in arrival order before serving new ones. *)
-
-val on_suspect : t -> Netsim.Address.t -> unit
-(** Heartbeat detector verdict: start fence-and-read recovery for every
-    transaction currently waiting on that worker. *)
-
-val outstanding : t -> int
-
-val owns : t -> Txn.id -> bool
-(** This engine currently holds state for the transaction, in either
-    role (message-routing hook for servers hosting two engines). *)
+    - [submit]: coordinator entry point; the plan must have exactly one
+      worker ([Invalid_argument] otherwise).
+    - [recover]: the §III-C restart procedure, finished before
+      [on_done] is called. Call once on a fresh instance. In-doubt
+      coordinator transactions are re-executed in original log order,
+      which realizes the paper's rule that a rebooted coordinator
+      completes outstanding requests in arrival order before serving new
+      ones.
+    - [on_suspect]: heartbeat detector verdict — start fence-and-read
+      recovery for every transaction currently waiting on that worker.
+    - [owns]: this engine currently holds state for the transaction, in
+      either role (message-routing hook for servers hosting two
+      engines). *)

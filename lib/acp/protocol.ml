@@ -6,7 +6,7 @@ let of_name = Kind.of_name
 let pp = Kind.pp
 let max_workers = Kind.max_workers
 
-type instance = {
+type instance = Common.instance = {
   kind : kind;
   submit : Txn.t -> unit;
   on_message : src:Netsim.Address.t -> Wire.t -> unit;
@@ -16,48 +16,8 @@ type instance = {
   owns : Txn.id -> bool;
 }
 
-let of_two_phase kind variant ctx =
-  let t = Two_phase.create variant ctx in
-  {
-    kind;
-    submit = Two_phase.submit t;
-    on_message = (fun ~src msg -> Two_phase.on_message t ~src msg);
-    recover =
-      (fun ~on_done ->
-        Two_phase.recover t;
-        on_done ());
-    on_suspect = Two_phase.on_suspect t;
-    outstanding = (fun () -> Two_phase.outstanding t);
-    owns = Two_phase.owns t;
-  }
-
 let instantiate kind ctx =
   match kind with
-  | Prn -> of_two_phase Prn Two_phase.prn ctx
-  | Prc -> of_two_phase Prc Two_phase.prc ctx
-  | Ep -> of_two_phase Ep Two_phase.ep ctx
-  | Opc ->
-      let t = One_phase.create ctx in
-      {
-        kind = Opc;
-        submit = One_phase.submit t;
-        on_message = (fun ~src msg -> One_phase.on_message t ~src msg);
-        recover =
-          (fun ~on_done ->
-            One_phase.recover t;
-            on_done ());
-        on_suspect = One_phase.on_suspect t;
-        outstanding = (fun () -> One_phase.outstanding t);
-        owns = One_phase.owns t;
-      }
-  | Lp1 ->
-      let t = Logless.create ctx in
-      {
-        kind = Lp1;
-        submit = Logless.submit t;
-        on_message = (fun ~src msg -> Logless.on_message t ~src msg);
-        recover = (fun ~on_done -> Logless.recover t ~on_done);
-        on_suspect = Logless.on_suspect t;
-        outstanding = (fun () -> Logless.outstanding t);
-        owns = Logless.owns t;
-      }
+  | Prn | Prc | Ep -> Two_phase.instantiate kind ctx
+  | Opc -> One_phase.instantiate ctx
+  | Lp1 -> Logless.instantiate ctx

@@ -27,22 +27,17 @@ val max_workers : kind -> int option
 (** [Some 1] for 1PC and L1PC (two-server transactions only); [None] =
     unlimited for the 2PC family. *)
 
-type instance = {
+type instance = Common.instance = {
   kind : kind;
   submit : Txn.t -> unit;
   on_message : src:Netsim.Address.t -> Wire.t -> unit;
   recover : on_done:(unit -> unit) -> unit;
-      (** Replay durable state after a reboot. Logged protocols finish
-          synchronously and call [on_done] before returning; L1PC must
-          first read back its replica group over the network, so
-          [on_done] fires later — the node stays non-serving until
-          then. *)
   on_suspect : Netsim.Address.t -> unit;
   outstanding : unit -> int;
   owns : Txn.id -> bool;
-      (** currently holds state for this transaction in either role
-          (routing hook for servers hosting a 1PC engine plus its 2PC
-          fallback) *)
 }
+(** Re-export of {!Common.instance}, where each field is documented. *)
 
 val instantiate : kind -> Context.t -> instance
+(** The engine that runs [kind]: {!Two_phase}, {!One_phase} or
+    {!Logless}, each building its own instance. *)

@@ -4,17 +4,6 @@ let label_decision_req = Simkit.Label.v Acp "2pc.decision_req"
 let label_worker_abandon = Simkit.Label.v Acp "2pc.worker_abandon"
 
 module Tbl = Simkit.Tbl.Pair
-
-type variant = {
-  variant_name : string;
-  presume_commit : bool;
-  early_prepare : bool;
-}
-
-let prn = { variant_name = "PrN"; presume_commit = false; early_prepare = false }
-let prc = { variant_name = "PrC"; presume_commit = true; early_prepare = false }
-let ep = { variant_name = "EP"; presume_commit = true; early_prepare = true }
-
 module ISet = Set.Make (Int)
 
 type cphase =
@@ -63,7 +52,8 @@ type work = {
 }
 
 type t = {
-  v : variant;
+  presume_commit : bool;  (* PrC and EP *)
+  early_prepare : bool;  (* EP *)
   e : Edges.tp;  (* this variant's declared edge map (EP skips some) *)
   ctx : Context.t;
   (* The "txn.start" trace details, built once rather than per txn. *)
@@ -73,30 +63,7 @@ type t = {
   works : work Tbl.t;
 }
 
-let key (id : Txn.id) = (id.origin, id.seq)
-
-let create v ctx =
-  let e =
-    Edges.tp_for
-      (match (v.presume_commit, v.early_prepare) with
-      | false, _ -> Kind.Prn
-      | true, false -> Kind.Prc
-      | true, true -> Kind.Ep)
-  in
-  {
-    v;
-    e;
-    ctx;
-    coord_start = v.variant_name ^ " coordinator";
-    worker_start = v.variant_name ^ " worker";
-    coords = Tbl.create 64;
-    works = Tbl.create 64;
-  }
-
 let hit t id = Context.hit t.ctx id
-
-let variant t = t.v
-let outstanding t = Tbl.length t.coords + Tbl.length t.works
 
 let send_to t server msg =
   t.ctx.Context.send ~dst:(t.ctx.Context.address_of server) msg
@@ -106,16 +73,6 @@ let trace t id ~kind detail = Context.trace_txn t.ctx id ~kind detail
 (* ------------------------------------------------------------------ *)
 (* Coordinator                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let coord_drop t c =
-  Context.obs_finish t.ctx c.ospan;
-  c.ospan <- -1;
-  Tbl.remove t.coords (key c.id)
-
-let coord_release t c =
-  Common.release t.ctx c.id;
-  Option.iter (fun locked_at -> t.ctx.Context.lock_hold ~locked_at) c.locked_at;
-  c.locked_at <- None
 
 let all_workers_in set workers =
   List.for_all (fun w -> ISet.mem w set) workers
@@ -131,16 +88,16 @@ let rec coord_commit_decided t c =
     ~on_durable:(fun () ->
       if c.phase = Committing then begin
         t.ctx.Context.harden c.id c.own_updates;
-        coord_release t c;
+        Common.release_coordinator t.ctx c.id ~locked_at:c.locked_at;
         trace t c.id ~kind:"txn.commit" "coordinator committed";
-        if t.v.presume_commit then begin
+        if t.presume_commit then begin
           (* PrC/EP: reply, forward the decision, finalize the log. *)
           t.ctx.Context.client_reply c.id Txn.Committed;
           List.iter
             (fun w -> send_to t w (Wire.Commit { txn = c.id }))
             c.workers;
           t.ctx.Context.log_gc c.id;
-          coord_drop t c
+          Common.drop t.ctx t.coords c.id ~span:c.ospan
         end
         else begin
           (* PrN: the client learns the outcome only after every worker
@@ -165,7 +122,7 @@ and coord_abort_decided t c reason =
     ~on_durable:(fun () ->
       if c.phase = Aborting then begin
         hit t t.e.Edges.c_abort;
-        coord_release t c;
+        Common.release_coordinator t.ctx c.id ~locked_at:c.locked_at;
         t.ctx.Context.client_reply c.id (Txn.Aborted reason);
         c.phase <- Aborted_waiting_acks;
         List.iter (fun w -> send_to t w (Wire.Abort { txn = c.id })) c.workers;
@@ -183,39 +140,35 @@ and coord_finalize t c =
   t.ctx.Context.append_async
     [ Log_record.Ended { txn = id } ]
     ~on_durable:(fun () -> t.ctx.Context.log_gc id);
-  coord_drop t c
+  Common.drop t.ctx t.coords c.id ~span:c.ospan
 
 and arm_ack_resend t c =
-  Common.cancel_timer c.timer;
-  c.timer :=
-    Some
-      (t.ctx.Context.set_timer ~label:label_ack_resend
-         ~after:t.ctx.Context.resend_interval (fun () ->
-           c.timer := None;
-           match c.phase with
-           | Committed_waiting_acks ->
-               hit t t.e.Edges.c_ack_resend;
-               List.iter
-                 (fun w ->
-                   if not (ISet.mem w c.acks) then
-                     send_to t w (Wire.Commit { txn = c.id }))
-                 c.workers;
-               arm_ack_resend t c
-           | Aborted_waiting_acks ->
-               hit t t.e.Edges.c_ack_resend;
-               List.iter
-                 (fun w ->
-                   if not (ISet.mem w c.acks) then
-                     send_to t w (Wire.Abort { txn = c.id }))
-                 c.workers;
-               arm_ack_resend t c
-           | Working | Voting | Committing | Aborting -> ()))
+  t.ctx.Context.set_timer c.timer ~label:label_ack_resend
+    ~after:t.ctx.Context.resend_interval (fun () ->
+      match c.phase with
+      | Committed_waiting_acks ->
+          hit t t.e.Edges.c_ack_resend;
+          List.iter
+            (fun w ->
+              if not (ISet.mem w c.acks) then
+                send_to t w (Wire.Commit { txn = c.id }))
+            c.workers;
+          arm_ack_resend t c
+      | Aborted_waiting_acks ->
+          hit t t.e.Edges.c_ack_resend;
+          List.iter
+            (fun w ->
+              if not (ISet.mem w c.acks) then
+                send_to t w (Wire.Abort { txn = c.id }))
+            c.workers;
+          arm_ack_resend t c
+      | Working | Voting | Committing | Aborting -> ())
 
 let coord_check_votes t c =
   let vote_phase_ok =
     match c.phase with
     | Voting -> true
-    | Working -> t.v.early_prepare
+    | Working -> t.early_prepare
     | Committing | Committed_waiting_acks | Aborting | Aborted_waiting_acks
       ->
         false
@@ -242,7 +195,7 @@ let coord_self_prepare t c =
 
 let coord_enter_voting t c =
   if
-    c.phase = Working && (not t.v.early_prepare) && c.local_done
+    c.phase = Working && (not t.early_prepare) && c.local_done
     && all_workers_in c.updated_from c.workers
   then begin
     hit t t.e.Edges.c_all_updated;
@@ -253,19 +206,15 @@ let coord_enter_voting t c =
   end
 
 let arm_vote_timer t c =
-  Common.cancel_timer c.timer;
-  c.timer :=
-    Some
-      (t.ctx.Context.set_timer ~label:label_vote_timeout
-         ~after:t.ctx.Context.timeout (fun () ->
-           c.timer := None;
-           match c.phase with
-           | Working | Voting ->
-               hit t t.e.Edges.c_vote_timeout;
-               coord_abort_decided t c "timeout collecting votes"
-           | Committing | Committed_waiting_acks | Aborting
-           | Aborted_waiting_acks ->
-               ()))
+  t.ctx.Context.set_timer c.timer ~label:label_vote_timeout
+    ~after:t.ctx.Context.timeout (fun () ->
+      match c.phase with
+      | Working | Voting ->
+          hit t t.e.Edges.c_vote_timeout;
+          coord_abort_decided t c "timeout collecting votes"
+      | Committing | Committed_waiting_acks | Aborting | Aborted_waiting_acks
+        ->
+          ())
 
 let submit t (txn : Txn.t) =
   let plan = txn.plan in
@@ -294,8 +243,7 @@ let submit t (txn : Txn.t) =
     }
   in
   hit t t.e.Edges.c_submit;
-  Tbl.replace t.coords (key c.id) c;
-  c.ospan <- Context.obs_start t.ctx c.id ~name:"2pc.coord";
+  c.ospan <- Common.track t.ctx t.coords c.id c ~name:"2pc.coord";
   trace t c.id ~kind:"txn.start" t.coord_start;
   t.ctx.Context.force
     [ Log_record.Started { txn = c.id; participants = c.workers } ]
@@ -313,7 +261,7 @@ let submit t (txn : Txn.t) =
                        {
                          txn = c.id;
                          updates;
-                         piggyback_prepare = t.v.early_prepare;
+                         piggyback_prepare = t.early_prepare;
                          one_phase = false;
                        }))
                 c.worker_updates;
@@ -322,7 +270,7 @@ let submit t (txn : Txn.t) =
                   | Ok inverses, (Working | Voting) ->
                       c.undo_list <- inverses;
                       c.local_done <- true;
-                      if t.v.early_prepare then coord_self_prepare t c
+                      if t.early_prepare then coord_self_prepare t c
                       else coord_enter_voting t c;
                       coord_check_votes t c
                   | Ok inverses, _ ->
@@ -345,7 +293,7 @@ let coord_on_updated t c ~src_server ~ok =
   | Working when ok ->
       hit t t.e.Edges.c_updated_ok;
       c.updated_from <- ISet.add src_server c.updated_from;
-      if t.v.early_prepare then begin
+      if t.early_prepare then begin
         (* Under EP the worker's UPDATED is its PREPARED vote. *)
         c.votes <- ISet.add src_server c.votes;
         coord_check_votes t c
@@ -366,11 +314,11 @@ let coord_on_prepared t c ~src_server ~vote =
   | Voting ->
       hit t t.e.Edges.c_prepared_no;
       coord_abort_decided t c (Fmt.str "worker %d voted no" src_server)
-  | Working when t.v.early_prepare && vote ->
+  | Working when t.early_prepare && vote ->
       (* A re-vote provoked by coordinator recovery. *)
       c.votes <- ISet.add src_server c.votes;
       coord_check_votes t c
-  | Working when t.v.early_prepare ->
+  | Working when t.early_prepare ->
       coord_abort_decided t c (Fmt.str "worker %d voted no" src_server)
   | _ -> ()
 
@@ -389,7 +337,7 @@ let coord_on_decision_req t ~src txn =
   let answer committed =
     t.ctx.Context.send ~dst:src (Wire.Decision { txn; committed })
   in
-  match Tbl.find_opt t.coords (key txn) with
+  match Tbl.find_opt t.coords (Txn.key txn) with
   | Some c -> (
       hit t t.e.Edges.c_decision_req_live;
       match c.phase with
@@ -411,49 +359,54 @@ let coord_on_decision_req t ~src txn =
              log until the worker acknowledged, so an unknown transaction
              can only have been aborted and forgotten. *)
           hit t t.e.Edges.c_decision_req_presumed;
-          answer t.v.presume_commit)
+          answer t.presume_commit)
 
 (* ------------------------------------------------------------------ *)
 (* Worker                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let work_drop t w =
-  Context.obs_finish t.ctx w.w_ospan;
-  w.w_ospan <- -1;
-  Tbl.remove t.works (key w.w_id)
+(* A fresh worker in [W_locking], entered into [works]. *)
+let work_track t (id : Txn.id) updates ~name =
+  let w =
+    {
+      w_id = id;
+      coordinator = id.origin;
+      w_updates = updates;
+      w_undo = [];
+      wstate = W_locking;
+      pending_decision = None;
+      w_ospan = -1;
+      w_timer = ref None;
+    }
+  in
+  w.w_ospan <- Common.track t.ctx t.works id w ~name;
+  w
+
+let work_drop t w = Common.drop t.ctx t.works w.w_id ~span:w.w_ospan
 
 let rec arm_decision_timer t w =
-  Common.cancel_timer w.w_timer;
-  w.w_timer :=
-    Some
-      (t.ctx.Context.set_timer ~label:label_decision_req
-         ~after:t.ctx.Context.resend_interval (fun () ->
-           w.w_timer := None;
-           if w.wstate = W_prepared then begin
-             hit t t.e.Edges.w_decision_retry;
-             send_to t w.coordinator (Wire.Decision_req { txn = w.w_id });
-             arm_decision_timer t w
-           end))
+  t.ctx.Context.set_timer w.w_timer ~label:label_decision_req
+    ~after:t.ctx.Context.resend_interval (fun () ->
+      if w.wstate = W_prepared then begin
+        hit t t.e.Edges.w_decision_retry;
+        send_to t w.coordinator (Wire.Decision_req { txn = w.w_id });
+        arm_decision_timer t w
+      end)
 
 (* A worker that updated but never received PREPARE may abandon
    unilaterally — it has not voted, so the coordinator (which must have
    aborted on its own timeout) stays consistent. Twice the protocol
    timeout leaves the coordinator the first move. *)
 let arm_abandon_timer t w =
-  Common.cancel_timer w.w_timer;
-  w.w_timer :=
-    Some
-      (t.ctx.Context.set_timer ~label:label_worker_abandon
-         ~after:(Simkit.Time.mul_span t.ctx.Context.timeout 2) (fun () ->
-           w.w_timer := None;
-           if w.wstate = W_updated then begin
-             hit t t.e.Edges.w_abandon;
-             trace t w.w_id ~kind:"txn.abandon"
-               "worker abandoned before voting";
-             Common.undo t.ctx w.w_undo;
-             Common.release t.ctx w.w_id;
-             work_drop t w
-           end))
+  t.ctx.Context.set_timer w.w_timer ~label:label_worker_abandon
+    ~after:(Simkit.Time.mul_span t.ctx.Context.timeout 2) (fun () ->
+      if w.wstate = W_updated then begin
+        hit t t.e.Edges.w_abandon;
+        trace t w.w_id ~kind:"txn.abandon" "worker abandoned before voting";
+        Common.undo t.ctx w.w_undo;
+        Common.release t.ctx w.w_id;
+        work_drop t w
+      end)
 
 let rec work_force_prepare t w ~reply_with_updated =
   w.wstate <- W_preparing;
@@ -484,7 +437,7 @@ and apply_decision t w = function
       hit t t.e.Edges.w_commit;
       Common.cancel_timer w.w_timer;
       w.wstate <- W_finishing;
-      if t.v.presume_commit then begin
+      if t.presume_commit then begin
         (* PrC/EP: the COMMITTED record is asynchronous and there is no
            acknowledgement; locks are released as soon as the decision is
            known. *)
@@ -526,7 +479,7 @@ and apply_decision t w = function
           work_drop t w)
 
 let work_on_update_req t ~src txn updates piggyback_prepare =
-  if Tbl.mem t.works (key txn) then
+  if Tbl.mem t.works (Txn.key txn) then
     (* duplicate — first execution wins *)
     hit t t.e.Edges.w_dup
   else if t.ctx.Context.is_hardened txn then begin
@@ -534,21 +487,8 @@ let work_on_update_req t ~src txn updates piggyback_prepare =
     t.ctx.Context.send ~dst:src (Wire.Updated { txn; ok = true })
   end
   else begin
-    let w =
-      {
-        w_id = txn;
-        coordinator = txn.origin;
-        w_updates = updates;
-        w_undo = [];
-        wstate = W_locking;
-        pending_decision = None;
-        w_ospan = -1;
-        w_timer = ref None;
-      }
-    in
     hit t t.e.Edges.w_fresh;
-    Tbl.replace t.works (key txn) w;
-    w.w_ospan <- Context.obs_start t.ctx txn ~name:"2pc.worker";
+    let w = work_track t txn updates ~name:"2pc.worker" in
     trace t txn ~kind:"txn.start" t.worker_start;
     Common.acquire_locks t.ctx ~txn ~oids:(Common.lock_oids_of_updates updates)
       ~on_granted:(fun () ->
@@ -583,7 +523,7 @@ let work_on_update_req t ~src txn updates piggyback_prepare =
   end
 
 let work_on_prepare t ~src txn =
-  match Tbl.find_opt t.works (key txn) with
+  match Tbl.find_opt t.works (Txn.key txn) with
   | Some w -> (
       match w.wstate with
       | W_updated ->
@@ -600,7 +540,7 @@ let work_on_prepare t ~src txn =
       t.ctx.Context.send ~dst:src (Wire.Prepared { txn; vote })
 
 let work_on_decision t ~src txn decision =
-  match Tbl.find_opt t.works (key txn) with
+  match Tbl.find_opt t.works (Txn.key txn) with
   | Some w -> (
       match w.wstate with
       | W_prepared | W_updated -> apply_decision t w decision
@@ -631,18 +571,18 @@ let on_message t ~src (msg : Wire.t) =
         invalid_arg "Two_phase.on_message: one-phase update request";
       work_on_update_req t ~src txn updates piggyback_prepare
   | Wire.Updated { txn; ok } -> (
-      match Tbl.find_opt t.coords (key txn) with
+      match Tbl.find_opt t.coords (Txn.key txn) with
       | Some c -> coord_on_updated t c ~src_server ~ok
       | None -> ())
   | Wire.Prepare { txn } -> work_on_prepare t ~src txn
   | Wire.Prepared { txn; vote } -> (
-      match Tbl.find_opt t.coords (key txn) with
+      match Tbl.find_opt t.coords (Txn.key txn) with
       | Some c -> coord_on_prepared t c ~src_server ~vote
       | None -> ())
   | Wire.Commit { txn } -> work_on_decision t ~src txn `Commit
   | Wire.Abort { txn } -> work_on_decision t ~src txn `Abort
   | Wire.Ack { txn } -> (
-      match Tbl.find_opt t.coords (key txn) with
+      match Tbl.find_opt t.coords (Txn.key txn) with
       | Some c -> coord_on_ack t c ~src_server
       | None -> ())
   | Wire.Decision_req { txn } -> coord_on_decision_req t ~src txn
@@ -658,8 +598,6 @@ let on_message t ~src (msg : Wire.t) =
       (* L1PC-only traffic; a logged node has no volatile vote state to
          offer, so silence is the truthful answer. *)
       ()
-
-let on_suspect _t _peer = ()
 
 (* ------------------------------------------------------------------ *)
 (* Recovery (§II-C)                                                    *)
@@ -686,8 +624,7 @@ let recover_coordinator t (img : Log_scan.image) =
         timer = ref None;
       }
     in
-    Tbl.replace t.coords (key c.id) c;
-    c.ospan <- Context.obs_start t.ctx c.id ~name:"2pc.coord.recover";
+    c.ospan <- Common.track t.ctx t.coords c.id c ~name:"2pc.coord.recover";
     c
   in
   if not img.started then begin
@@ -702,7 +639,7 @@ let recover_coordinator t (img : Log_scan.image) =
     t.ctx.Context.log_gc img.id
   end
   else if img.committed then
-    if t.v.presume_commit then begin
+    if t.presume_commit then begin
       hit t t.e.Edges.r_coord_committed;
       (* Crashed between deciding and finalizing: the updates were
          hardened by the generic pass; replay the epilogue. *)
@@ -778,20 +715,7 @@ let rec recover_worker t (img : Log_scan.image) =
   else if img.prepared then begin
     (* Blocked in-doubt: re-lock, replay, ask for the outcome. *)
     hit t t.e.Edges.r_worker_indoubt;
-    let w =
-      {
-        w_id = img.id;
-        coordinator = img.id.origin;
-        w_updates = img.updates;
-        w_undo = [];
-        wstate = W_locking;
-        pending_decision = None;
-        w_ospan = -1;
-        w_timer = ref None;
-      }
-    in
-    Tbl.replace t.works (key w.w_id) w;
-    w.w_ospan <- Context.obs_start t.ctx w.w_id ~name:"2pc.worker.recover";
+    let w = work_track t img.id img.updates ~name:"2pc.worker.recover" in
     trace t w.w_id ~kind:"txn.recover" "worker in doubt, asking coordinator";
     Common.acquire_locks t.ctx ~txn:w.w_id
       ~oids:(Common.lock_oids_of_updates img.updates)
@@ -834,23 +758,30 @@ let owns_image t (img : Log_scan.image) =
   if img.id.origin = t.ctx.Context.self_server then img.plan = None
   else img.prepared || img.aborted
 
-let owns t id =
-  Tbl.mem t.coords (key id) || Tbl.mem t.works (key id)
-
-let recover t =
-  let images = Log_scan.scan (t.ctx.Context.own_log ()) in
-  (* Pass 1: make every committed transaction's effects durable in the
-     metadata image (idempotent). *)
-  List.iter
-    (fun (img : Log_scan.image) ->
-      if img.committed && img.updates <> [] then
-        t.ctx.Context.harden img.id img.updates)
-    images;
-  (* Pass 2: resume or resolve, in original log order. *)
-  List.iter
-    (fun (img : Log_scan.image) ->
-      if owns_image t img then
-        if img.id.origin = t.ctx.Context.self_server then
-          recover_coordinator t img
-        else recover_worker t img)
-    images
+let instantiate kind ctx =
+  let t =
+    {
+      presume_commit = kind <> Kind.Prn;
+      early_prepare = kind = Kind.Ep;
+      e = Edges.tp_for kind;
+      ctx;
+      coord_start = Kind.name kind ^ " coordinator";
+      worker_start = Kind.name kind ^ " worker";
+      coords = Tbl.create 64;
+      works = Tbl.create 64;
+    }
+  in
+  {
+    Common.kind;
+    submit = submit t;
+    on_message = on_message t;
+    recover =
+      (fun ~on_done ->
+        Common.recover_log ctx ~owns:(owns_image t)
+          ~coordinator:(recover_coordinator t) ~worker:(recover_worker t);
+        on_done ());
+    on_suspect = ignore;
+    outstanding = (fun () -> Tbl.length t.coords + Tbl.length t.works);
+    owns =
+      (fun id -> Tbl.mem t.coords (Txn.key id) || Tbl.mem t.works (Txn.key id));
+  }

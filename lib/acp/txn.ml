@@ -9,6 +9,8 @@ let id_compare (a : id) (b : id) =
   | 0 -> Int.compare a.seq b.seq
   | c -> c
 
+let key { origin; seq } = (origin, seq)
+
 let owner_token { origin; seq } =
   if origin >= 1 lsl 20 || seq >= 1 lsl 42 then
     invalid_arg "Txn.owner_token: id out of encodable range";

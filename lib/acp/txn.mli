@@ -16,6 +16,10 @@ type t = { id : id; plan : Mds.Plan.t }
 val id_equal : id -> id -> bool
 val id_compare : id -> id -> int
 
+val key : id -> int * int
+(** The id as a {!Simkit.Tbl.Pair} key: the protocols' per-transaction
+    tables and the cluster's reply routing are keyed by it. *)
+
 val owner_token : id -> int
 (** Dense injective encoding of an id for use as a lock-manager owner.
     Supports up to 2{^20} servers and 2{^42} transactions per server. *)

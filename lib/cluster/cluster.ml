@@ -39,7 +39,6 @@ type t = {
   waiting : waiting Simkit.Tbl.Pair.t;
   counters : counters;
   latency_committed : Metrics.Histogram.t;
-  latency_aborted : Metrics.Histogram.t;
   lock_hold : Metrics.Histogram.t;
   mutable committed : int;
   mutable aborted : int;
@@ -73,8 +72,6 @@ let node t i = t.nodes.(i)
 let nodes t = t.nodes
 let now t = Simkit.Engine.now t.engine
 
-let key (id : Acp.Txn.id) = (id.origin, id.seq)
-
 let planner t =
   match t.planner with Some p -> p | None -> assert false
 
@@ -83,7 +80,7 @@ let planner t =
 (* ------------------------------------------------------------------ *)
 
 let client_reply t id outcome =
-  let k = key id in
+  let k = Acp.Txn.key id in
   match Simkit.Tbl.Pair.find_opt t.waiting k with
   | Some w -> (
       match w.callback with
@@ -109,8 +106,7 @@ let client_reply t id outcome =
               Metrics.Histogram.record t.latency_committed latency
           | Acp.Txn.Aborted _ ->
               t.aborted <- t.aborted + 1;
-              Metrics.Ledger.bump t.counters.aborted;
-              Metrics.Histogram.record t.latency_aborted latency);
+              Metrics.Ledger.bump t.counters.aborted);
           f outcome
       | None ->
           Simkit.Tbl.Pair.remove t.waiting k;
@@ -286,7 +282,6 @@ let create (config : Config.t) =
            rejected = counter "txn.rejected";
          });
       latency_committed = Metrics.Histogram.create ();
-      latency_aborted = Metrics.Histogram.create ();
       lock_hold = Metrics.Histogram.create ();
       committed = 0;
       aborted = 0;
@@ -452,7 +447,7 @@ let submit_plan t plan ~on_done =
   else begin
     let id = { Acp.Txn.origin = coordinator; seq = t.next_seq } in
     t.next_seq <- t.next_seq + 1;
-    Simkit.Tbl.Pair.replace t.waiting (key id)
+    Simkit.Tbl.Pair.replace t.waiting (Acp.Txn.key id)
       { submitted_at = now t; callback = Some on_done };
     Metrics.Ledger.bump t.counters.submitted;
     Metrics.Ledger.bump
@@ -639,5 +634,4 @@ let check_invariants t =
 
 let txn_counts t = (t.committed, t.aborted)
 let latency_committed t = t.latency_committed
-let latency_aborted t = t.latency_aborted
 let lock_hold t = t.lock_hold

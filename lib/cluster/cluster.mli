@@ -79,9 +79,6 @@ val submit : t -> Mds.Op.t -> on_done:(Acp.Txn.outcome -> unit) -> unit
     recover. Requests rejected before becoming a transaction (planning
     failure, coordinator down) invoke [on_done] synchronously. *)
 
-val pending_replies : t -> int
-(** Operations submitted whose [on_done] has not fired yet. *)
-
 val set_ingress_probe : t -> (unit -> int * int) -> unit
 (** Install the [(queue length, in flight)] depth probe the
     ["ingress.queue"]/["ingress.inflight"] time-series gauges read.
@@ -199,8 +196,6 @@ val txn_counts : t -> int * int
 
 val latency_committed : t -> Metrics.Histogram.t
 (** Submit-to-reply time of every committed transaction. *)
-
-val latency_aborted : t -> Metrics.Histogram.t
 
 val lock_hold : t -> Metrics.Histogram.t
 (** Coordinator-side lock hold: for every transaction whose coordinator

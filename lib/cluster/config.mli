@@ -60,7 +60,7 @@ type t = {
           simulated time into an {!Obs.Timeseries}; [None] (default)
           records nothing and installs no engine observer *)
   record_prof : bool;
-      (** profile host CPU and minor-heap allocation per
+      (** profile host monotonic self-time and minor-heap allocation per
           (subsystem, event label) into an {!Obs.Prof}; off by default —
           the disabled path keeps dispatch at one load and one branch *)
   recorder_size : int option;

@@ -170,8 +170,6 @@ let completed_in_order t =
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.map snd
 
-let pending t = Queue.length t.queue + t.inflight
-
 type stats = {
   submitted : int;
   admitted : int;

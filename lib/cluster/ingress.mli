@@ -57,9 +57,6 @@ val completed_in_order : t -> (key * Mds.Op.t * Acp.Txn.outcome) list
 (** Every completed operation in completion order — the replay schedule
     for the namespace-reconstruction oracle. *)
 
-val pending : t -> int
-(** Queued plus in-flight operations (settle-loop condition). *)
-
 type stats = {
   submitted : int;  (** calls to {!submit} *)
   admitted : int;  (** entered the queue or started directly *)

@@ -1,5 +1,1 @@
 type t = Acp of Acp.Wire.t | Heartbeat
-
-let pp ppf = function
-  | Acp w -> Acp.Wire.pp ppf w
-  | Heartbeat -> Fmt.string ppf "HEARTBEAT"

@@ -3,5 +3,3 @@
 type t =
   | Acp of Acp.Wire.t
   | Heartbeat
-
-val pp : Format.formatter -> t -> unit

@@ -1,5 +1,4 @@
 let label_compute = Simkit.Label.v Cluster "compute"
-let label_local_compute = Simkit.Label.v Cluster "local.compute"
 let label_read_compute = Simkit.Label.v Cluster "read.compute"
 let label_heartbeat = Simkit.Label.v Cluster "heartbeat"
 
@@ -46,6 +45,7 @@ type t = {
   mutable epoch : int;
   mutable locks : Locks.Lock_manager.t;
   mutable detector : Netsim.Failure_detector.t option;
+  mutable ctx : Acp.Context.t option;  (* this incarnation's; None when down *)
   mutable primary : Acp.Protocol.instance option;
   mutable fallback : Acp.Protocol.instance option;
 }
@@ -252,9 +252,7 @@ let make_context t =
         ignore
           (Simkit.Engine.schedule t.sv.engine ~label:label_compute ~after:span
              (fun () -> guard k)));
-    set_timer =
-      (fun ~label ~after f ->
-        Simkit.Engine.schedule t.sv.engine ~label ~after (fun () -> guard f));
+    set_timer = Acp.Context.slot_timer t.sv.engine ~alive;
     timeout = t.sv.config.Config.txn_timeout;
     resend_interval =
       Option.value t.sv.config.Config.resend_interval
@@ -288,6 +286,7 @@ let make_context t =
         guard (fun () ->
             Metrics.Histogram.record t.sv.lock_hold
               (Simkit.Time.diff (Simkit.Engine.now t.sv.engine) locked_at)));
+    alive;
   }
 
 (* The context's locks field is captured at build time, but the manager
@@ -336,6 +335,7 @@ let create sv ~server ~root =
           ~name:(Netsim.Address.name address ^ ".locks")
           ();
       detector = None;
+      ctx = None;
       primary = None;
       fallback = None;
     }
@@ -390,6 +390,7 @@ let bring_up ?(on_recovered = fun () -> ()) t ~recover =
     | Some _ -> Some (Acp.Protocol.instantiate Acp.Protocol.Prn ctx)
     | None -> None
   in
+  t.ctx <- Some ctx;
   t.primary <- Some primary;
   t.fallback <- fallback;
   let epoch = t.epoch in
@@ -499,6 +500,7 @@ let crash t =
     | Some d -> Netsim.Failure_detector.stop d
     | None -> ());
     t.detector <- None;
+    t.ctx <- None;
     t.primary <- None;
     t.fallback <- None
   end
@@ -533,78 +535,12 @@ let submit t (txn : Acp.Txn.t) =
       end
   | None, _ -> assert false
 
-(* A single-server operation commits with one forced log write and no
-   protocol at all — the paper's no-ACP baseline. *)
-let run_local t (txn : Acp.Txn.t) =
-  if not t.up then invalid_arg "Node.run_local: node is down";
-  let epoch = t.epoch in
-  let alive () = t.up && t.epoch = epoch in
-  let id = txn.id in
-  let side = txn.plan.Mds.Plan.coordinator in
-  let owner = Acp.Txn.owner_token id in
-  Metrics.Ledger.bump t.counters.txn_local;
-  let release () =
-    Locks.Lock_manager.release_all t.locks ~owner
-  in
-  let rec lock_all = function
-    | [] ->
-        let locked_at = Simkit.Engine.now t.sv.engine in
-        let n = List.length side.Mds.Plan.updates in
-        let span = Simkit.Time.mul_span t.sv.config.Config.method_latency n in
-        ignore
-          (Simkit.Engine.schedule t.sv.engine ~label:label_local_compute
-             ~after:span (fun () ->
-               if alive () then begin
-                 let rec apply inverses = function
-                   | [] -> Ok inverses
-                   | u :: rest -> (
-                       match Mds.Store.apply_volatile t.store u with
-                       | Ok inv -> apply (inv :: inverses) rest
-                       | Error e ->
-                           Mds.Store.undo_volatile t.store inverses;
-                           Error e)
-                 in
-                 match apply [] side.Mds.Plan.updates with
-                 | Ok _ ->
-                     Metrics.Ledger.bump t.counters.log_sync;
-                     Storage.Wal.force ~txn:owner t.wal
-                       [
-                         Acp.Log_record.Updates
-                           { txn = id; updates = side.Mds.Plan.updates };
-                         Acp.Log_record.Committed { txn = id };
-                       ]
-                       ~on_durable:(fun () ->
-                         if alive () then begin
-                           ignore (harden_once t id side.Mds.Plan.updates);
-                           release ();
-                           Metrics.Histogram.record t.sv.lock_hold
-                             (Simkit.Time.diff
-                                (Simkit.Engine.now t.sv.engine)
-                                locked_at);
-                           t.sv.client_reply id Acp.Txn.Committed;
-                           Storage.Wal.gc t.wal ~keep:(fun r ->
-                               not
-                                 (Acp.Txn.id_equal (Acp.Log_record.txn r) id))
-                         end)
-                 | Error e ->
-                     release ();
-                     t.sv.client_reply id
-                       (Acp.Txn.Aborted
-                          (Fmt.str "%a" Mds.State.pp_error e))
-               end))
-    | oid :: rest ->
-        Locks.Lock_manager.acquire t.locks ~owner ~oid
-          ~mode:Locks.Lock_manager.Exclusive
-          ~timeout:t.sv.config.Config.txn_timeout
-          ~on_grant:(fun () -> if alive () then lock_all rest)
-          ~on_timeout:(fun () ->
-            if alive () then begin
-              release ();
-              t.sv.client_reply id (Acp.Txn.Aborted "local lock timeout")
-            end)
-          ()
-  in
-  lock_all side.Mds.Plan.lock_oids
+let run_local t txn =
+  match t.ctx with
+  | Some ctx ->
+      Metrics.Ledger.bump t.counters.txn_local;
+      Acp.Common.commit_local ctx txn
+  | None -> invalid_arg "Node.run_local: node is down"
 
 (* Unlike the transaction paths, a read always answers its caller —
    even when the node crashes mid-read (the client of a real MDS would

@@ -67,7 +67,11 @@ val submit : t -> Acp.Txn.t -> unit
 
 val run_local : t -> Acp.Txn.t -> unit
 (** Commit a single-server plan without any ACP: lock, update, force one
-    [Updates]+[Committed] write, reply. The no-ACP baseline. *)
+    [Updates]+[Committed] write, reply. The no-ACP baseline, run by
+    {!Acp.Common.commit_local} on this incarnation's context. Call it on
+    a serving node only ({!is_serving}): the context's [harden] takes a
+    not-yet-serving node's hardening for a recovery replay.
+    @raise Invalid_argument if the node is down. *)
 
 val run_read :
   t ->

@@ -34,5 +34,4 @@ type t = {
 }
 
 val collect : Cluster.t -> t
-val pp : Format.formatter -> t -> unit
 val print : t -> unit

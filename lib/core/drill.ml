@@ -69,76 +69,42 @@ let snapshot cluster =
   in
   { committed; aborted; serving }
 
-(* Mirrors {!Experiment.run_timeline} — same config, workload stream and
-   crash point — but keeps the cluster in hand to snapshot service
-   status at the crash instant and after settling. *)
 let run_one ?(seed = 1) ?(crash_server = 1) protocol =
   let config =
     {
       Experiment.timeline_config with
-      Opc_cluster.Config.protocol;
-      seed;
       (* Unlike the timeline experiment's 50 ms restart — which beats the
          100 ms detector sweep, so the victim recovers before anyone
          suspects it — drills keep the victim down for 300 ms so the
          survivor walks the whole takeover path: suspect, fence (logged
          protocols only), scan. That is the path the SLOs budget. *)
-      restart_delay = Simkit.Time.span_ms 300;
+      Opc_cluster.Config.restart_delay = Simkit.Time.span_ms 300;
     }
-  in
-  let cluster = Opc_cluster.Cluster.create config in
-  let root = Opc_cluster.Cluster.root cluster in
-  let servers = config.Opc_cluster.Config.servers in
-  let dirs =
-    Array.init servers (fun i ->
-        Opc_cluster.Cluster.add_directory cluster ~parent:root
-          ~name:(Printf.sprintf "d%d" i) ~server:i ())
-  in
-  ignore
-    (Workload.closed_loop cluster ~dirs ~clients:6 ~ops_per_client:15
-       ~mix:Chaos.Runner.chaos_mix
-       ~rng:(Simkit.Rng.create ~seed:(seed + 1_000_003))
-       ());
-  let crash_time =
-    Simkit.Time.add
-      (Opc_cluster.Cluster.now cluster)
-      (Simkit.Time.span_ms 100)
   in
   (* Scheduled before the fault is injected, so at the shared instant the
      probe's lower sequence number runs first: [before] is the state the
      crash interrupts. *)
   let before = ref { committed = 0; aborted = 0; serving = 0 } in
-  ignore
-    (Simkit.Engine.schedule_at
-       (Opc_cluster.Cluster.engine cluster)
-       ~label:label_probe ~at:crash_time
-       (fun () -> before := snapshot cluster));
-  Opc_cluster.Fault.inject cluster
-    [ Opc_cluster.Fault.Crash { server = crash_server; at = crash_time } ];
-  Opc_cluster.Cluster.run_for cluster (Simkit.Time.span_ms 600);
-  (match
-     Opc_cluster.Cluster.settle ~deadline:(Simkit.Time.span_s 120) cluster
-   with
-  | Opc_cluster.Cluster.Quiescent -> ()
-  | Opc_cluster.Cluster.Deadline_exceeded ->
-      failwith
-        (Printf.sprintf "drill %s seed %d: settle deadline exceeded"
-           (Acp.Protocol.name protocol) seed)
-  | Opc_cluster.Cluster.Stuck ->
-      failwith
-        (Printf.sprintf "drill %s seed %d: cluster stuck"
-           (Acp.Protocol.name protocol) seed));
-  let windows =
-    Obs.Mttr.windows
-      (Obs.Journal.entries (Opc_cluster.Cluster.journal cluster))
+  let probe cluster crash_time =
+    ignore
+      (Simkit.Engine.schedule_at
+         (Opc_cluster.Cluster.engine cluster)
+         ~label:label_probe ~at:crash_time
+         (fun () -> before := snapshot cluster))
+  in
+  let cluster, _ =
+    Experiment.crash_run ~config ~seed ~crash_server ~before_crash:probe
+      protocol
   in
   {
     seed;
     crash_server;
-    servers;
+    servers = config.Opc_cluster.Config.servers;
     before = !before;
     after = snapshot cluster;
-    windows;
+    windows =
+      Obs.Mttr.windows
+        (Obs.Journal.entries (Opc_cluster.Cluster.journal cluster));
   }
 
 (* Nearest-rank percentile over ns values; 0 when empty (checked

@@ -61,13 +61,12 @@ val impossible_slo : slo
     the gate actually trips. *)
 
 val run_one : ?seed:int -> ?crash_server:int -> Acp.Protocol.kind -> run
-(** One drill under {!Experiment.timeline_config} with a 300 ms restart
-    delay — long enough that the 100 ms detector sweep fires and the
-    survivor walks the whole takeover path (suspect, fence, scan)
-    instead of the victim outracing detection as in the timeline
-    experiment. The chaos workload runs throughout; [crash_server]
-    (default 1) is crashed 100 ms in, then the cluster is run out and
-    settled. Deterministic given [(protocol, seed, crash_server)].
+(** One {!Experiment.crash_run} with a 300 ms restart delay — long
+    enough that the 100 ms detector sweep fires and the survivor walks
+    the whole takeover path (suspect, fence, scan) instead of the victim
+    outracing detection as in the timeline experiment — snapshotting
+    service status at the crash instant and after settling.
+    Deterministic given [(protocol, seed, crash_server)].
     @raise Failure if the cluster fails to settle — a drill that cannot
     recover is itself an incident. *)
 

@@ -561,8 +561,8 @@ let timeline_config =
     sample_period = Some (Simkit.Time.span_ms 5);
   }
 
-let run_timeline ?(config = timeline_config) ?(seed = 1) ?(crash_server = 1)
-    ?(crash_at_ms = 100) protocol =
+let crash_run ?(config = timeline_config) ?(seed = 1) ?(crash_server = 1)
+    ?(crash_at_ms = 100) ?(before_crash = fun _ _ -> ()) protocol =
   let config = { config with Opc_cluster.Config.protocol; seed } in
   let cluster = Opc_cluster.Cluster.create config in
   let root = Opc_cluster.Cluster.root cluster in
@@ -584,16 +584,28 @@ let run_timeline ?(config = timeline_config) ?(seed = 1) ?(crash_server = 1)
       (Opc_cluster.Cluster.now cluster)
       (Simkit.Time.span_ms crash_at_ms)
   in
+  before_crash cluster crash_time;
   Opc_cluster.Fault.inject cluster
     [ Opc_cluster.Fault.Crash { server = crash_server; at = crash_time } ];
   Opc_cluster.Cluster.run_for cluster (Simkit.Time.span_ms 600);
+  let fail what =
+    failwith
+      (Printf.sprintf "crash run %s seed %d: %s" (Acp.Protocol.name protocol)
+         seed what)
+  in
   (match
      Opc_cluster.Cluster.settle ~deadline:(Simkit.Time.span_s 120) cluster
    with
   | Opc_cluster.Cluster.Quiescent -> ()
   | Opc_cluster.Cluster.Deadline_exceeded ->
-      failwith "timeline: cluster did not settle before the deadline"
-  | Opc_cluster.Cluster.Stuck -> failwith "timeline: cluster is stuck");
+      fail "cluster did not settle before the deadline"
+  | Opc_cluster.Cluster.Stuck -> fail "cluster is stuck");
+  (cluster, crash_time)
+
+let run_timeline ?config ?seed ?(crash_server = 1) ?crash_at_ms protocol =
+  let cluster, crash_time =
+    crash_run ?config ?seed ~crash_server ?crash_at_ms protocol
+  in
   let committed, aborted = Opc_cluster.Cluster.txn_counts cluster in
   let journal = Obs.Journal.entries (Opc_cluster.Cluster.journal cluster) in
   {

@@ -152,7 +152,7 @@ type scale_point = {
   latency_p95 : Simkit.Time.span;
   latency_p99 : Simkit.Time.span;
   profile : Obs.Prof.report option;
-      (** host CPU/allocation attribution when the run's configuration
+      (** host time/allocation attribution when the run's configuration
           sets [record_prof]; [None] otherwise. The report window spans
           cluster assembly through settle. *)
 }
@@ -205,6 +205,26 @@ val timeline_config : Opc_cluster.Config.t
     50 ms restart delay, auto-restart), the lifecycle journal on, and a
     5 ms gauge sampling cadence. *)
 
+val crash_run :
+  ?config:Opc_cluster.Config.t ->
+  ?seed:int ->
+  ?crash_server:int ->
+  ?crash_at_ms:int ->
+  ?before_crash:(Opc_cluster.Cluster.t -> Simkit.Time.t -> unit) ->
+  Acp.Protocol.kind ->
+  Opc_cluster.Cluster.t * Simkit.Time.t
+(** The one crash run behind {!run_timeline} and {!Drill.run_one}. Under
+    [config] (default {!timeline_config}) with [protocol] and [seed]
+    applied, drive the chaos workload (6 clients x 15 operations of
+    {!Chaos.Runner.chaos_mix}, stream seeded exactly as the chaos runner
+    seeds it) while [crash_server] (default 1) crashes [crash_at_ms]
+    (default 100) after the workload starts, then run the 600 ms fault
+    window out and settle. [before_crash cluster at] (default: nothing)
+    runs before the crash at [at] is injected, so an event it schedules
+    at [at] runs before the crash. Returns the settled cluster and the
+    crash instant.
+    @raise Failure if the cluster fails to settle. *)
+
 val run_timeline :
   ?config:Opc_cluster.Config.t ->
   ?seed:int ->
@@ -212,13 +232,9 @@ val run_timeline :
   ?crash_at_ms:int ->
   Acp.Protocol.kind ->
   timeline_point
-(** Drive the chaos workload (6 clients x 15 operations of
-    {!Chaos.Runner.chaos_mix}, stream seeded exactly as the chaos runner
-    seeds it) while [crash_server] (default 1) crashes [crash_at_ms]
-    (default 100) after the workload starts, then run the fault window
-    out and settle. The returned journal, gauge series and MTTR windows
-    are what [bench timeline] renders and exports. Deterministic given
-    [(config, seed, crash_server, crash_at_ms, protocol)]. *)
+(** One {!crash_run}. The returned journal, gauge series and MTTR
+    windows are what [bench timeline] renders and exports. Deterministic
+    given [(config, seed, crash_server, crash_at_ms, protocol)]. *)
 
 val compare_shared_vs_independent :
   ?count:int -> unit -> (Acp.Protocol.kind * float * float) list

@@ -99,12 +99,15 @@ let check_crash_times ~expected ws =
             ws
         then go rest
         else
+          (* In nanoseconds: [Time.pp] rounds, so a drift below its
+             display precision would print expected and found alike. *)
           Error
             (Fmt.str
-               "no unavailability window for mds%d starting at %a (windows: %a)"
-               node Time.pp at
+               "no unavailability window for mds%d starting at %dns \
+                (windows: %a)"
+               node (Time.to_ns at)
                Fmt.(list ~sep:(any "; ") (fun ppf w ->
-                   Fmt.pf ppf "mds%d@%a" w.node Time.pp w.start))
+                   Fmt.pf ppf "mds%d@%dns" w.node (Time.to_ns w.start)))
                ws)
   in
   go expected

@@ -42,6 +42,7 @@ val check_crash_times :
   (unit, string) result
 (** [check_crash_times ~expected ws] verifies that every [(node, time)]
     pair — e.g. a chaos schedule's injected crashes — matches the start
-    of some measured window exactly. *)
+    of some measured window exactly. The error names the first unmatched
+    pair and every window start, in nanoseconds. *)
 
 val pp : Format.formatter -> window -> unit

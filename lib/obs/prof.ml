@@ -1,5 +1,5 @@
-(* Host profiler: per-(subsystem, label) CPU self-time and minor-heap
-   allocation, measured around each engine dispatch via
+(* Host profiler: per-(subsystem, label) self-time on the host monotonic
+   clock and minor-heap allocation, measured around each engine dispatch via
    {!Simkit.Engine.set_dispatch_observer}. Purely host-side — it
    schedules nothing, reads no simulated clock into simulation state and
    consumes no randomness, so a profiled run replays the exact event
@@ -161,8 +161,8 @@ let residual_subsystem = "engine"
 let residual_label = "(residual)"
 
 (* Per-subsystem rollup, the residual attributed to the engine itself —
-   the shares bench check compares across baselines. Sorted by cpu
-   descending, same tie-break as buckets. *)
+   the shares bench check compares across baselines. Sorted by
+   self-time descending, same tie-break as buckets. *)
 let by_subsystem r =
   let tbl = Hashtbl.create 8 in
   let add name cpu minor =
@@ -188,7 +188,7 @@ let to_table ?(top = 15) r =
     Metrics.Table.create
       ~columns:
         [
-          "subsystem"; "label"; "dispatches"; "cpu ms"; "cpu %"; "minor Mw";
+          "subsystem"; "label"; "dispatches"; "host ms"; "host %"; "minor Mw";
           "max us";
         ]
   in

@@ -1,11 +1,15 @@
-(** Host profiler: CPU self-time and minor-heap allocation per
-    (subsystem, event label).
+(** Host profiler: self-time on the host monotonic clock and minor-heap
+    allocation per (subsystem, event label).
+
+    Self-time is elapsed host time, not process CPU time: a dispatch
+    the scheduler stalls is booked the stall too. The [cpu_ns] names
+    below are kept for the artifacts that read them.
 
     Wraps every engine dispatch in a pre/post observer pair
     ({!Simkit.Engine.set_dispatch_observer}) that stamps the host
     monotonic clock and [Gc.minor_words], and attributes the deltas to
     the dispatched event's interned {!Simkit.Label} — so a profile says
-    which of netsim / storage / locks / acp / cluster the host CPU went
+    which of netsim / storage / locks / acp / cluster the host time went
     to, not just that a run got slower. Purely passive with respect to
     the simulation: no events are added, no simulated clock is read, no
     randomness is consumed, and golden digits are bit-identical with
@@ -61,7 +65,7 @@ val report : t -> report
 
 val by_subsystem : report -> (string * int * int) list
 (** [(subsystem, cpu_ns, minor_words)] rollup, residual included under
-    ["engine"], sorted by cpu descending — the split [bench check]
+    ["engine"], sorted by self-time descending — the split [bench check]
     records in its baseline. *)
 
 val residual_subsystem : string
@@ -72,8 +76,9 @@ val residual_label : string
     output. *)
 
 val to_table : ?top:int -> report -> Metrics.Table.t
-(** Top-[top] (default 15) buckets by CPU, a rollup row for the rest,
-    then separator, residual and total rows. *)
+(** Top-[top] (default 15) buckets by self-time ("host ms", "host %"),
+    a rollup row for the rest, then separator, residual and total
+    rows. *)
 
 val speedscope_to_file : path:string -> name:string -> report -> unit
 (** Write the profile to [path] (creating parent directories as needed)

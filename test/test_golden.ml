@@ -2,7 +2,8 @@
 
    These tests freeze the exact numbers the seeded experiment and chaos
    runs produce today: Figure 6 throughput/latency digits, the measured
-   Table I cost columns, and the chaos campaign's per-seed verdicts.
+   Table I cost columns, and the chaos campaign's per-seed verdicts and
+   per-edge transition counts.
    The simulator is deterministic, so any engine/heap/network/lock
    refactor that perturbs event order — not just event semantics —
    shows up here as a hard failure rather than as a silently different
@@ -190,9 +191,181 @@ let chaos_golden =
     (Acp.Protocol.Lp1, [ (81, 1); (70, 12); (75, 6); (75, 4); (74, 7) ]);
   ]
 
+(* Per protocol: every declared edge the same five runs traverse, with
+   its traversal count summed over them, in edge-id order. A 1PC or
+   L1PC run also counts its PrN fallback's edges. An edge missing from
+   a list must stay untraversed, so a lost, moved or extra [hit]
+   fails on the edge it names. *)
+let edge_golden =
+  [
+    ( Acp.Protocol.Prn,
+      [
+        ("PrN.worker recovery --scan_prepared--> prepared", 1);
+        ("PrN.coord recovery --scan_started_only--> aborting", 1);
+        ("PrN.coord recovery --scan_prepared--> voting", 1);
+        ("PrN.coord recovery --scan_aborted--> aborted_waiting_acks", 1);
+        ("PrN.worker prepared --resend_decision_req--> prepared", 2);
+        ("PrN.worker idle --decision--> idle", 34);
+        ("PrN.worker in_progress --abort--> done", 3);
+        ("PrN.worker prepared --commit--> done", 384);
+        ("PrN.worker prepared --prepare--> prepared", 1);
+        ("PrN.worker updated --prepare--> prepared", 389);
+        ("PrN.worker in_progress --update_req--> in_progress", 1);
+        ("PrN.worker idle --update_req--> updated", 389);
+        ("PrN.coord live --decision_req--> live", 1);
+        ("PrN.coord waiting_acks --resend_decision--> waiting_acks", 16);
+        ("PrN.coord waiting_acks --all_acked--> done", 394);
+        ("PrN.coord waiting_acks --ack--> waiting_acks", 414);
+        ("PrN.coord voting --vote_timeout--> aborting", 18);
+        ("PrN.coord aborting --abort_durable--> aborted_waiting_acks", 29);
+        ("PrN.coord voting --all_yes--> committed", 364);
+        ("PrN.coord voting --prepared_yes--> voting", 384);
+        ("PrN.coord working --all_updated--> voting", 369);
+        ("PrN.coord working --updated_ok--> working", 389);
+        ("PrN.coord working --lock_timeout--> aborting", 12);
+        ("PrN.coord idle --submit--> working", 394);
+      ] );
+    ( Acp.Protocol.Prc,
+      [
+        ("PrC.worker recovery --scan_prepared--> prepared", 1);
+        ("PrC.coord recovery --scan_started_only--> aborting", 1);
+        ("PrC.coord recovery --scan_prepared--> voting", 1);
+        ("PrC.coord recovery --scan_aborted--> aborted_waiting_acks", 1);
+        ("PrC.worker prepared --resend_decision_req--> prepared", 4);
+        ("PrC.worker idle --decision--> idle", 35);
+        ("PrC.worker in_progress --abort--> done", 6);
+        ("PrC.worker prepared --commit--> done", 387);
+        ("PrC.worker prepared --prepare--> prepared", 1);
+        ("PrC.worker updated --prepare--> prepared", 396);
+        ("PrC.worker in_progress --update_req--> in_progress", 6);
+        ("PrC.worker idle --update_req--> updated", 396);
+        ("PrC.coord idle --decision_req_presumed--> idle", 3);
+        ("PrC.coord live --decision_req--> live", 1);
+        ("PrC.coord waiting_acks --resend_decision--> waiting_acks", 8);
+        ("PrC.coord waiting_acks --all_acked--> done", 33);
+        ("PrC.coord waiting_acks --ack--> waiting_acks", 33);
+        ("PrC.coord voting --vote_timeout--> aborting", 20);
+        ("PrC.coord aborting --abort_durable--> aborted_waiting_acks", 31);
+        ("PrC.coord voting --all_yes--> committed", 363);
+        ("PrC.coord voting --prepared_yes--> voting", 388);
+        ("PrC.coord working --all_updated--> voting", 371);
+        ("PrC.coord working --updated_ok--> working", 396);
+        ("PrC.coord working --lock_timeout--> aborting", 12);
+        ("PrC.coord idle --submit--> working", 395);
+      ] );
+    ( Acp.Protocol.Ep,
+      [
+        ("EP.worker recovery --scan_prepared--> prepared", 1);
+        ("EP.coord recovery --scan_started_only--> aborting", 1);
+        ("EP.coord recovery --scan_prepared--> voting", 1);
+        ("EP.coord recovery --scan_aborted--> aborted_waiting_acks", 1);
+        ("EP.worker prepared --resend_decision_req--> prepared", 3);
+        ("EP.worker idle --decision--> idle", 35);
+        ("EP.worker in_progress --abort--> done", 8);
+        ("EP.worker prepared --commit--> done", 385);
+        ("EP.worker in_progress --update_req--> in_progress", 6);
+        ("EP.worker idle --update_req--> prepared", 396);
+        ("EP.coord idle --decision_req_presumed--> idle", 1);
+        ("EP.coord live --decision_req--> live", 2);
+        ("EP.coord waiting_acks --resend_decision--> waiting_acks", 8);
+        ("EP.coord waiting_acks --all_acked--> done", 34);
+        ("EP.coord waiting_acks --ack--> waiting_acks", 35);
+        ("EP.coord voting --vote_timeout--> aborting", 20);
+        ("EP.coord aborting --abort_durable--> aborted_waiting_acks", 32);
+        ("EP.coord voting --all_yes--> committed", 361);
+        ("EP.coord working --updated_ok--> working", 385);
+        ("EP.coord working --lock_timeout--> aborting", 13);
+        ("EP.coord idle --submit--> working", 394);
+      ] );
+    ( Acp.Protocol.Opc,
+      [
+        ("1PC.coord idle --submit--> starting", 365);
+        ("1PC.coord starting --redo_durable--> working", 359);
+        ("1PC.coord starting --lock_timeout--> aborting", 18);
+        ("1PC.coord starting --replay_lock_retry--> starting", 1);
+        ("1PC.coord working --resend_update_req--> working", 12);
+        ("1PC.coord working --updated_ok--> committing", 344);
+        ("1PC.coord working --suspect--> recovering", 10);
+        ("1PC.coord recovering --worker_log_committed--> committing", 4);
+        ("1PC.coord recovering --worker_log_empty--> aborting", 4);
+        ("1PC.coord committing --commit_durable--> done", 345);
+        ("1PC.coord aborting --abort_durable--> done", 17);
+        ("1PC.coord working --ack_req--> working", 2);
+        ("1PC.coord idle --ack_req--> idle", 13);
+        ("1PC.worker idle --update_req--> working", 347);
+        ("1PC.worker working --applied--> committed", 345);
+        ("1PC.worker committed --update_req--> committed", 4);
+        ("1PC.worker working --update_req--> working", 3);
+        ("1PC.worker committed --ack--> ended", 346);
+        ("1PC.worker committed --resend_ack_req--> committed", 9);
+        ("1PC.coord recovery --scan_redo--> starting", 16);
+        ("1PC.worker recovery --scan_committed--> committed", 17);
+        ("PrN.coord recovery --scan_started_only--> aborting", 1);
+        ("PrN.worker idle --decision--> idle", 4);
+        ("PrN.worker in_progress --abort--> done", 2);
+        ("PrN.worker prepared --commit--> done", 48);
+        ("PrN.worker updated --prepare--> prepared", 50);
+        ("PrN.worker idle --update_req--> updated", 51);
+        ("PrN.coord waiting_acks --resend_decision--> waiting_acks", 1);
+        ("PrN.coord waiting_acks --all_acked--> done", 27);
+        ("PrN.coord waiting_acks --ack--> waiting_acks", 54);
+        ("PrN.coord voting --vote_timeout--> aborting", 2);
+        ("PrN.coord aborting --abort_durable--> aborted_waiting_acks", 2);
+        ("PrN.coord voting --all_yes--> committed", 24);
+        ("PrN.coord voting --prepared_yes--> voting", 48);
+        ("PrN.coord working --all_updated--> voting", 25);
+        ("PrN.coord working --updated_ok--> working", 51);
+        ("PrN.coord idle --submit--> working", 27);
+      ] );
+    ( Acp.Protocol.Lp1,
+      [
+        ("PrN.coord recovery --scan_started_only--> aborting", 1);
+        ("PrN.coord recovery --scan_prepared--> voting", 1);
+        ("PrN.worker updated --abandon_timeout--> idle", 2);
+        ("PrN.worker prepared --resend_decision_req--> prepared", 1);
+        ("PrN.worker idle --decision--> idle", 24);
+        ("PrN.worker in_progress --abort--> done", 7);
+        ("PrN.worker prepared --commit--> done", 22);
+        ("PrN.worker idle --prepare--> idle", 1);
+        ("PrN.worker prepared --prepare--> prepared", 1);
+        ("PrN.worker updated --prepare--> prepared", 27);
+        ("PrN.worker idle --update_req_reject--> idle", 2);
+        ("PrN.worker idle --update_req--> updated", 34);
+        ("PrN.coord waiting_acks --resend_decision--> waiting_acks", 7);
+        ("PrN.coord waiting_acks --all_acked--> done", 25);
+        ("PrN.coord waiting_acks --ack--> waiting_acks", 53);
+        ("PrN.coord voting --vote_timeout--> aborting", 8);
+        ("PrN.coord aborting --abort_durable--> aborted_waiting_acks", 13);
+        ("PrN.coord voting --all_yes--> committed", 11);
+        ("PrN.coord voting --prepared_no--> aborting", 1);
+        ("PrN.coord voting --prepared_yes--> voting", 24);
+        ("PrN.coord working --all_updated--> voting", 14);
+        ("PrN.coord working --updated_ok--> working", 32);
+        ("PrN.coord working --lock_timeout--> aborting", 5);
+        ("PrN.coord idle --submit--> working", 25);
+        ("L1PC.coord idle --submit--> voting", 376);
+        ("L1PC.coord idle --lock_timeout--> aborted", 10);
+        ("L1PC.coord voting --resend_vote_req--> voting", 3);
+        ("L1PC.coord voting --vote_yes--> deciding", 361);
+        ("L1PC.coord voting --vote_no--> aborted", 3);
+        ("L1PC.coord voting --suspect--> aborted", 2);
+        ("L1PC.coord deciding --decide_ack--> done", 361);
+        ("L1PC.worker idle --vote_req--> replicating", 361);
+        ("L1PC.worker idle --vote_req_wait_die--> idle", 3);
+        ("L1PC.worker replicating --rep_ack--> voted", 361);
+        ("L1PC.worker voted --decide_commit--> done", 361);
+        ("L1PC.replica idle --rep_store--> stored", 719);
+        ("L1PC.replica stored --rep_drop--> idle", 719);
+        ("L1PC.replica stored --recover_req--> stored", 9);
+        ("L1PC.worker reboot --recover_begin--> collecting", 4);
+        ("L1PC.worker collecting --recover_resp--> collecting", 8);
+      ] );
+  ]
+
 let test_chaos () =
   List.iter
     (fun (kind, per_seed) ->
+      let hits = Array.make Acp.Edges.count 0 in
       List.iteri
         (fun i (committed, aborted) ->
           let seed = i + 1 in
@@ -205,8 +378,18 @@ let test_chaos () =
           Alcotest.(check int)
             (tag ^ " committed")
             committed o.Chaos.Runner.committed;
-          Alcotest.(check int) (tag ^ " aborted") aborted o.aborted)
-        per_seed)
+          Alcotest.(check int) (tag ^ " aborted") aborted o.aborted;
+          Array.iteri (fun id n -> hits.(id) <- hits.(id) + n) o.edge_hits)
+        per_seed;
+      let golden = List.assoc kind edge_golden in
+      List.iter
+        (fun (e : Acp.Edges.edge) ->
+          let name = Acp.Edges.name e in
+          Alcotest.(check int)
+            (Printf.sprintf "%s seeds 1-5: %s" (pname kind) name)
+            (Option.value (List.assoc_opt name golden) ~default:0)
+            hits.(e.id))
+        Acp.Edges.all)
     chaos_golden
 
 (* ------------------------------------------------------------------ *)

@@ -4,7 +4,7 @@
    profiling is invisible to the simulation (golden digits are
    bit-identical with it on), and the report telescopes exactly — the
    buckets plus the residual sum to the measured run totals with
-   tolerance zero, for both CPU nanoseconds and minor-heap words. *)
+   tolerance zero, for both host nanoseconds and minor-heap words. *)
 
 open Opc
 

@@ -89,8 +89,7 @@ let make_harness ?(initial_log = []) () =
         (fun ~n k ->
           ignore n;
           ignore (Simkit.Engine.defer engine k));
-      set_timer =
-        (fun ~label ~after f -> Simkit.Engine.schedule engine ~label ~after f);
+      set_timer = Context.slot_timer engine ~alive:(fun () -> true);
       timeout = Simkit.Time.span_ms 100;
       resend_interval = Simkit.Time.span_ms 100;
       max_soft_retries = 2;
@@ -105,6 +104,7 @@ let make_harness ?(initial_log = []) () =
       cover = Obs.Coverage.disabled ();
       client_reply = (fun txn outcome -> replies := (txn, outcome) :: !replies);
       lock_hold = (fun ~locked_at:_ -> ());
+      alive = (fun () -> true);
     }
   in
   { engine; ctx; sent; log; replies; store; hardened; fence_requests; suspected }

@@ -160,6 +160,20 @@ let test_mttr_open_and_recrash () =
    with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "shifted crash time must not match");
+  (* A drift below [Time.pp]'s display precision must still print two
+     different instants. *)
+  (match
+     Obs.Mttr.check_crash_times
+       ~expected:[ (1, Simkit.Time.of_ns 100_000_001) ]
+       windows
+   with
+  | Error msg ->
+      Alcotest.(check string)
+        "1 ns drift names both instants"
+        "no unavailability window for mds1 starting at 100000001ns \
+         (windows: mds1@100000000ns)"
+        msg
+  | Ok () -> Alcotest.fail "a 1 ns drift must not match");
   match
     Obs.Mttr.check_crash_times
       ~expected:[ (2, Simkit.Time.of_ns 100_000_000) ]
