@@ -783,7 +783,10 @@ let profile_faults profiles =
    a speedscope flame graph each. `check` names the subsystem behind a
    regression from the 1PC profile. The gate is the profiles'
    telescoping; its control is a 1PC profile whose residual is 1 ns
-   off. *)
+   off. Profiling first, so that `check` re-times the sweep's point
+   with no profiles in between, did not make `check` trip less often
+   on an unchanged tree (EXPERIMENTS.md, "Gates and the artifact
+   header"). *)
 let scale ~smoke ~seeds ~txns () =
   section
     (Fmt.str "scale campaign: %d txns/point, seeds 1..%d%s" txns seeds
@@ -1355,11 +1358,7 @@ let regression_check ~against ~tolerance () =
             against tolerance;
         schedule = "";
         diagnostics = "";
-        tracer = Obs.Tracer.disabled ();
-        journal = Obs.Journal.disabled ();
-        recorder = Obs.Recorder.disabled ();
-        gauge_columns = [||];
-        windows = [];
+        sink = Obs.Sink.disabled ();
         profile = Some (Lazy.force rerun);
         coverage = [];
       }
@@ -1828,8 +1827,8 @@ let coverage ~smoke ~seeds () =
       });
   (* Recovery storm: seven staggered crashes with fast restarts and a
      hot resend clock, so log scans land mid-protocol on every role —
-     committed-image replays, in-doubt worker parks, planless
-     coordinators. *)
+     committed-image replays, in-doubt worker parks, REDO
+     re-executions. *)
   let recovery_storm =
     {
       Opc.Chaos.Schedule.window_ms = spec.window_ms;

@@ -176,7 +176,7 @@ let trace protocol =
           Fmt.pr "%a   %-6s %-12s %s@." Opc.Simkit.Time.pp e.time e.source
             e.kind e.detail
       | _ -> ())
-    (Opc.Simkit.Trace.entries (Opc.Cluster.trace cluster))
+    (Opc.Simkit.Trace.entries (Opc.Cluster.sink cluster).trace)
 
 let trace_cmd =
   Cmd.v

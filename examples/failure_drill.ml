@@ -45,7 +45,7 @@ let narrate cluster =
       if keep e then
         Fmt.pr "  %a %-6s %-12s %s@." Simkit.Time.pp e.time e.source e.kind
           e.detail)
-    (Simkit.Trace.entries (Cluster.trace cluster))
+    (Simkit.Trace.entries (Cluster.sink cluster).trace)
 
 let run_scene ~title ~faults =
   Fmt.pr "@.--- %s ---@." title;

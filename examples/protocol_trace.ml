@@ -43,7 +43,7 @@ let () =
       | Opc.Cluster.Quiescent -> ()
       | _ -> failwith "did not settle");
       Opc.Simkit.Timeline.print ~keep:interesting ~column_width:34
-        (Opc.Cluster.trace cluster);
+        (Opc.Cluster.sink cluster).trace;
       let ledger = Opc.Cluster.ledger cluster in
       Fmt.pr
         "totals: %d sync log writes, %d async, %d protocol messages (%d \

@@ -29,9 +29,7 @@ type t = {
   replicas : int list;
   suspects : Netsim.Address.t -> bool;
   ledger : Metrics.Ledger.t;
-  trace : Simkit.Trace.t;
-  obs : Obs.Tracer.t;
-  cover : Obs.Coverage.t;
+  sink : Obs.Sink.t;
   client_reply : Txn.id -> Txn.outcome -> unit;
   lock_hold : locked_at:Simkit.Time.t -> unit;
   alive : unit -> bool;
@@ -47,29 +45,30 @@ let slot_timer engine ~alive slot ~label ~after f =
              f ()
            end))
 
-let hit t id = Obs.Coverage.hit t.cover id
+let hit t id = Obs.Coverage.hit t.sink.coverage id
 
 let obs_phase t txn name =
-  if Obs.Tracer.is_recording t.obs then
-    Obs.Tracer.instant t.obs
+  if Obs.Tracer.is_recording t.sink.spans then
+    Obs.Tracer.instant t.sink.spans
       ~time:(Simkit.Engine.now t.engine)
       ~txn:(Txn.owner_token txn)
       ~track:(Netsim.Address.name t.self)
       name
 
 let obs_start t txn ~name =
-  Obs.Tracer.start t.obs
+  Obs.Tracer.start t.sink.spans
     ~time:(Simkit.Engine.now t.engine)
     ~txn:(Txn.owner_token txn)
     ~category:Obs.Span.Phase
     ~track:(Netsim.Address.name t.self)
     ~name
 
-let obs_finish t id = Obs.Tracer.finish t.obs ~time:(Simkit.Engine.now t.engine) id
+let obs_finish t id =
+  Obs.Tracer.finish t.sink.spans ~time:(Simkit.Engine.now t.engine) id
 
 let trace_txn t txn ~kind detail =
-  if Simkit.Trace.is_recording t.trace then
-    Simkit.Trace.emitf t.trace
+  if Simkit.Trace.is_recording t.sink.trace then
+    Simkit.Trace.emitf t.sink.trace
       ~time:(Simkit.Engine.now t.engine)
       ~source:(Netsim.Address.name t.self)
       ~kind "%a %s" Txn.pp_id txn detail

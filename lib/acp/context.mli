@@ -61,10 +61,9 @@ type t = {
           empty in degenerate single-server clusters) *)
   suspects : Netsim.Address.t -> bool;  (** failure-detector verdict *)
   ledger : Metrics.Ledger.t;
-  trace : Simkit.Trace.t;
-  obs : Obs.Tracer.t;  (** span tracer for the latency breakdown *)
-  cover : Obs.Coverage.t;
-      (** transition-coverage tap, sized for {!Edges.count} *)
+  sink : Obs.Sink.t;
+      (** the cluster's collectors; its [coverage] is sized for
+          {!Edges.count} *)
   client_reply : Txn.id -> Txn.outcome -> unit;
   lock_hold : locked_at:Simkit.Time.t -> unit;
   alive : unit -> bool;

@@ -89,7 +89,6 @@ module Opc = struct
   let r_coord_committed = def p "coord" "recovery" "scan_committed" "done"
   let r_coord_aborted = def p "coord" "recovery" "scan_aborted" "done"
   let r_coord_redo = def p "coord" "recovery" "scan_redo" "starting"
-  let r_coord_gc = def p "coord" "recovery" "scan_planless" "idle"
 
   let r_worker_committed =
     def p "worker" "recovery" "scan_committed" "committed"

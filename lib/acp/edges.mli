@@ -72,7 +72,6 @@ module Opc : sig
   val r_coord_committed : int
   val r_coord_aborted : int
   val r_coord_redo : int
-  val r_coord_gc : int
   val r_worker_committed : int
   val r_worker_gc : int
 end

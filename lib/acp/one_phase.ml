@@ -498,23 +498,17 @@ let recover_coordinator t (img : Log_scan.image) =
     t.ctx.Context.client_reply img.id (Txn.Aborted "aborted before crash");
     t.ctx.Context.log_gc img.id
   end
-  else
-    (* STARTED with no outcome: re-execute from the REDO record. *)
-    match img.plan with
-    | None ->
-        (* The crash hit between the force's two records? Impossible:
-           they are one atomic write. A missing plan means a foreign log
-           format; drop the transaction. *)
-        hit t Edges.Opc.r_coord_gc;
-        t.ctx.Context.log_gc img.id
-    | Some plan ->
-        hit t Edges.Opc.r_coord_redo;
-        trace t img.id ~kind:"txn.recover" "re-executing from REDO";
-        let c =
-          Common.pair_coord Kind.Opc { Txn.id = img.id; plan } C_starting
-        in
-        c.ospan <- Common.track t.ctx t.coords c.id c ~name:"1pc.coord.recover";
-        coord_run t c ~replayed:true
+  else begin
+    (* STARTED with no outcome: re-execute from the REDO record.
+       [owns_image] passes only coordinator images that carry one:
+       STARTED and REDO are forced as one write. *)
+    hit t Edges.Opc.r_coord_redo;
+    trace t img.id ~kind:"txn.recover" "re-executing from REDO";
+    let plan = Option.get img.plan in
+    let c = Common.pair_coord Kind.Opc { Txn.id = img.id; plan } C_starting in
+    c.ospan <- Common.track t.ctx t.coords c.id c ~name:"1pc.coord.recover";
+    coord_run t c ~replayed:true
+  end
 
 let recover_worker t (img : Log_scan.image) =
   if img.committed && not img.ended then begin

@@ -105,8 +105,8 @@ let expected_namespace records =
    dup_delivered + dropped + in_flight, tolerance zero. Empty unless
    the run recorded coverage (the meter is otherwise disabled). *)
 let conservation cluster =
-  let meter = Opc_cluster.Cluster.meter cluster in
-  if not (Netsim.Network.Meter.is_recording meter) then []
+  let meter = (Opc_cluster.Cluster.sink cluster).meter in
+  if not (Obs.Meter.is_recording meter) then []
   else
     List.map
       (fun (tag, imbalance) ->
@@ -115,7 +115,7 @@ let conservation cluster =
           else Acp.Codec.tag_name tag
         in
         Conservation { tag; imbalance })
-      (Netsim.Network.Meter.check meter)
+      (Obs.Meter.check meter)
 
 let durable_of cluster dir =
   let owner =

@@ -25,10 +25,11 @@ let settled cluster =
 let finish cluster ~settled:ok =
   {
     edge_hits =
-      Array.copy (Obs.Coverage.counts (Opc_cluster.Cluster.coverage cluster));
+      Array.copy
+        (Obs.Coverage.counts (Opc_cluster.Cluster.sink cluster).coverage);
     settled = ok;
     conserved =
-      Netsim.Network.Meter.check (Opc_cluster.Cluster.meter cluster) = [];
+      Obs.Meter.check (Opc_cluster.Cluster.sink cluster).meter = [];
   }
 
 (* Two directories on distinct servers, [n] files in the source — the

@@ -5,8 +5,6 @@ type spec = {
   ops_per_client : int;
   window_ms : int;
   settle_deadline_ms : int;
-  record_trace : bool;
-  record_journal : bool;
 }
 
 let default_spec =
@@ -17,8 +15,6 @@ let default_spec =
     ops_per_client = 15;
     window_ms = 600;
     settle_deadline_ms = 120_000;
-    record_trace = false;
-    record_journal = false;
   }
 
 (* Read-inclusive variant of the paper's write-dominated profile, so
@@ -69,8 +65,6 @@ let config_of spec ~protocol ~seed =
     restart_delay = Simkit.Time.span_ms 50;
     auto_restart = true;
     seed;
-    record_trace = spec.record_trace;
-    record_journal = spec.record_journal;
     (* Coverage is passive (no RNG draws, no engine events), so turning
        it on for every chaos run changes nothing about the runs while
        arming the conservation oracle and the fault-phase matrix. *)
@@ -89,20 +83,20 @@ let generate_schedule spec ~seed =
     ~servers:spec.servers ~window_ms:spec.window_ms
 
 let meter_stats cluster =
-  let m = Opc_cluster.Cluster.meter cluster in
-  if not (Netsim.Network.Meter.is_recording m) then []
+  let m = (Opc_cluster.Cluster.sink cluster).meter in
+  if not (Obs.Meter.is_recording m) then []
   else
-    List.init (Netsim.Network.Meter.tags m) (fun tag ->
+    List.init (Obs.Meter.tags m) (fun tag ->
         {
           tag =
             (if tag = Acp.Codec.tag_count then "HEARTBEAT"
              else Acp.Codec.tag_name tag);
-          sent = Netsim.Network.Meter.sent m tag;
-          delivered = Netsim.Network.Meter.delivered m tag;
-          dup_delivered = Netsim.Network.Meter.dup_delivered m tag;
-          dropped = Netsim.Network.Meter.dropped m tag;
-          rejected = Netsim.Network.Meter.rejected m tag;
-          in_flight = Netsim.Network.Meter.in_flight m tag;
+          sent = Obs.Meter.sent m tag;
+          delivered = Obs.Meter.delivered m tag;
+          dup_delivered = Obs.Meter.dup_delivered m tag;
+          dropped = Obs.Meter.dropped m tag;
+          rejected = Obs.Meter.rejected m tag;
+          in_flight = Obs.Meter.in_flight m tag;
         })
 
 (* Common run body, parameterized by the cluster config so the autopsy
@@ -136,7 +130,8 @@ let run ?schedule spec ~(config : Opc_cluster.Config.t) ~seed =
      landed in ("idle" before any transition). The hook rides the
      existing on_fire slot, so it cannot perturb event order. *)
   let fault_phases = ref [] in
-  let cover = Opc_cluster.Cluster.coverage cluster in
+  let sink = Opc_cluster.Cluster.sink cluster in
+  let cover = sink.coverage in
   let observe ~index e =
     let phase =
       match Obs.Coverage.last_hit cover with
@@ -189,14 +184,8 @@ let run ?schedule spec ~(config : Opc_cluster.Config.t) ~seed =
       violations;
       committed;
       aborted;
-      trace =
-        (if spec.record_trace then
-           Simkit.Trace.entries (Opc_cluster.Cluster.trace cluster)
-         else []);
-      journal =
-        (if Obs.Journal.is_recording (Opc_cluster.Cluster.journal cluster)
-         then Obs.Journal.entries (Opc_cluster.Cluster.journal cluster)
-         else []);
+      trace = Simkit.Trace.entries sink.trace;
+      journal = Obs.Journal.entries sink.journal;
       edge_hits = Obs.Coverage.counts cover;
       fault_phases = List.rev !fault_phases;
       meter = meter_stats cluster;
@@ -356,7 +345,6 @@ let execute_observed ?schedule spec ~protocol ~seed =
   let outcome, cluster =
     run ?schedule spec ~config:(observed_config spec ~protocol ~seed) ~seed
   in
-  let journal = Opc_cluster.Cluster.journal cluster in
   let verdict =
     if passed outcome then "pass"
     else
@@ -364,6 +352,7 @@ let execute_observed ?schedule spec ~protocol ~seed =
         Fmt.(list ~sep:(any "; ") Oracle.pp_violation)
         outcome.violations
   in
+  let sink = Opc_cluster.Cluster.sink cluster in
   let source =
     {
       Obs.Autopsy.verdict;
@@ -374,17 +363,8 @@ let execute_observed ?schedule spec ~protocol ~seed =
       diagnostics =
         Fmt.str "%a" Opc_cluster.Cluster.pp_diagnostics
           (Opc_cluster.Cluster.settle_diagnostics cluster);
-      tracer = Opc_cluster.Cluster.obs cluster;
-      journal;
-      recorder = Opc_cluster.Cluster.recorder cluster;
-      gauge_columns =
-        Obs.Timeseries.columns (Opc_cluster.Cluster.timeseries cluster);
-      windows = Obs.Mttr.windows (Obs.Journal.entries journal);
-      profile =
-        (* [report] raises on a cluster torn down by a Run_exception
-           before profiling started; the bundle is still useful. *)
-        (try Some (Obs.Prof.report (Opc_cluster.Cluster.prof cluster))
-         with Invalid_argument _ -> None);
+      sink;
+      profile = Some (Obs.Prof.report sink.prof);
       coverage = coverage_summaries ~protocol outcome.edge_hits;
     }
   in

@@ -14,16 +14,11 @@ type spec = {
   ops_per_client : int;
   window_ms : int;  (** fault-injection window *)
   settle_deadline_ms : int;
-  record_trace : bool;  (** keep the full event trace in the outcome *)
-  record_journal : bool;
-      (** keep the lifecycle journal in the outcome (crashes, fencing,
-          scans, injected faults with schedule indices) for MTTR
-          decomposition via {!Obs.Mttr.windows} *)
 }
 
 val default_spec : spec
 (** 4 servers, 4 directories, 6 clients x 15 operations, a 600 ms fault
-    window, a 120 s settle deadline, no trace, no journal. *)
+    window, a 120 s settle deadline. *)
 
 val chaos_mix : Workload.mix
 (** 55/20/15 create/delete/rename plus 10% shared-lock lookups. *)
@@ -52,8 +47,13 @@ type outcome = {
   violations : Oracle.violation list;  (** [] = pass *)
   committed : int;
   aborted : int;
-  trace : Simkit.Trace.entry list;  (** [] unless [record_trace] *)
-  journal : Obs.Journal.entry list;  (** [] unless [record_journal] *)
+  trace : Simkit.Trace.entry list;
+      (** [] unless the cluster config sets [record_trace] (run it
+          through {!execute_config}) *)
+  journal : Obs.Journal.entry list;
+      (** [] unless the cluster config sets [record_journal]: crashes,
+          fencing, scans, injected faults with schedule indices, for
+          {!Obs.Mttr.windows} *)
   edge_hits : int array;
       (** traversal counters indexed by {!Acp.Edges} id — chaos runs
           always record coverage, so this is never empty *)

@@ -20,13 +20,7 @@ type t = {
   config : Config.t;
   engine : Simkit.Engine.t;
   rng : Simkit.Rng.t;
-  trace : Simkit.Trace.t;
-  obs : Obs.Tracer.t;
-  journal : Obs.Journal.t;
-  timeseries : Obs.Timeseries.t;
-  prof : Obs.Prof.t;
-  recorder : Obs.Recorder.t;
-  cover : Obs.Coverage.t;
+  sink : Obs.Sink.t;
   ledger : Metrics.Ledger.t;
   network : Msg.t Netsim.Network.t;
   san : Acp.Log_record.t Storage.San.t;
@@ -55,14 +49,11 @@ let set_ingress_probe t probe = t.ingress_probe <- Some probe
 
 let config t = t.config
 let engine t = t.engine
-let trace t = t.trace
-let obs t = t.obs
-let journal t = t.journal
-let timeseries t = t.timeseries
-let prof t = t.prof
-let recorder t = t.recorder
-let coverage t = t.cover
-let meter t = Netsim.Network.meter t.network
+let sink t = t.sink
+let obs t = t.sink.spans
+let prof t = t.sink.prof
+let coverage t = t.sink.coverage
+let meter t = t.sink.meter
 let ledger t = t.ledger
 let network t = t.network
 let san t = t.san
@@ -91,11 +82,11 @@ let client_reply t id outcome =
           (* The submit->reply window anchors the critical-path walk;
              only committed transactions belong in the paper's latency
              decomposition. *)
-          (if Obs.Tracer.is_recording t.obs then
+          (if Obs.Tracer.is_recording t.sink.spans then
              match outcome with
              | Acp.Txn.Committed ->
-                 Obs.Tracer.span t.obs ~start:w.submitted_at ~stop:(now t)
-                   ~txn:(Acp.Txn.owner_token id) ~baseline:false
+                 Obs.Tracer.span t.sink.spans ~start:w.submitted_at
+                   ~stop:(now t) ~txn:(Acp.Txn.owner_token id) ~baseline:false
                    ~category:Obs.Span.Phase ~track:"txn"
                    ~name:Obs.Breakdown.window_name
              | Acp.Txn.Aborted _ -> ());
@@ -139,8 +130,8 @@ let sweep_orphans t server =
   in
   List.iter
     (fun (id : Acp.Txn.id) ->
-      if Obs.Journal.is_recording t.journal then
-        Obs.Journal.emit t.journal ~time:(now t) ~node:server
+      if Obs.Journal.is_recording t.sink.journal then
+        Obs.Sink.journal t.sink ~time:(now t) ~node:server
           (Obs.Journal.Orphan_resolved { origin = id.origin; seq = id.seq });
       client_reply t id (Acp.Txn.Aborted "lost in coordinator crash"))
     orphans
@@ -174,40 +165,38 @@ let create (config : Config.t) =
   | Error msg -> invalid_arg ("Cluster.create: " ^ msg));
   let engine = Simkit.Engine.create () in
   let rng = Simkit.Rng.create ~seed:config.seed in
-  let trace =
-    if config.record_trace then Simkit.Trace.create ()
-    else Simkit.Trace.disabled ()
+  let on flag create disabled = if flag then create () else disabled () in
+  (* The profile window opens here, before any other collector is
+     built, so it covers assembly and bootstrap too. *)
+  let prof = on config.record_prof Obs.Prof.create Obs.Prof.disabled in
+  let sink : Obs.Sink.t =
+    {
+      trace = on config.record_trace Simkit.Trace.create Simkit.Trace.disabled;
+      spans = on config.record_spans Obs.Tracer.create Obs.Tracer.disabled;
+      journal =
+        on config.record_journal Obs.Journal.create Obs.Journal.disabled;
+      sampler =
+        (match config.sample_period with
+        | Some period -> Obs.Timeseries.create ~period
+        | None -> Obs.Timeseries.disabled ());
+      prof;
+      recorder =
+        (match config.recorder_size with
+        | Some capacity -> Obs.Recorder.create ~capacity ()
+        | None -> Obs.Recorder.disabled ());
+      (* The coverage observatory: a counter per declared transition,
+         plus the per-wire-tag conservation meter with heartbeats on
+         their own tag past the codec's. *)
+      coverage =
+        (if config.record_coverage then
+           Obs.Coverage.create ~size:Acp.Edges.count
+         else Obs.Coverage.disabled ());
+      meter =
+        (if config.record_coverage then
+           Obs.Meter.create ~tags:(Acp.Codec.tag_count + 1)
+         else Obs.Meter.disabled ());
+    }
   in
-  let obs =
-    if config.record_spans then Obs.Tracer.create ()
-    else Obs.Tracer.disabled ()
-  in
-  let journal =
-    if config.record_journal then Obs.Journal.create ()
-    else Obs.Journal.disabled ()
-  in
-  let timeseries =
-    match config.sample_period with
-    | Some period -> Obs.Timeseries.create ~period
-    | None -> Obs.Timeseries.disabled ()
-  in
-  (* Attached immediately so the profile's run window covers assembly
-     and bootstrap too; a disabled profiler installs no observer. *)
-  let prof =
-    if config.record_prof then Obs.Prof.create () else Obs.Prof.disabled ()
-  in
-  Obs.Prof.attach prof engine;
-  (* The flight recorder taps dispatch (engine), deliveries (network),
-     journal appends and gauge rows; all taps are passive, so the golden
-     tests can pin bit-identical metrics with it on. *)
-  let recorder =
-    match config.recorder_size with
-    | Some capacity -> Obs.Recorder.create ~capacity ()
-    | None -> Obs.Recorder.disabled ()
-  in
-  Obs.Recorder.attach recorder engine;
-  Obs.Recorder.tap_journal recorder journal;
-  Obs.Recorder.tap_timeseries recorder timeseries;
   let ledger = Metrics.Ledger.create () in
   (* Heartbeats are background chatter, not transaction causality; every
      protocol message becomes a transit span named after its wire label. *)
@@ -219,31 +208,19 @@ let create (config : Config.t) =
             Acp.Txn.owner_token (Acp.Wire.txn wire),
             Acp.Wire.is_baseline wire )
   in
-  (* The coverage observatory: an edge tap sized for the declared
-     transition maps plus the per-wire-tag conservation meter, with
-     heartbeats on their own tag past the codec's. Both passive. *)
-  let cover =
-    if config.record_coverage then Obs.Coverage.create ~size:Acp.Edges.count
-    else Obs.Coverage.disabled ()
-  in
-  let meter =
-    if config.record_coverage then
-      Netsim.Network.Meter.create ~tags:(Acp.Codec.tag_count + 1)
-    else Netsim.Network.Meter.disabled ()
-  in
   let tag_of = function
     | Msg.Heartbeat -> Acp.Codec.tag_count
     | Msg.Acp wire -> Acp.Codec.tag wire
   in
   let network =
-    Netsim.Network.create ~engine ~rng:(Simkit.Rng.split rng) ~trace ~obs
-      ~journal ~recorder ~span_of ~tag_of ~meter config.network
+    Netsim.Network.create ~engine ~rng:(Simkit.Rng.split rng) ~sink ~span_of
+      ~tag_of config.network
   in
   let size =
     if config.encoded_sizes then Acp.Codec.encoded_size
-    else Acp.Log_record.size config.sizing
+    else Acp.Log_record.size Acp.Log_record.default_sizing
   in
-  let san = Storage.San.create ~engine ~trace ~obs ~journal ~size config.san in
+  let san = Storage.San.create ~engine ~sink ~size config.san in
   let placement =
     Mds.Placement.create
       ~rng:(Simkit.Rng.split rng)
@@ -256,13 +233,7 @@ let create (config : Config.t) =
       config;
       engine;
       rng;
-      trace;
-      obs;
-      journal;
-      timeseries;
-      prof;
-      recorder;
-      cover;
+      sink;
       ledger;
       network;
       san;
@@ -294,13 +265,10 @@ let create (config : Config.t) =
   let services : Node.services =
     {
       engine;
-      trace;
-      obs;
-      journal;
+      sink;
       network;
       san;
       ledger;
-      cover;
       config;
       client_reply = (fun id outcome -> client_reply t id outcome);
       stonith =
@@ -342,8 +310,9 @@ let create (config : Config.t) =
   (* Gauge wiring. Closures re-read through [t] and the node accessors on
      every sample so replaced components (a restarted node's fresh lock
      manager, for instance) are always the ones observed. The sampler is
-     driven by the engine's clock observer, never by scheduled events, so
+     driven by the engine observer, never by scheduled events, so
      enabling it cannot perturb the run. *)
+  let timeseries = sink.sampler in
   if Obs.Timeseries.is_recording timeseries then begin
     Obs.Timeseries.register timeseries ~name:"engine.pending" (fun () ->
         Simkit.Engine.pending engine);
@@ -388,9 +357,10 @@ let create (config : Config.t) =
           (fun () -> Node.outstanding n);
         Obs.Timeseries.register timeseries ~name:(name ^ ".suspects")
           (fun () -> Node.suspect_count n))
-      nodes;
-    Obs.Timeseries.attach timeseries engine
+      nodes
   end;
+  (* The gauge set freezes here, after the nodes exist. *)
+  Obs.Sink.install sink engine;
   t
 
 (* ------------------------------------------------------------------ *)

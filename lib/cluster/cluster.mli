@@ -18,38 +18,29 @@ val create : Config.t -> t
 
 val config : t -> Config.t
 val engine : t -> Simkit.Engine.t
-val trace : t -> Simkit.Trace.t
+val sink : t -> Obs.Sink.t
+(** The collectors the configuration's observation knobs switch on,
+    shared by every layer; the rest are disabled:
+    - [trace] with [record_trace];
+    - [spans] with [record_spans], for the latency breakdown;
+    - [journal] with [record_journal]: crashes, suspicions, fencing,
+      scans, orphan resolution, heals, injected faults — feed it to
+      {!Obs.Mttr.windows};
+    - [sampler] with [sample_period]: per-node and cluster gauges;
+    - [prof] with [record_prof]: call {!Obs.Prof.report} after the run;
+    - [recorder] with [recorder_size]: the last dispatches, deliveries,
+      journal entries and gauge rows, whose tail the autopsy dumps;
+    - [coverage], sized for {!Acp.Edges.count}, and [meter], per wire
+      tag with heartbeats on tag [Acp.Codec.tag_count], with
+      [record_coverage]. *)
 
 val obs : t -> Obs.Tracer.t
-(** Span tracer for the latency breakdown — recording only when
-    [record_spans] is set; the disabled tracer drops everything in O(1). *)
-
-val journal : t -> Obs.Journal.t
-(** Lifecycle journal (crashes, suspicions, fencing, scans, orphan
-    resolution, heals, injected faults) — recording only when
-    [record_journal] is set. Feed it to {!Obs.Mttr.windows} for the
-    recovery decomposition. *)
-
-val timeseries : t -> Obs.Timeseries.t
-(** Per-node and cluster gauges sampled every [sample_period] of
-    simulated time; disabled (and empty) when the period is [None]. *)
-
 val prof : t -> Obs.Prof.t
-(** Host profiler wrapping every engine dispatch when [record_prof] is
-    set; disabled otherwise. Call {!Obs.Prof.report} after the run. *)
-
-val recorder : t -> Obs.Recorder.t
-(** Flight-recorder ring of the last [recorder_size] dispatches,
-    deliveries, journal entries and gauge rows; disabled (and empty)
-    when the size is [None]. The autopsy writer dumps its tail. *)
-
 val coverage : t -> Obs.Coverage.t
-(** Protocol transition-coverage tap, sized for {!Acp.Edges.count} when
-    [record_coverage] is set; disabled otherwise. *)
 
 val meter : t -> Netsim.Network.Meter.t
-(** Per-wire-tag message-conservation ledger (heartbeats on tag
-    [Acp.Codec.tag_count]); disabled unless [record_coverage] is set. *)
+(** The sink's [spans], [prof], [coverage] and [meter], under the names
+    [benchmark/] calls; the library reads them off {!sink}. *)
 
 val ledger : t -> Metrics.Ledger.t
 val network : t -> Msg.t Netsim.Network.t

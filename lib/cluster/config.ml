@@ -1,12 +1,12 @@
+let method_latency = Simkit.Time.span_us 1
+
 type t = {
   servers : int;
   protocol : Acp.Protocol.kind;
   placement : Mds.Placement.strategy;
   network : Netsim.Network.config;
   san : Storage.San.config;
-  sizing : Acp.Log_record.sizing;
   encoded_sizes : bool;
-  method_latency : Simkit.Time.span;
   txn_timeout : Simkit.Time.span;
   resend_interval : Simkit.Time.span option;
   max_soft_retries : int;
@@ -33,9 +33,7 @@ let default =
     placement = Mds.Placement.Hash;
     network = Netsim.Network.default_config;
     san = Storage.San.default_config;
-    sizing = Acp.Log_record.default_sizing;
     encoded_sizes = false;
-    method_latency = Simkit.Time.span_us 1;
     txn_timeout = Simkit.Time.span_s 30;
     resend_interval = None;
     max_soft_retries = 2;

@@ -1,14 +1,21 @@
 (** Cluster simulation parameters.
 
-    {!default} is the paper's §IV setup: 1 µs computational latency per
-    object method, 100 µs network latency, a 400 KB/s shared disk.
-    Timeouts, heartbeat cadence and restart latency are ours (the paper
-    does not publish them); failure experiments tighten them for speed.
+    {!default} is the paper's §IV setup: 100 µs network latency and a
+    400 KB/s shared disk, with the paper's fixed 1 µs computational
+    latency per object method ({!method_latency}). Timeouts, heartbeat
+    cadence and restart latency are ours (the paper does not publish
+    them); failure experiments tighten them for speed.
 
     [txn_timeout] doubles as the lock-acquisition timeout and the
     protocols' retransmission period, so it must comfortably exceed the
     longest lock queue a workload builds (Figure 6 queues ~100
-    transactions behind one directory lock at ~40 ms each). *)
+    transactions behind one directory lock at ~40 ms each).
+
+    The seven knobs from [record_trace] to [record_coverage] choose the
+    collectors of the cluster's {!Obs.Sink}; all are off by default. *)
+
+val method_latency : Simkit.Time.span
+(** 1 µs: the computational latency of one object read/write method. *)
 
 type t = {
   servers : int;
@@ -16,11 +23,10 @@ type t = {
   placement : Mds.Placement.strategy;
   network : Netsim.Network.config;
   san : Storage.San.config;
-  sizing : Acp.Log_record.sizing;
   encoded_sizes : bool;
       (** charge each record its exact {!Acp.Codec} footprint instead of
-          the calibrated [sizing] constants (robustness ablation) *)
-  method_latency : Simkit.Time.span;  (** per object read/write method *)
+          the calibrated {!Acp.Log_record.default_sizing} (robustness
+          ablation) *)
   txn_timeout : Simkit.Time.span;
   resend_interval : Simkit.Time.span option;
       (** base period of the protocols' retransmission timers (1PC
@@ -58,7 +64,7 @@ type t = {
   sample_period : Simkit.Time.span option;
       (** when [Some p], sample per-node and cluster gauges every [p] of
           simulated time into an {!Obs.Timeseries}; [None] (default)
-          records nothing and installs no engine observer *)
+          records nothing *)
   record_prof : bool;
       (** profile host monotonic self-time and minor-heap allocation per
           (subsystem, event label) into an {!Obs.Prof}; off by default —
@@ -73,7 +79,7 @@ type t = {
       (** count protocol state-machine transitions against the declared
           {!Acp.Edges} maps in an {!Obs.Coverage} tap and keep the
           per-wire-tag message-conservation ledger
-          ({!Netsim.Network.Meter}); off by default — both disabled
+          ({!Obs.Meter}); off by default — both disabled
           paths are one load and one branch *)
 }
 

@@ -161,7 +161,7 @@ let san_outage_at ?(on_fire = ignore) cluster ~at ~until =
        (fun () -> Cluster.set_fencing_available cluster true))
 
 let inject ?(observe = fun ~index:_ _ -> ()) cluster events =
-  let journal = Cluster.journal cluster in
+  let sink = Cluster.sink cluster in
   List.iteri
     (fun index e ->
       (* Injected faults announce themselves in the journal with their
@@ -169,8 +169,8 @@ let inject ?(observe = fun ~index:_ _ -> ()) cluster events =
          closure only materializes an entry when the journal records. *)
       let on_fire () =
         observe ~index e;
-        if Obs.Journal.is_recording journal then
-          Obs.Journal.emit journal
+        if Obs.Journal.is_recording sink.journal then
+          Obs.Sink.journal sink
             ~time:(Cluster.now cluster)
             ~node:(-1)
             (Obs.Journal.Fault_injected

@@ -4,13 +4,10 @@ let label_heartbeat = Simkit.Label.v Cluster "heartbeat"
 
 type services = {
   engine : Simkit.Engine.t;
-  trace : Simkit.Trace.t;
-  obs : Obs.Tracer.t;
-  journal : Obs.Journal.t;
+  sink : Obs.Sink.t;
   network : Msg.t Netsim.Network.t;
   san : Acp.Log_record.t Storage.San.t;
   ledger : Metrics.Ledger.t;
-  cover : Obs.Coverage.t;
   config : Config.t;
   client_reply : Acp.Txn.id -> Acp.Txn.outcome -> unit;
   stonith : Netsim.Address.t -> unit;
@@ -61,12 +58,12 @@ let wal t = t.wal
 let name t = Netsim.Address.name t.address
 
 let trace_node t ~kind detail =
-  Simkit.Trace.emit t.sv.trace
+  Simkit.Trace.emit t.sv.sink.trace
     ~time:(Simkit.Engine.now t.sv.engine)
     ~source:(name t) ~kind detail
 
 let journal_node t kind =
-  Obs.Journal.emit t.sv.journal
+  Obs.Sink.journal t.sv.sink
     ~time:(Simkit.Engine.now t.sv.engine)
     ~node:t.server kind
 
@@ -177,8 +174,8 @@ let make_context t =
       (fun ~dst wire ->
         guard (fun () ->
             count_msg t wire;
-            if Simkit.Trace.is_recording t.sv.trace then
-              Simkit.Trace.emitf t.sv.trace
+            if Simkit.Trace.is_recording t.sv.sink.trace then
+              Simkit.Trace.emitf t.sv.sink.trace
                 ~time:(Simkit.Engine.now t.sv.engine)
                 ~source:(name t) ~kind:"send" "%a -> %a" Acp.Wire.pp wire
                 Netsim.Address.pp dst;
@@ -225,7 +222,7 @@ let make_context t =
                     ~on_read:(fun records ->
                       if alive () then on_read (Acp.Log_scan.scan records))
                 else begin
-                  if Simkit.Trace.is_recording t.sv.trace then
+                  if Simkit.Trace.is_recording t.sv.sink.trace then
                     trace_node t ~kind:"txn.fence"
                       (Printf.sprintf "%s rebooted mid-fence; fencing again"
                          (Netsim.Address.name target));
@@ -248,7 +245,7 @@ let make_context t =
       (fun txn -> Simkit.Tbl.Int.mem t.hardened (Acp.Txn.owner_token txn));
     compute =
       (fun ~n k ->
-        let span = Simkit.Time.mul_span t.sv.config.Config.method_latency n in
+        let span = Simkit.Time.mul_span Config.method_latency n in
         ignore
           (Simkit.Engine.schedule t.sv.engine ~label:label_compute ~after:span
              (fun () -> guard k)));
@@ -276,9 +273,7 @@ let make_context t =
         | Some d -> Netsim.Failure_detector.is_suspected d peer
         | None -> false);
     ledger = t.sv.ledger;
-    trace = t.sv.trace;
-    obs = t.sv.obs;
-    cover = t.sv.cover;
+    sink = t.sv.sink;
     client_reply =
       (fun txn outcome -> guard (fun () -> t.sv.client_reply txn outcome));
     lock_hold =
@@ -330,8 +325,7 @@ let create sv ~server ~root =
       serving = false;
       epoch = 0;
       locks =
-        Locks.Lock_manager.create ~engine:sv.engine ~trace:sv.trace
-          ~obs:sv.obs
+        Locks.Lock_manager.create ~engine:sv.engine ~sink:sv.sink
           ~name:(Netsim.Address.name address ^ ".locks")
           ();
       detector = None;
@@ -379,8 +373,7 @@ let bring_up ?(on_recovered = fun () -> ()) t ~recover =
   Storage.San.unfence t.sv.san t.address;
   Storage.Wal.restart t.wal;
   t.locks <-
-    Locks.Lock_manager.create ~engine:t.sv.engine ~trace:t.sv.trace
-      ~obs:t.sv.obs
+    Locks.Lock_manager.create ~engine:t.sv.engine ~sink:t.sv.sink
       ~name:(name t ^ ".locks")
       ();
   let ctx = make_context t in
@@ -397,10 +390,10 @@ let bring_up ?(on_recovered = fun () -> ()) t ~recover =
   let peers = peers t in
   let on_suspect peer =
     if t.up && t.epoch = epoch then begin
-      if Simkit.Trace.is_recording t.sv.trace then
+      if Simkit.Trace.is_recording t.sv.sink.trace then
         trace_node t ~kind:"detector"
           (Printf.sprintf "suspecting %s" (Netsim.Address.name peer));
-      if Obs.Journal.is_recording t.sv.journal then
+      if Obs.Journal.is_recording t.sv.sink.journal then
         journal_node t
           (Obs.Journal.Suspect { peer = Netsim.Address.index peer });
       primary.Acp.Protocol.on_suspect peer;
@@ -436,7 +429,7 @@ let bring_up ?(on_recovered = fun () -> ()) t ~recover =
         ~on_complete:(fun () ->
           if t.up && t.epoch = epoch then begin
             trace_node t ~kind:"node.recover" "running recovery";
-            if Obs.Journal.is_recording t.sv.journal then
+            if Obs.Journal.is_recording t.sv.sink.journal then
               journal_node t
                 (Obs.Journal.Scan_end
                    {
@@ -465,7 +458,7 @@ let bring_up ?(on_recovered = fun () -> ()) t ~recover =
     in
     match outcome with
     | `Accepted ->
-        if Obs.Journal.is_recording t.sv.journal then
+        if Obs.Journal.is_recording t.sv.sink.journal then
           journal_node t (Obs.Journal.Scan_begin { target = t.server })
     | `Rejected ->
         (* Still fenced at the instant of reboot (our unfence raced a
@@ -557,7 +550,7 @@ let run_read t ~owner ~dir ~read ~on_done =
     ~on_grant:(fun () ->
       ignore
         (Simkit.Engine.schedule t.sv.engine ~label:label_read_compute
-           ~after:t.sv.config.Config.method_latency (fun () ->
+           ~after:Config.method_latency (fun () ->
              if alive () then begin
                let result = read (Mds.Store.volatile t.store) in
                Locks.Lock_manager.release_all locks ~owner;

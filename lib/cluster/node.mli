@@ -18,13 +18,10 @@
 
 type services = {
   engine : Simkit.Engine.t;
-  trace : Simkit.Trace.t;
-  obs : Obs.Tracer.t;  (** span tracer shared by every layer *)
-  journal : Obs.Journal.t;  (** lifecycle journal shared by every layer *)
+  sink : Obs.Sink.t;  (** the collectors every layer shares *)
   network : Msg.t Netsim.Network.t;
   san : Acp.Log_record.t Storage.San.t;
   ledger : Metrics.Ledger.t;
-  cover : Obs.Coverage.t;  (** transition-coverage tap shared by every node *)
   config : Config.t;
   client_reply : Acp.Txn.id -> Acp.Txn.outcome -> unit;
   stonith : Netsim.Address.t -> unit;

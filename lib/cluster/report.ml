@@ -72,7 +72,8 @@ let collect cluster =
              })
            (Cluster.nodes cluster));
     ledger = Metrics.Ledger.snapshot (Cluster.ledger cluster);
-    mttr = Obs.Mttr.windows (Obs.Journal.entries (Cluster.journal cluster));
+    mttr =
+      Obs.Mttr.windows (Obs.Journal.entries (Cluster.sink cluster).journal);
   }
 
 let pp ppf r =

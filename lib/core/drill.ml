@@ -104,7 +104,7 @@ let run_one ?(seed = 1) ?(crash_server = 1) protocol =
     after = snapshot cluster;
     windows =
       Obs.Mttr.windows
-        (Obs.Journal.entries (Opc_cluster.Cluster.journal cluster));
+        (Obs.Journal.entries (Opc_cluster.Cluster.sink cluster).journal);
   }
 
 (* Nearest-rank percentile over ns values; 0 when empty (checked

@@ -150,7 +150,7 @@ let run_breakdown ?(config = fig6_config) ?(count = 20) protocol =
     | Opc_cluster.Cluster.Quiescent -> ()
     | _ -> failwith "breakdown: run did not settle"
   done;
-  let tracer = Opc_cluster.Cluster.obs cluster in
+  let tracer = (Opc_cluster.Cluster.sink cluster).spans in
   let paths = Obs.Breakdown.paths ~since tracer in
   { kind = protocol; summary = Obs.Breakdown.summarize paths; tracer }
 
@@ -516,7 +516,7 @@ let run_scale_point ?config ?(clients_per_server = 2) ~servers ~txns ~seed
     latency_p95 = p95;
     latency_p99 = p99;
     profile =
-      (let prof = Opc_cluster.Cluster.prof cluster in
+      (let prof = (Opc_cluster.Cluster.sink cluster).prof in
        if Obs.Prof.is_recording prof then Some (Obs.Prof.report prof)
        else None);
   }
@@ -607,7 +607,8 @@ let run_timeline ?config ?seed ?(crash_server = 1) ?crash_at_ms protocol =
     crash_run ?config ?seed ~crash_server ?crash_at_ms protocol
   in
   let committed, aborted = Opc_cluster.Cluster.txn_counts cluster in
-  let journal = Obs.Journal.entries (Opc_cluster.Cluster.journal cluster) in
+  let sink = Opc_cluster.Cluster.sink cluster in
+  let journal = Obs.Journal.entries sink.journal in
   {
     kind = protocol;
     committed;
@@ -615,7 +616,7 @@ let run_timeline ?config ?seed ?(crash_server = 1) ?crash_at_ms protocol =
     crash_server;
     crash_time;
     journal;
-    series = Opc_cluster.Cluster.timeseries cluster;
+    series = sink.sampler;
     windows = Obs.Mttr.windows journal;
   }
 

@@ -44,8 +44,7 @@ type stats = {
 
 type t = {
   engine : Simkit.Engine.t;
-  trace : Simkit.Trace.t;
-  obs : Obs.Tracer.t;
+  sink : Obs.Sink.t;
   name : string;
   table : entry Tbl.t;
   mutable acquired : int;
@@ -55,15 +54,10 @@ type t = {
   mutable max_queue : int;
 }
 
-let create ~engine ?trace ?obs ~name () =
-  let trace =
-    match trace with Some t -> t | None -> Simkit.Trace.disabled ()
-  in
-  let obs = match obs with Some o -> o | None -> Obs.Tracer.disabled () in
+let create ~engine ?(sink = Obs.Sink.disabled ()) ~name () =
   {
     engine;
-    trace;
-    obs;
+    sink;
     name;
     table = Tbl.create 64;
     acquired = 0;
@@ -135,12 +129,13 @@ let set_holder e ~owner ~mode =
 
 let grant t oid e w =
   w.live <- false;
-  Obs.Tracer.finish t.obs ~time:(Simkit.Engine.now t.engine) w.span;
+  Obs.Tracer.finish t.sink.spans ~time:(Simkit.Engine.now t.engine)
+    w.span;
   (match w.timer with Some h -> Simkit.Engine.cancel h | None -> ());
   set_holder e ~owner:w.owner ~mode:w.mode;
   record_grant t w;
-  if Simkit.Trace.is_recording t.trace then
-    Simkit.Trace.emitf t.trace
+  if Simkit.Trace.is_recording t.sink.trace then
+    Simkit.Trace.emitf t.sink.trace
       ~time:(Simkit.Engine.now t.engine)
       ~source:t.name ~kind:"lock.grant" "txn %d %a oid %d" w.owner pp_mode
       w.mode oid;
@@ -188,14 +183,14 @@ let acquire t ~owner ~oid ~mode ?timeout ~on_grant
       if empty_queue && grantable e w then grant t oid e w
       else begin
         w.span <-
-          Obs.Tracer.start t.obs ~time:w.enqueued_at ~txn:owner
+          Obs.Tracer.start t.sink.spans ~time:w.enqueued_at ~txn:owner
             ~category:Obs.Span.Lock_wait ~track:t.name ~name:"lock.wait";
         Queue.add w e.queue;
         e.live_waiters <- e.live_waiters + 1;
         let depth = live_queue_length e in
         if depth > t.max_queue then t.max_queue <- depth;
-        if Simkit.Trace.is_recording t.trace then
-          Simkit.Trace.emitf t.trace
+        if Simkit.Trace.is_recording t.sink.trace then
+          Simkit.Trace.emitf t.sink.trace
             ~time:(Simkit.Engine.now t.engine)
             ~source:t.name ~kind:"lock.wait" "txn %d %a oid %d (depth %d)"
             owner pp_mode mode oid depth;
@@ -209,11 +204,11 @@ let acquire t ~owner ~oid ~mode ?timeout ~on_grant
                     w.live <- false;
                     e.live_waiters <- e.live_waiters - 1;
                     t.timeouts <- t.timeouts + 1;
-                    Obs.Tracer.finish t.obs
+                    Obs.Tracer.finish t.sink.spans
                       ~time:(Simkit.Engine.now t.engine)
                       w.span;
-                    if Simkit.Trace.is_recording t.trace then
-                      Simkit.Trace.emitf t.trace
+                    if Simkit.Trace.is_recording t.sink.trace then
+                      Simkit.Trace.emitf t.sink.trace
                         ~time:(Simkit.Engine.now t.engine)
                         ~source:t.name ~kind:"lock.timeout" "txn %d oid %d"
                         owner oid;
@@ -233,7 +228,9 @@ let cancel_waiters t e ~owner =
         if w.live && w.owner = owner then begin
           w.live <- false;
           e.live_waiters <- e.live_waiters - 1;
-          Obs.Tracer.finish t.obs ~time:(Simkit.Engine.now t.engine) w.span;
+          Obs.Tracer.finish t.sink.spans
+            ~time:(Simkit.Engine.now t.engine)
+            w.span;
           match w.timer with
           | Some h -> Simkit.Engine.cancel h
           | None -> ()
@@ -247,8 +244,8 @@ let release t ~owner ~oid =
       let had = holds_any owner e.holders in
       e.holders <- without owner e.holders;
       cancel_waiters t e ~owner;
-      if had && Simkit.Trace.is_recording t.trace then
-        Simkit.Trace.emitf t.trace
+      if had && Simkit.Trace.is_recording t.sink.trace then
+        Simkit.Trace.emitf t.sink.trace
           ~time:(Simkit.Engine.now t.engine)
           ~source:t.name ~kind:"lock.release" "txn %d oid %d" owner oid;
       pump t oid e;

@@ -39,13 +39,9 @@ type stats = {
 }
 
 val create :
-  engine:Simkit.Engine.t ->
-  ?trace:Simkit.Trace.t ->
-  ?obs:Obs.Tracer.t ->
-  name:string ->
-  unit ->
-  t
-(** [obs] (default disabled) records one {!Obs.Span.Lock_wait} span per
+  engine:Simkit.Engine.t -> ?sink:Obs.Sink.t -> name:string -> unit -> t
+(** [sink] (default {!Obs.Sink.disabled}): [trace] gets grants, waits,
+    timeouts and releases; [spans] one {!Obs.Span.Lock_wait} span per
     request that had to queue, from enqueue to grant, timeout or
     cancellation, keyed by the requesting owner token. Immediate grants
     record nothing — they cost nothing. *)

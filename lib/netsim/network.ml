@@ -1,100 +1,6 @@
 let label_deliver = Simkit.Label.v Net "net.deliver"
 
-(* Message-conservation ledger: per-tag counters over every copy the
-   fabric accepts, classified at the delivery event by the branch taken
-   there. The books must balance exactly —
-
-     sent = delivered + dup_delivered + dropped + in_flight
-
-   per tag at any instant. [in_flight] is maintained at the schedule /
-   delivery-callback boundaries while the other terms come from the
-   classification branches, so a new delivery-side branch that forgets
-   to classify (the historical way message accounting drifts) breaks
-   the law instead of vanishing. Send-time refusals ([rejected]) never
-   enter the fabric and sit outside the law. *)
-module Meter = struct
-  type t = {
-    enabled : bool;
-    tags : int;
-    sent : int array;  (* copies accepted for transmission *)
-    delivered : int array;  (* primary copies handed to the endpoint *)
-    dup_delivered : int array;  (* duplicate copies handed to the endpoint *)
-    dropped : int array;  (* copies dropped in flight (down / partition) *)
-    rejected : int array;  (* refused at send time, before [sent] *)
-    in_flight : int array;
-  }
-
-  let create ~tags =
-    if tags <= 0 then invalid_arg "Network.Meter.create: tags must be positive";
-    {
-      enabled = true;
-      tags;
-      sent = Array.make tags 0;
-      delivered = Array.make tags 0;
-      dup_delivered = Array.make tags 0;
-      dropped = Array.make tags 0;
-      rejected = Array.make tags 0;
-      in_flight = Array.make tags 0;
-    }
-
-  let disabled () =
-    {
-      enabled = false;
-      tags = 0;
-      sent = [||];
-      delivered = [||];
-      dup_delivered = [||];
-      dropped = [||];
-      rejected = [||];
-      in_flight = [||];
-    }
-
-  let is_recording m = m.enabled
-  let tags m = m.tags
-  let sent m tag = m.sent.(tag)
-  let delivered m tag = m.delivered.(tag)
-  let dup_delivered m tag = m.dup_delivered.(tag)
-  let dropped m tag = m.dropped.(tag)
-  let rejected m tag = m.rejected.(tag)
-  let in_flight m tag = m.in_flight.(tag)
-
-  (* Negative tags mean "meter off" at the call sites (the tag is only
-     computed while recording), so the notes need no enabled check. *)
-  let note_rejected m tag =
-    if tag >= 0 then m.rejected.(tag) <- m.rejected.(tag) + 1
-
-  let note_sent m tag =
-    if tag >= 0 then begin
-      m.sent.(tag) <- m.sent.(tag) + 1;
-      m.in_flight.(tag) <- m.in_flight.(tag) + 1
-    end
-
-  let note_arrival m tag =
-    if tag >= 0 then m.in_flight.(tag) <- m.in_flight.(tag) - 1
-
-  let note_dropped m tag =
-    if tag >= 0 then m.dropped.(tag) <- m.dropped.(tag) + 1
-
-  let note_delivered m tag ~dup =
-    if tag >= 0 then
-      if dup then m.dup_delivered.(tag) <- m.dup_delivered.(tag) + 1
-      else m.delivered.(tag) <- m.delivered.(tag) + 1
-
-  let imbalance m tag =
-    m.sent.(tag)
-    - (m.delivered.(tag) + m.dup_delivered.(tag) + m.dropped.(tag)
-       + m.in_flight.(tag))
-
-  (* Exact check, tolerance 0: one (tag, difference) pair per broken
-     tag, empty when every tag balances (or the meter is off). *)
-  let check m =
-    let bad = ref [] in
-    for tag = m.tags - 1 downto 0 do
-      let d = imbalance m tag in
-      if d <> 0 then bad := (tag, d) :: !bad
-    done;
-    !bad
-end
+module Meter = Obs.Meter
 
 type 'msg envelope = {
   src : Address.t;
@@ -134,18 +40,14 @@ type 'msg endpoint = {
 type 'msg t = {
   engine : Simkit.Engine.t;
   rng : Simkit.Rng.t;
-  trace : Simkit.Trace.t;
-  obs : Obs.Tracer.t;
-  journal : Obs.Journal.t;
-  recorder : Obs.Recorder.t;
+  sink : Obs.Sink.t;
   (* Maps a payload to (name, txn token, baseline) for its transit span;
      [None] payloads (heartbeats) record nothing. Only consulted when
-     [obs] is recording. *)
+     spans are recorded. *)
   span_of : 'msg -> (string * int * bool) option;
-  (* Maps a payload to its meter tag; only consulted while [meter] is
-     recording. *)
+  (* Maps a payload to its meter tag; only consulted while the meter
+     records. *)
   tag_of : 'msg -> int;
-  meter : Meter.t;
   config : config;
   (* Live loss/duplication rates, initialized from [config] and adjustable
      at runtime (fault-injection bursts arm and disarm them mid-run). *)
@@ -166,35 +68,22 @@ type 'msg t = {
   mutable in_flight : int;
 }
 
-let create ~engine ~rng ?trace ?obs ?journal ?recorder
-    ?(span_of = fun _ -> None) ?(tag_of = fun _ -> 0) ?meter
-    (config : config) =
-  if config.drop_probability < 0.0 || config.drop_probability > 1.0 then
-    invalid_arg "Network.create: drop_probability outside [0, 1]";
-  if
-    config.duplicate_probability < 0.0 || config.duplicate_probability > 1.0
-  then invalid_arg "Network.create: duplicate_probability outside [0, 1]";
-  let trace =
-    match trace with Some t -> t | None -> Simkit.Trace.disabled ()
-  in
-  let obs = match obs with Some o -> o | None -> Obs.Tracer.disabled () in
-  let journal =
-    match journal with Some j -> j | None -> Obs.Journal.disabled ()
-  in
-  let recorder =
-    match recorder with Some r -> r | None -> Obs.Recorder.disabled ()
-  in
-  let meter = match meter with Some m -> m | None -> Meter.disabled () in
+(* [what] names the value for the error: "Network.<what> outside [0, 1]". *)
+let check_probability ~what p =
+  if p < 0.0 || p > 1.0 || Float.is_nan p then
+    invalid_arg (Printf.sprintf "Network.%s outside [0, 1]" what)
+
+let create ~engine ~rng ?(sink = Obs.Sink.disabled ())
+    ?(span_of = fun _ -> None) ?(tag_of = fun _ -> 0) (config : config) =
+  check_probability ~what:"create: drop_probability" config.drop_probability;
+  check_probability ~what:"create: duplicate_probability"
+    config.duplicate_probability;
   {
     engine;
     rng;
-    trace;
-    obs;
-    journal;
-    recorder;
+    sink;
     span_of;
     tag_of;
-    meter;
     config;
     drop_probability = config.drop_probability;
     duplicate_probability = config.duplicate_probability;
@@ -259,9 +148,8 @@ let partition t left right =
     left
 
 let journal_heal t =
-  Obs.Journal.emit t.journal
-    ~time:(Simkit.Engine.now t.engine)
-    ~node:(-1) Obs.Journal.Heal
+  Obs.Sink.journal t.sink ~time:(Simkit.Engine.now t.engine) ~node:(-1)
+    Obs.Journal.Heal
 
 let heal t =
   if Hashtbl.length t.cuts > 0 then journal_heal t;
@@ -271,24 +159,20 @@ let heal_pair t a b =
   if Hashtbl.mem t.cuts (pair a b) then journal_heal t;
   Hashtbl.remove t.cuts (pair a b)
 
-let check_probability ~what p =
-  if p < 0.0 || p > 1.0 || Float.is_nan p then
-    invalid_arg (Printf.sprintf "Network.%s: probability outside [0, 1]" what)
-
 let set_drop_probability t p =
-  check_probability ~what:"set_drop_probability" p;
+  check_probability ~what:"set_drop_probability: probability" p;
   t.drop_probability <- p
 
 let set_duplicate_probability t p =
-  check_probability ~what:"set_duplicate_probability" p;
+  check_probability ~what:"set_duplicate_probability: probability" p;
   t.duplicate_probability <- p
 
 let drop_probability t = t.drop_probability
 let duplicate_probability t = t.duplicate_probability
 
 let trace_drop t ~src ~dst reason =
-  if Simkit.Trace.is_recording t.trace then
-    Simkit.Trace.emitf t.trace
+  if Simkit.Trace.is_recording t.sink.trace then
+    Simkit.Trace.emitf t.sink.trace
       ~time:(Simkit.Engine.now t.engine)
       ~source:(Address.name src) ~kind:"net.drop" "%s -> %a (%s)"
       (Address.name src) Address.pp dst reason
@@ -301,13 +185,13 @@ let trace_drop t ~src ~dst reason =
 let admit t src_ep ~src ~dst ~mtag ~sent_at ~at payload =
   if not src_ep.up then begin
     t.dropped_down <- t.dropped_down + 1;
-    Meter.note_rejected t.meter mtag;
+    Meter.note_rejected t.sink.meter mtag;
     trace_drop t ~src ~dst "source down";
     0
   end
   else if not (reachable t src dst) then begin
     t.dropped_partition <- t.dropped_partition + 1;
-    Meter.note_rejected t.meter mtag;
+    Meter.note_rejected t.sink.meter mtag;
     trace_drop t ~src ~dst "partitioned";
     0
   end
@@ -316,7 +200,7 @@ let admit t src_ep ~src ~dst ~mtag ~sent_at ~at payload =
     && Simkit.Rng.bernoulli t.rng t.drop_probability
   then begin
     t.dropped_loss <- t.dropped_loss + 1;
-    Meter.note_rejected t.meter mtag;
+    Meter.note_rejected t.sink.meter mtag;
     trace_drop t ~src ~dst "loss";
     0
   end
@@ -334,12 +218,12 @@ let admit t src_ep ~src ~dst ~mtag ~sent_at ~at payload =
     in
     t.in_flight <- t.in_flight + copies;
     for _ = 1 to copies do
-      Meter.note_sent t.meter mtag;
-      if Obs.Tracer.is_recording t.obs then
+      Meter.note_sent t.sink.meter mtag;
+      if Obs.Tracer.is_recording t.sink.spans then
         match t.span_of payload with
         | None -> ()
         | Some (name, txn, baseline) ->
-            Obs.Tracer.span t.obs ~start:sent_at ~stop:at ~txn ~baseline
+            Obs.Tracer.span t.sink.spans ~start:sent_at ~stop:at ~txn ~baseline
               ~category:Obs.Span.Network ~track:"net" ~name
     done;
     copies
@@ -353,33 +237,34 @@ let admit t src_ep ~src ~dst ~mtag ~sent_at ~at payload =
 let deliver t ~src dst_ep ~sent_at ~mtag ~dup payload =
   let dst = dst_ep.address in
   t.in_flight <- t.in_flight - 1;
-  Meter.note_arrival t.meter mtag;
+  Meter.note_arrival t.sink.meter mtag;
   if not dst_ep.up then begin
     t.dropped_down <- t.dropped_down + 1;
-    Meter.note_dropped t.meter mtag;
+    Meter.note_dropped t.sink.meter mtag;
     trace_drop t ~src ~dst "destination down"
   end
   else if not (reachable t src dst) then begin
     t.dropped_partition <- t.dropped_partition + 1;
-    Meter.note_dropped t.meter mtag;
+    Meter.note_dropped t.sink.meter mtag;
     trace_drop t ~src ~dst "partitioned in flight"
   end
   else begin
     t.delivered <- t.delivered + 1;
-    Meter.note_delivered t.meter mtag ~dup;
+    Meter.note_delivered t.sink.meter mtag ~dup;
     let time = Simkit.Engine.now t.engine in
-    if Obs.Recorder.is_recording t.recorder then
-      Obs.Recorder.record_delivery t.recorder ~time ~src:(Address.index src)
-        ~dst:(Address.index dst);
-    if Simkit.Trace.is_recording t.trace then
-      Simkit.Trace.emitf t.trace ~time ~source:(Address.name dst)
+    if Obs.Recorder.is_recording t.sink.recorder then
+      Obs.Recorder.record_delivery t.sink.recorder ~time
+        ~src:(Address.index src) ~dst:(Address.index dst);
+    if Simkit.Trace.is_recording t.sink.trace then
+      Simkit.Trace.emitf t.sink.trace ~time ~source:(Address.name dst)
         ~kind:"net.recv" "from %a" Address.pp src;
     dst_ep.handler { src; dst; sent_at; payload }
   end
 
 (* One flag load + branch when the meter is off; the negative tag turns
    every note into a no-op without further checks. *)
-let meter_tag t payload = if t.meter.Meter.enabled then t.tag_of payload else -1
+let meter_tag t payload =
+  if Meter.is_recording t.sink.meter then t.tag_of payload else -1
 
 (* Every copy arrives one latency after its send, so a link stays FIFO
    by the engine's (time, sequence) order. *)
@@ -426,8 +311,6 @@ let multicast t ~src ~dsts payload =
            deliver t ~src t.eps.(c lsr 1) ~sent_at ~mtag ~dup:(c land 1 = 1)
              payload))
   end
-
-let meter t = t.meter
 
 let stats t =
   {

@@ -35,61 +35,9 @@ val default_config : config
 
 type 'msg t
 
-(** Message-conservation ledger: per-tag counters over every message
-    copy the fabric accepts, classified at the delivery event. The
-    books balance exactly per tag at any instant:
-
-    {[ sent = delivered + dup_delivered + dropped + in_flight ]}
-
-    [in_flight] is maintained at the schedule / delivery-callback
-    boundaries while the other right-hand terms come from the
-    classification branches, so a delivery-side code path that forgets
-    to classify breaks the law instead of drifting silently. Send-time
-    refusals (source down, partitioned link, random loss) are counted
-    as [rejected] and never enter the law. The meter is passive: no
-    allocation, no engine interaction, one flag load and one branch per
-    [send] when disabled. *)
-module Meter : sig
-  type t
-
-  val create : tags:int -> t
-  (** Counters for tags [0 .. tags-1]; the payload-to-tag map is the
-      [tag_of] argument of {!val:create}. *)
-
-  val disabled : unit -> t
-  val is_recording : t -> bool
-
-  val tags : t -> int
-
-  val sent : t -> int -> int
-  (** Copies accepted for transmission (a duplicated message counts
-      twice — the fabric really carries two copies). *)
-
-  val delivered : t -> int -> int
-  (** Primary copies handed to the destination endpoint. *)
-
-  val dup_delivered : t -> int -> int
-  (** Duplicate copies handed to the destination endpoint (the
-      receiver's dedup logic suppresses them above this layer). *)
-
-  val dropped : t -> int -> int
-  (** Copies dropped in flight: destination down or link partitioned at
-      the delivery instant. *)
-
-  val rejected : t -> int -> int
-  (** Messages refused at send time, before entering the fabric. *)
-
-  val in_flight : t -> int -> int
-  (** Copies accepted but not yet classified at a delivery event. *)
-
-  val imbalance : t -> int -> int
-  (** [sent - (delivered + dup_delivered + dropped + in_flight)] for
-      one tag; [0] iff the tag's books balance. *)
-
-  val check : t -> (int * int) list
-  (** All [(tag, imbalance)] pairs with a nonzero imbalance — the empty
-      list is the conservation law holding exactly (tolerance 0). *)
-end
+module Meter = Obs.Meter
+(** The message-conservation ledger the network keeps in its sink's
+    [meter]. *)
 
 type stats = {
   sent : int;  (** accepted for transmission *)
@@ -103,29 +51,26 @@ type stats = {
 val create :
   engine:Simkit.Engine.t ->
   rng:Simkit.Rng.t ->
-  ?trace:Simkit.Trace.t ->
-  ?obs:Obs.Tracer.t ->
-  ?journal:Obs.Journal.t ->
-  ?recorder:Obs.Recorder.t ->
+  ?sink:Obs.Sink.t ->
   ?span_of:('msg -> (string * int * bool) option) ->
   ?tag_of:('msg -> int) ->
-  ?meter:Meter.t ->
   config ->
   'msg t
-(** [obs] (default disabled) records one {!Obs.Span.Network} transit
-    span per accepted message copy, from send to scheduled delivery.
-    [span_of] maps a payload to [(name, txn token, baseline)] —
-    [baseline] marks messages the paper's cost model charges to the
-    baseline rather than the commit protocol; [None] (and the default)
-    records nothing for that payload. Only consulted while [obs] is
-    recording, so it may allocate freely. [journal] (default disabled)
-    receives one cluster-wide [Heal] entry whenever {!heal} or
-    {!heal_pair} actually removes a cut. [recorder] (default disabled)
-    gets one {!Obs.Recorder.record_delivery} per delivered message.
-    [meter] (default disabled) keeps the per-tag conservation ledger,
-    with [tag_of] mapping each payload to its tag in
-    [0 .. Meter.tags - 1]; [tag_of] is only consulted while the meter
-    records. *)
+(** [sink] (default {!Obs.Sink.disabled}) takes what the network
+    observes: [trace] gets deliveries and drops; [spans] one
+    {!Obs.Span.Network} transit span per accepted message copy, from
+    send to scheduled delivery; [journal] one cluster-wide [Heal] entry
+    whenever {!heal} or {!heal_pair} actually removes a cut; the
+    flight recorder one record per delivered message; and [meter] the
+    per-tag conservation ledger. [span_of] maps a payload to
+    [(name, txn token, baseline)] — [baseline] marks messages the
+    paper's cost model charges to the baseline rather than the commit
+    protocol; [None] (and the default) records nothing for that
+    payload. [tag_of] maps a payload to its meter tag in
+    [0 .. Meter.tags - 1]. Each is consulted only while its collector
+    records, so it may allocate freely.
+    @raise Invalid_argument if a probability in [config] is outside
+    [0, 1] or [nan]. *)
 
 val register : 'msg t -> name:string -> ('msg envelope -> unit) -> Address.t
 (** Register an endpoint with its delivery handler. Handlers run from
@@ -188,20 +133,16 @@ val reachable : 'msg t -> Address.t -> Address.t -> bool
     fate they were dealt at send time. *)
 
 val set_drop_probability : 'msg t -> float -> unit
-(** @raise Invalid_argument outside [0, 1]. *)
+(** @raise Invalid_argument outside [0, 1] or [nan]. *)
 
 val set_duplicate_probability : 'msg t -> float -> unit
-(** @raise Invalid_argument outside [0, 1]. *)
+(** @raise Invalid_argument outside [0, 1] or [nan]. *)
 
 val drop_probability : 'msg t -> float
 val duplicate_probability : 'msg t -> float
 (** The currently armed rates. *)
 
 val stats : 'msg t -> stats
-
-val meter : 'msg t -> Meter.t
-(** The conservation ledger passed at {!val:create} (disabled
-    otherwise). *)
 
 val in_flight : 'msg t -> int
 (** Messages accepted but not yet delivered or dropped. *)

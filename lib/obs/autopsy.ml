@@ -12,11 +12,7 @@ type source = {
   repro : string;
   schedule : string;
   diagnostics : string;
-  tracer : Tracer.t;
-  journal : Journal.t;
-  recorder : Recorder.t;
-  gauge_columns : string array;
-  windows : Mttr.window list;
+  sink : Sink.t;
   profile : Prof.report option;
   coverage : coverage_summary list;
 }
@@ -24,8 +20,8 @@ type source = {
 let failure_instant s =
   let latest = ref Simkit.Time.zero in
   let bump t = if Simkit.Time.( > ) t !latest then latest := t in
-  Journal.iter (fun (e : Journal.entry) -> bump e.time) s.journal;
-  Recorder.iter_tail (fun (r : Recorder.record) -> bump r.time) s.recorder;
+  Journal.iter (fun (e : Journal.entry) -> bump e.time) s.sink.journal;
+  Recorder.iter_tail (fun (r : Recorder.record) -> bump r.time) s.sink.recorder;
   !latest
 
 let slice_radius = Simkit.Time.span_ms 100
@@ -51,7 +47,7 @@ let slice_tracer s =
         Tracer.span sliced ~start:sp.start ~stop:sp.stop ~txn:sp.txn
           ~baseline:sp.baseline ~category:sp.category ~track:sp.track
           ~name:sp.name)
-    s.tracer;
+    s.sink.spans;
   sliced
 
 let write_mttr path windows =
@@ -76,7 +72,7 @@ let write_mttr path windows =
                 windows) );
        ])
 
-let write_manifest path s ~files =
+let write_manifest path s ~windows ~files =
   let strs l = Json.List (List.map (fun f -> Json.Str f) l) in
   Json.to_file path
     (Json.Obj
@@ -88,7 +84,7 @@ let write_manifest path s ~files =
          ("schedule", Json.Str s.schedule);
          ("diagnostics", Json.Str s.diagnostics);
          ("failure_t_ns", Json.Int (Simkit.Time.to_ns (failure_instant s)));
-         ("mttr_windows", Json.Int (List.length s.windows));
+         ("mttr_windows", Json.Int (List.length windows));
          ( "coverage",
            Json.List
              (List.map
@@ -109,14 +105,17 @@ let write ~dir s =
   let in_dir f = Filename.concat dir f in
   let files = ref [] in
   let add f = files := f :: !files in
-  Recorder.to_file ~gauge_columns:s.gauge_columns (in_dir "ring.jsonl")
-    s.recorder;
+  let sink = s.sink in
+  Recorder.to_file
+    ~gauge_columns:(Timeseries.columns sink.sampler)
+    (in_dir "ring.jsonl") sink.recorder;
   add "ring.jsonl";
-  Journal.to_file (in_dir "journal.jsonl") s.journal;
+  Journal.to_file (in_dir "journal.jsonl") sink.journal;
   add "journal.jsonl";
   Export.to_file (in_dir "trace.json") (slice_tracer s);
   add "trace.json";
-  write_mttr (in_dir "mttr.json") s.windows;
+  let windows = Mttr.windows (Journal.entries sink.journal) in
+  write_mttr (in_dir "mttr.json") windows;
   add "mttr.json";
   (match s.profile with
   | Some report ->
@@ -127,7 +126,7 @@ let write ~dir s =
       add "prof.speedscope.json"
   | None -> ());
   let files = List.rev !files in
-  write_manifest (in_dir "incident.json") s ~files;
+  write_manifest (in_dir "incident.json") s ~windows ~files;
   "incident.json" :: files
 
 (* ------------------------------------------------------------------ *)

@@ -38,11 +38,10 @@ type source = {
   repro : string;  (** verbatim shell command that reproduces the run *)
   schedule : string;  (** OCaml literal of the shrunk schedule, or [""] *)
   diagnostics : string;  (** settle diagnostics, or [""] *)
-  tracer : Tracer.t;
-  journal : Journal.t;
-  recorder : Recorder.t;
-  gauge_columns : string array;  (** names for the ring's gauge records *)
-  windows : Mttr.window list;
+  sink : Sink.t;
+      (** what the run's collectors saw: the ring, the journal (and the
+          MTTR windows derived from it), the spans and the gauge
+          names *)
   profile : Prof.report option;
   coverage : coverage_summary list;
       (** per hosted protocol (primary, plus the PrN fallback when the

@@ -16,34 +16,11 @@ type entry = { time : Simkit.Time.t; node : int; kind : kind }
 
 let dummy = { time = Simkit.Time.zero; node = -1; kind = Heal }
 
-type t = {
-  enabled : bool;
-  mutable entries : entry array;
-  mutable len : int;
-  (* Mirror tap (the flight recorder's ring): sees each entry as it is
-     appended. Only fires on an enabled journal, so a disabled journal
-     keeps its single load-and-branch emit cost. *)
-  mutable has_tap : bool;
-  mutable tap : entry -> unit;
-}
+type t = { enabled : bool; mutable entries : entry array; mutable len : int }
 
-let create () =
-  {
-    enabled = true;
-    entries = Array.make 256 dummy;
-    len = 0;
-    has_tap = false;
-    tap = ignore;
-  }
-
-let disabled () =
-  { enabled = false; entries = [||]; len = 0; has_tap = false; tap = ignore }
-
+let create () = { enabled = true; entries = Array.make 256 dummy; len = 0 }
+let disabled () = { enabled = false; entries = [||]; len = 0 }
 let is_recording t = t.enabled
-
-let set_tap t f =
-  t.has_tap <- true;
-  t.tap <- f
 
 let emit t ~time ~node kind =
   if t.enabled then begin
@@ -52,10 +29,8 @@ let emit t ~time ~node kind =
       Array.blit t.entries 0 grown 0 t.len;
       t.entries <- grown
     end;
-    let e = { time; node; kind } in
-    t.entries.(t.len) <- e;
-    t.len <- t.len + 1;
-    if t.has_tap then t.tap e
+    t.entries.(t.len) <- { time; node; kind };
+    t.len <- t.len + 1
   end
 
 let length t = t.len

@@ -45,13 +45,8 @@ val is_recording : t -> bool
     [kind] payload would otherwise allocate. *)
 
 val emit : t -> time:Simkit.Time.t -> node:int -> kind -> unit
-(** Append one entry; a no-op on a disabled journal. *)
-
-val set_tap : t -> (entry -> unit) -> unit
-(** Install a mirror tap called with each entry as it is appended — the
-    flight recorder's feed ({!Recorder.tap_journal}). Fires only on an
-    enabled journal; at most one tap, later calls replace earlier ones.
-    The tap must be as passive as the journal itself. *)
+(** Append one entry; a no-op on a disabled journal. Layers emit through
+    {!Sink.journal}, which mirrors the entry into the flight recorder. *)
 
 val length : t -> int
 val get : t -> int -> entry

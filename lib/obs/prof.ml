@@ -1,6 +1,6 @@
 (* Host profiler: per-(subsystem, label) self-time on the host monotonic
-   clock and minor-heap allocation, measured around each engine dispatch via
-   {!Simkit.Engine.set_dispatch_observer}. Purely host-side — it
+   clock and minor-heap allocation, measured around each engine dispatch
+   by the observer {!Sink.install} puts in the engine. Purely host-side — it
    schedules nothing, reads no simulated clock into simulation state and
    consumes no randomness, so a profiled run replays the exact event
    sequence of an unprofiled one (the golden suite pins this).
@@ -26,28 +26,34 @@ type slot = {
 type t = {
   enabled : bool;
   mutable slots : slot option array;
-  (* stamps taken by the pre-dispatch hook *)
+  (* stamps taken by [enter] *)
   mutable cur_ns : int;
   mutable cur_minor : int;
-  (* run window, stamped at [attach] *)
-  mutable t0_ns : int;
-  mutable minor0 : int;
-  mutable attached : bool;
+  (* run window, stamped at [create] *)
+  t0_ns : int;
+  minor0 : int;
 }
 
-let make enabled =
+let create () =
   {
-    enabled;
+    enabled = true;
+    slots = [||];
+    cur_ns = 0;
+    cur_minor = 0;
+    t0_ns = now_ns ();
+    minor0 = minor_words ();
+  }
+
+let disabled () =
+  {
+    enabled = false;
     slots = [||];
     cur_ns = 0;
     cur_minor = 0;
     t0_ns = 0;
     minor0 = 0;
-    attached = false;
   }
 
-let create () = make true
-let disabled () = make false
 let is_recording t = t.enabled
 
 let slot t label =
@@ -74,25 +80,22 @@ let slot t label =
       t.slots.(id) <- Some s;
       s
 
-let attach t engine =
+let enter t =
   if t.enabled then begin
-    if t.attached then invalid_arg "Obs.Prof.attach: already attached";
-    t.attached <- true;
-    Simkit.Engine.set_dispatch_observer engine
-      ~before:(fun () ->
-        t.cur_ns <- now_ns ();
-        t.cur_minor <- minor_words ())
-      ~after:(fun label ->
-        let stop_ns = now_ns () in
-        let stop_minor = minor_words () in
-        let s = slot t label in
-        let d_ns = stop_ns - t.cur_ns in
-        s.s_dispatches <- s.s_dispatches + 1;
-        s.s_cpu_ns <- s.s_cpu_ns + d_ns;
-        s.s_minor_words <- s.s_minor_words + (stop_minor - t.cur_minor);
-        if d_ns > s.s_max_cpu_ns then s.s_max_cpu_ns <- d_ns);
-    t.t0_ns <- now_ns ();
-    t.minor0 <- minor_words ()
+    t.cur_ns <- now_ns ();
+    t.cur_minor <- minor_words ()
+  end
+
+let leave t label =
+  if t.enabled then begin
+    let stop_ns = now_ns () in
+    let stop_minor = minor_words () in
+    let s = slot t label in
+    let d_ns = stop_ns - t.cur_ns in
+    s.s_dispatches <- s.s_dispatches + 1;
+    s.s_cpu_ns <- s.s_cpu_ns + d_ns;
+    s.s_minor_words <- s.s_minor_words + (stop_minor - t.cur_minor);
+    if d_ns > s.s_max_cpu_ns then s.s_max_cpu_ns <- d_ns
   end
 
 (* ------------------------------------------------------------------ *)
@@ -124,7 +127,6 @@ type report = {
    total = sum(buckets) + residual, tolerance zero. *)
 let report t =
   if not t.enabled then invalid_arg "Obs.Prof.report: profiler disabled";
-  if not t.attached then invalid_arg "Obs.Prof.report: never attached";
   let t1_ns = now_ns () in
   let minor1 = minor_words () in
   let buckets =

@@ -5,10 +5,10 @@
     the scheduler stalls is booked the stall too. The [cpu_ns] names
     below are kept for the artifacts that read them.
 
-    Wraps every engine dispatch in a pre/post observer pair
-    ({!Simkit.Engine.set_dispatch_observer}) that stamps the host
-    monotonic clock and [Gc.minor_words], and attributes the deltas to
-    the dispatched event's interned {!Simkit.Label} — so a profile says
+    {!enter} and {!leave} bracket every engine dispatch — {!Sink.install}
+    puts them in the engine's observer — stamping the host monotonic
+    clock and [Gc.minor_words], and {!leave} books the deltas to the
+    dispatched event's interned {!Simkit.Label} — so a profile says
     which of netsim / storage / locks / acp / cluster the host time went
     to, not just that a run got slower. Purely passive with respect to
     the simulation: no events are added, no simulated clock is read, no
@@ -23,18 +23,21 @@
 type t
 
 val create : unit -> t
-(** A recording profiler. Attach it before running the engine. *)
+(** A recording profiler. Its run window opens now, so create it before
+    assembling what it should cover. *)
 
 val disabled : unit -> t
-(** Never records; {!attach} is a no-op. The engine keeps its
-    one-load-one-branch unobserved dispatch path. *)
+(** Never records; {!enter} and {!leave} cost one load and one branch. *)
 
 val is_recording : t -> bool
 
-val attach : t -> Simkit.Engine.t -> unit
-(** Install the dispatch observer pair and stamp the start of the run
-    window. No-op on a disabled profiler.
-    @raise Invalid_argument on a second attach of the same profiler. *)
+val enter : t -> unit
+(** Stamp the start of one dispatch: called just before the event's
+    callback. *)
+
+val leave : t -> Simkit.Label.t -> unit
+(** Book the dispatch {!enter} opened to [label]: called just after the
+    callback, also when it raised. *)
 
 (** {1 Reports} *)
 
@@ -48,7 +51,7 @@ type bucket = {
 }
 
 type report = {
-  total_cpu_ns : int;  (** whole run window: {!attach} -> {!report} *)
+  total_cpu_ns : int;  (** whole run window: {!create} -> {!report} *)
   total_minor_words : int;
   total_dispatches : int;
   buckets : bucket list;  (** sorted by [cpu_ns] descending *)
@@ -61,7 +64,7 @@ type report = {
 val report : t -> report
 (** Snapshot the aggregation. The end-of-window stamps are taken before
     any report bookkeeping, so building the report never pollutes it.
-    @raise Invalid_argument if disabled or never attached. *)
+    @raise Invalid_argument if disabled. *)
 
 val by_subsystem : report -> (string * int * int) list
 (** [(subsystem, cpu_ns, minor_words)] rollup, residual included under

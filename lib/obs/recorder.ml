@@ -66,11 +66,10 @@ let push t ~time_ns ~tag ~a ~b ~c =
   t.next <- (if i + 1 = t.cap then 0 else i + 1);
   t.total <- t.total + 1
 
-let attach t engine =
+let record_dispatch t ~time label =
   if t.enabled then
-    Simkit.Engine.set_dispatch_tap engine (fun at label ->
-        push t ~time_ns:(Simkit.Time.to_ns at) ~tag:0
-          ~a:(Simkit.Label.id label) ~b:0 ~c:0)
+    push t ~time_ns:(Simkit.Time.to_ns time) ~tag:0
+      ~a:(Simkit.Label.id label) ~b:0 ~c:0
 
 let record_delivery t ~time ~src ~dst =
   if t.enabled then
@@ -118,23 +117,18 @@ let journal_tag_name = function
   | 11 -> "fault.injected"
   | _ -> "?"
 
-let tap_journal t journal =
+let record_journal t ~time ~node kind =
   if t.enabled then
-    Journal.set_tap journal (fun (e : Journal.entry) ->
-        push t
-          ~time_ns:(Simkit.Time.to_ns e.time)
-          ~tag:2
-          ~a:(journal_tag e.kind)
-          ~b:e.node
-          ~c:(journal_payload e.kind))
+    push t ~time_ns:(Simkit.Time.to_ns time) ~tag:2 ~a:(journal_tag kind)
+      ~b:node ~c:(journal_payload kind)
 
-let tap_timeseries t series =
-  if t.enabled then
-    Timeseries.set_tap series (fun time values ->
-        let time_ns = Simkit.Time.to_ns time in
-        for col = 0 to Array.length values - 1 do
-          push t ~time_ns ~tag:3 ~a:col ~b:values.(col) ~c:0
-        done)
+let record_gauges t ~time values =
+  if t.enabled then begin
+    let time_ns = Simkit.Time.to_ns time in
+    for col = 0 to Array.length values - 1 do
+      push t ~time_ns ~tag:3 ~a:col ~b:values.(col) ~c:0
+    done
+  end
 
 let kind_of_tag = function
   | 0 -> Dispatch

@@ -9,12 +9,12 @@
     every simulated metric bit-identical — guarded by the golden tests.
     The disabled path of every entry point is one load and one branch.
 
-    Wiring follows the observer idiom: [attach] installs the engine's
-    dispatch tap ({!Simkit.Engine.set_dispatch_tap}), [tap_journal] and
-    [tap_timeseries] mirror those collectors' appends, and the network
-    calls {!record_delivery} from its delivery path. When a run fails,
-    {!Autopsy} dumps the ring's tail — the last things the system did
-    before the verdict — into the incident bundle. *)
+    {!Sink} feeds it: the engine observer it installs records each
+    dispatch, and its journal and sampler paths mirror journal entries
+    and gauge rows. The network records each delivery through
+    {!record_delivery}. When a run fails, {!Autopsy} dumps the ring's
+    tail — the last things the system did before the verdict — into
+    the incident bundle. *)
 
 type t
 
@@ -40,12 +40,9 @@ val create : ?capacity:int -> unit -> t
     @raise Invalid_argument if [capacity] is not positive. *)
 
 val disabled : unit -> t
-(** A recorder that drops everything in O(1); [attach] and the taps
-    install nothing. *)
+(** A recorder that drops everything in O(1). *)
 
 val is_recording : t -> bool
-(** Guard for call sites (the network's delivery path) so a disabled
-    recorder costs one load and one branch. *)
 
 val capacity : t -> int
 
@@ -56,23 +53,23 @@ val recorded : t -> int
 val length : t -> int
 (** Records currently retained. *)
 
-val attach : t -> Simkit.Engine.t -> unit
-(** Install the engine dispatch tap so every dispatched event lands in
-    the ring. No-op when disabled. *)
+(** {1 Recording}
 
-val tap_journal : t -> Journal.t -> unit
-(** Mirror every journal append into the ring (via {!Journal.set_tap}).
-    No-op when either side is disabled. *)
+    Each is a no-op, one load and one branch, when disabled. *)
 
-val tap_timeseries : t -> Timeseries.t -> unit
-(** Mirror every materialized gauge row into the ring, one record per
-    column (via {!Timeseries.set_tap}). Call before
-    {!Timeseries.attach} to capture the initial row. No-op when either
-    side is disabled. *)
+val record_dispatch : t -> time:Simkit.Time.t -> Simkit.Label.t -> unit
+(** One dispatched event, recorded before its callback runs — so after
+    a crash the last entry names the event that was executing. *)
 
 val record_delivery : t -> time:Simkit.Time.t -> src:int -> dst:int -> unit
-(** Record one delivered message. Called by the network on its delivery
-    path; a no-op when disabled. *)
+(** One delivered message, by source and destination node index. *)
+
+val record_journal :
+  t -> time:Simkit.Time.t -> node:int -> Journal.kind -> unit
+(** One journal entry. *)
+
+val record_gauges : t -> time:Simkit.Time.t -> int array -> unit
+(** One gauge row, one record per column. *)
 
 val iter_tail : (record -> unit) -> t -> unit
 (** The retained records, oldest first. *)

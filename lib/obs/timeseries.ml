@@ -8,14 +8,11 @@ type t = {
   enabled : bool;
   period : Simkit.Time.span;
   mutable gauges : gauge list;  (* reversed during registration *)
-  mutable frozen : gauge array;  (* fixed at [attach] *)
+  mutable started : bool;
+  mutable frozen : gauge array;  (* fixed at [start] *)
   mutable next_at : Simkit.Time.t;
   mutable rows : row array;
   mutable len : int;
-  (* Mirror tap (the flight recorder's ring): sees each materialized row.
-     Only fires on an enabled sampler. *)
-  mutable has_tap : bool;
-  mutable tap : Simkit.Time.t -> int array -> unit;
 }
 
 let create ~period =
@@ -25,12 +22,11 @@ let create ~period =
     enabled = true;
     period;
     gauges = [];
+    started = false;
     frozen = [||];
     next_at = Simkit.Time.zero;
     rows = Array.make 256 dummy_row;
     len = 0;
-    has_tap = false;
-    tap = (fun _ _ -> ());
   }
 
 let disabled () =
@@ -38,24 +34,18 @@ let disabled () =
     enabled = false;
     period = Simkit.Time.span_ns 1;
     gauges = [];
+    started = false;
     frozen = [||];
     next_at = Simkit.Time.zero;
     rows = [||];
     len = 0;
-    has_tap = false;
-    tap = (fun _ _ -> ());
   }
 
 let is_recording t = t.enabled
 
-let set_tap t f =
-  t.has_tap <- true;
-  t.tap <- f
-
 let register t ~name read =
   if t.enabled then begin
-    if Array.length t.frozen > 0 then
-      invalid_arg "Obs.Timeseries.register: already attached";
+    if t.started then invalid_arg "Obs.Timeseries.register: already started";
     t.gauges <- { name; read } :: t.gauges
   end
 
@@ -76,28 +66,27 @@ let sample t ~time =
   for i = 0 to n - 1 do
     values.(i) <- (t.frozen.(i)).read ()
   done;
-  push_row t { at = time; values };
-  if t.has_tap then t.tap time values
+  push_row t { at = time; values }
 
-(* Observer body: materialize one row for every whole sampling period the
-   clock is about to cross. The sampler reads inter-event state, which is
-   exact — simulated state only changes inside event callbacks, so the
-   gauges at instant [k * period] are whatever the last dispatched event
-   left behind. Never schedules anything. *)
+(* Materialize one row for every whole sampling period the clock is
+   about to cross. The sampler reads inter-event state, which is exact —
+   simulated state only changes inside event callbacks, so the gauges at
+   instant [k * period] are whatever the last dispatched event left
+   behind. Never schedules anything. *)
 let advance t at =
-  while Simkit.Time.( <= ) t.next_at at do
-    sample t ~time:t.next_at;
-    t.next_at <- Simkit.Time.add t.next_at t.period
-  done
+  if t.started then
+    while Simkit.Time.( <= ) t.next_at at do
+      sample t ~time:t.next_at;
+      t.next_at <- Simkit.Time.add t.next_at t.period
+    done
 
-let attach t engine =
-  if t.enabled then begin
+let start t ~now =
+  if t.enabled && not t.started then begin
+    t.started <- true;
     t.frozen <- Array.of_list (List.rev t.gauges);
     t.gauges <- [];
-    let now = Simkit.Engine.now engine in
     sample t ~time:now;
-    t.next_at <- Simkit.Time.add now t.period;
-    Simkit.Engine.set_clock_observer engine (fun at -> advance t at)
+    t.next_at <- Simkit.Time.add now t.period
   end
 
 let length t = t.len

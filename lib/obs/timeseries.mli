@@ -1,19 +1,19 @@
 (** Simulated-time periodic gauge sampler.
 
     A timeseries samples a fixed set of integer gauges at a regular
-    simulated-time cadence. It is driven by the engine's clock-advance
-    observer ({!Simkit.Engine.set_clock_observer}) rather than by
-    scheduled events, so an enabled sampler is invisible to the
+    simulated-time cadence. It is driven by the engine observer's clock
+    hook (installed by {!Sink.install}) rather than by scheduled
+    events, so an enabled sampler is invisible to the
     simulation: the event count, event order and every simulated metric
     are bit-identical with sampling on or off. Samples land at exact
     multiples of the period; because simulated state only changes inside
     event callbacks, reading the gauges between events yields the exact
     state at each sampling instant.
 
-    Usage: [register] every gauge, then [attach] once to the engine. The
-    gauge set is frozen at attach time, an initial row is taken at the
-    current instant, and subsequent rows appear as the clock crosses
-    period boundaries. *)
+    Usage: [register] every gauge, then {!start} once. The gauge set is
+    frozen then, an initial row is taken at the current instant, and
+    subsequent rows appear as {!advance} sees the clock cross period
+    boundaries. *)
 
 type t
 
@@ -21,27 +21,24 @@ val create : period:Simkit.Time.span -> t
 (** @raise Invalid_argument if [period] is not positive. *)
 
 val disabled : unit -> t
-(** A sampler that records nothing; [attach] installs no observer. *)
+(** A sampler that records nothing and never reads a gauge. *)
 
 val is_recording : t -> bool
 
 val register : t -> name:string -> (unit -> int) -> unit
 (** Add a gauge. Gauges are sampled in registration order.
-    @raise Invalid_argument if called after [attach]. *)
+    @raise Invalid_argument if called after [start]. *)
 
-val attach : t -> Simkit.Engine.t -> unit
-(** Freeze the gauge set, take an initial sample at the engine's current
-    time and install the clock observer. No-op when disabled. *)
+val start : t -> now:Simkit.Time.t -> unit
+(** Freeze the gauge set and take the initial row at [now]. No-op when
+    disabled or already started. *)
 
-val set_tap : t -> (Simkit.Time.t -> int array -> unit) -> unit
-(** Install a mirror tap called with each materialized row (instant and
-    the stored value array — do not mutate it). The flight recorder's
-    feed ({!Recorder.tap_timeseries}); set it before [attach] to see the
-    initial row. Fires only on an enabled sampler; at most one tap,
-    later calls replace earlier ones. *)
+val advance : t -> Simkit.Time.t -> unit
+(** The clock is about to move to the given instant: take one row per
+    period boundary up to it. No-op before {!start}. *)
 
 val columns : t -> string array
-(** Gauge names in sampling order (empty before [attach]). *)
+(** Gauge names in sampling order (empty before [start]). *)
 
 val length : t -> int
 (** Number of rows recorded so far. *)

@@ -23,28 +23,14 @@ type t = {
   mutable live : int;  (* queued events, run and batch members included *)
   mutable next_seq : int;
   mutable dispatched : int;
-  (* Clock-advance observer: called with the target time just before the
-     clock moves forward, so passive samplers can materialize readings at
-     intermediate instants without ever scheduling events of their own.
-     [has_observer] keeps the common (unobserved) path to one load and a
-     conditional branch. *)
-  mutable has_observer : bool;
-  mutable observer : Time.t -> unit;
-  (* Dispatch observer pair: [before_dispatch] runs just before an event's
-     callback, [after_dispatch] just after (also on the exception path),
-     receiving the event's label. Same passivity contract and same
-     one-load-one-branch disabled cost as the clock observer; used by the
-     host profiler ({!Obs.Prof}) to stamp clocks around each callback. *)
-  mutable has_dispatch_observer : bool;
-  mutable before_dispatch : unit -> unit;
-  mutable after_dispatch : Label.t -> unit;
-  (* Dispatch tap: a second, independent hook called with (at, label)
-     just before each event's callback runs. Separate from the observer
-     pair so a flight recorder ({!Obs.Recorder}) can ride along with the
-     profiler — each slot holds at most one client. Same passivity
-     contract and same one-load-one-branch disabled cost. *)
-  mutable has_dispatch_tap : bool;
-  mutable dispatch_tap : Time.t -> Label.t -> unit;
+  (* The observer slot: passive hooks on clock moves and around each
+     dispatch (see [observe] in the interface). Each site's flag keeps
+     it to one load and a conditional branch while unobserved. *)
+  mutable clock_observed : bool;
+  mutable on_clock : Time.t -> unit;
+  mutable dispatch_observed : bool;
+  mutable before : Time.t -> Label.t -> unit;
+  mutable after : Label.t -> unit;
   (* High-water mark of [live] since creation or the last
      [reset_pending_high_water]. *)
   mutable live_hwm : int;
@@ -112,13 +98,11 @@ and idle =
     live = 0;
     next_seq = 0;
     dispatched = 0;
-    has_observer = false;
-    observer = (fun _ -> ());
-    has_dispatch_observer = false;
-    before_dispatch = (fun () -> ());
-    after_dispatch = (fun _ -> ());
-    has_dispatch_tap = false;
-    dispatch_tap = (fun _ _ -> ());
+    clock_observed = false;
+    on_clock = ignore;
+    dispatch_observed = false;
+    before = (fun _ _ -> ());
+    after = ignore;
     live_hwm = 0;
   }
 
@@ -126,23 +110,17 @@ let create () = { idle with clock = Time.zero }
 
 let now t = t.clock
 
-let set_clock_observer t f =
-  t.has_observer <- true;
-  t.observer <- f
-
-let set_dispatch_observer t ~before ~after =
-  t.has_dispatch_observer <- true;
-  t.before_dispatch <- before;
-  t.after_dispatch <- after
-
-let set_dispatch_tap t f =
-  t.has_dispatch_tap <- true;
-  t.dispatch_tap <- f
+let observe t ?clock ?before ?after () =
+  t.clock_observed <- Option.is_some clock;
+  t.on_clock <- Option.value clock ~default:ignore;
+  t.dispatch_observed <- Option.is_some before || Option.is_some after;
+  t.before <- Option.value before ~default:(fun _ _ -> ());
+  t.after <- Option.value after ~default:ignore
 
 (* Every clock advance funnels through here so the observer sees each
    forward move exactly once, before state at the new instant runs. *)
 let advance_clock t at =
-  if t.has_observer && Time.( > ) at t.clock then t.observer at;
+  if t.clock_observed && Time.( > ) at t.clock then t.on_clock at;
   t.clock <- at
 
 (* Growth first promotes the queued handles with a minor collection, so
@@ -311,16 +289,15 @@ let take t h =
 let dispatch t h =
   advance_clock t h.at;
   t.dispatched <- t.dispatched + 1;
-  (* Tapped before the callback runs, so on a crash the recorder's last
-     entry is the event that was executing. *)
-  if t.has_dispatch_tap then t.dispatch_tap h.at h.label;
-  if t.has_dispatch_observer then begin
-    t.before_dispatch ();
+  if t.dispatch_observed then begin
+    (* [before] runs ahead of the callback, so on a crash the flight
+       recorder's last entry is the event that was executing. *)
+    t.before h.at h.label;
     (try h.callback ()
      with exn ->
-       t.after_dispatch h.label;
+       t.after h.label;
        raise (Event_failure (Label.name h.label, exn)));
-    t.after_dispatch h.label
+    t.after h.label
   end
   else
     try h.callback ()

@@ -58,7 +58,7 @@ val schedule_batch :
     - dispatch order, {!dispatched}, {!pending} and
       {!pending_high_water} count every member, as they would count the
       separate events;
-    - each member gets its own dispatch-tap call and observer pair;
+    - each member gets its own observer bracket;
     - [run ~max_events] may stop between two members, and a later [run]
       or {!step} resumes with the next one;
     - an event enqueued for [at] from inside a member's callback runs
@@ -117,36 +117,28 @@ val reset_pending_high_water : t -> unit
 (** Reset the high-water mark to the current occupancy, so periodic
     samplers can read per-interval maxima. *)
 
-val set_clock_observer : t -> (Time.t -> unit) -> unit
-(** Install [f], called with the target time immediately before every
-    forward clock move (event dispatch or [run ~until] idle advance) —
-    i.e. while [now] still reads the previous instant. The observer must
-    be passive: it must not schedule, cancel or run events. Intended for
-    simulated-time samplers ({!Obs.Timeseries}); at most one observer,
-    later calls replace earlier ones. When no observer is installed the
-    cost on the dispatch path is one load and one branch. *)
+val observe :
+  t ->
+  ?clock:(Time.t -> unit) ->
+  ?before:(Time.t -> Label.t -> unit) ->
+  ?after:(Label.t -> unit) ->
+  unit ->
+  unit
+(** Fill the engine's one observer slot, replacing what an earlier call
+    put there; an omitted hook is not called.
+    - [clock] gets the target instant just before every forward clock
+      move (an event's dispatch or [run ~until]'s idle advance), while
+      {!now} still reads the previous instant.
+    - [before] gets the event's instant and label just before its
+      callback runs.
+    - [after] gets the label just after the callback returns — also
+      when it raises, before the exception is re-raised as
+      {!Event_failure}.
 
-val set_dispatch_observer :
-  t -> before:(unit -> unit) -> after:(Label.t -> unit) -> unit
-(** Install a pre/post pair around every event dispatch: [before ()] runs
-    immediately before the event's callback, [after label] immediately
-    after it returns — including when the callback raises, in which case
-    [after] runs before the exception is re-raised as {!Event_failure}.
-    The pair must be passive with respect to the simulation: it must not
-    schedule, cancel or run events, read the simulated clock into
-    simulation state, or consume randomness — it exists so host-side
-    profilers ({!Obs.Prof}) can stamp monotonic/allocation counters
-    around each callback. At most one observer pair; later calls replace
-    earlier ones. When none is installed the cost on the dispatch path is
-    one load and one branch. *)
-
-val set_dispatch_tap : t -> (Time.t -> Label.t -> unit) -> unit
-(** Install [f], called with the event's timestamp and label immediately
-    before each event's callback runs — so after a crash the last tapped
-    entry names the event that was executing. A slot independent of
-    {!set_dispatch_observer} so a flight recorder ({!Obs.Recorder}) can
-    coexist with the host profiler: each slot holds at most one client,
-    later calls replace earlier ones. The same passivity contract
-    applies (no scheduling, no clock reads into simulation state, no
-    randomness), and when no tap is installed the cost on the dispatch
-    path is one load and one branch. *)
+    An observer must be passive: it must not schedule, cancel or run
+    events, read the simulated clock into simulation state or consume
+    randomness, so an observed run dispatches exactly the events of an
+    unobserved one. The clock site costs one load and one branch while
+    [clock] is omitted, and the dispatch site while [before] and
+    [after] both are. {!Obs.Sink.install} fills the hooks of the
+    collectors that record, and only those. *)

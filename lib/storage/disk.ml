@@ -26,8 +26,7 @@ type stats = {
 
 type t = {
   engine : Simkit.Engine.t;
-  trace : Simkit.Trace.t;
-  obs : Obs.Tracer.t;
+  sink : Obs.Sink.t;
   config : config;
   (* Service-time multiplier (1.0 = nominal bandwidth). Fault injection
      arms transient degradations (> 1 slows the device) at runtime. *)
@@ -87,18 +86,13 @@ let ring_iter t f =
     f t.ring.((t.head + i) mod cap)
   done
 
-let create ~engine ?trace ?obs config =
+let create ~engine ?(sink = Obs.Sink.disabled ()) config =
   if config.bandwidth_bytes_per_s <= 0 then
     invalid_arg "Disk.create: bandwidth <= 0";
   if config.block_bytes <= 0 then invalid_arg "Disk.create: block_bytes <= 0";
-  let trace =
-    match trace with Some t -> t | None -> Simkit.Trace.disabled ()
-  in
-  let obs = match obs with Some o -> o | None -> Obs.Tracer.disabled () in
   {
     engine;
-    trace;
-    obs;
+    sink;
     config;
     slowdown = 1.0;
     ring = [||];
@@ -143,7 +137,9 @@ let rec start_next t =
     if is_expelled t ~initiator:req.initiator then begin
       (* Dropped while waiting: skip without servicing. *)
       t.requests_dropped <- t.requests_dropped + 1;
-      Obs.Tracer.finish t.obs ~time:(Simkit.Engine.now t.engine) req.qspan;
+      Obs.Tracer.finish t.sink.spans
+        ~time:(Simkit.Engine.now t.engine)
+        req.qspan;
       start_next t
     end
     else begin
@@ -152,20 +148,22 @@ let rec start_next t =
         let now = Simkit.Engine.now t.engine in
         t.service_done_at <- Simkit.Time.add now span;
         t.busy_time <- Simkit.Time.add_span t.busy_time span;
-        Obs.Tracer.finish t.obs ~time:now req.qspan;
-        Obs.Tracer.span t.obs ~start:now ~stop:t.service_done_at ~txn:req.txn
-          ~baseline:false ~category:req.category ~track:"disk" ~name:req.label;
-        if Simkit.Trace.is_recording t.trace then
-          Simkit.Trace.emitf t.trace ~time:now ~source:"disk" ~kind:"io.start"
-            "%s (%dB, %a)" req.label req.bytes Simkit.Time.pp_span span;
+        Obs.Tracer.finish t.sink.spans ~time:now req.qspan;
+        Obs.Tracer.span t.sink.spans ~start:now ~stop:t.service_done_at
+          ~txn:req.txn ~baseline:false ~category:req.category ~track:"disk"
+          ~name:req.label;
+        if Simkit.Trace.is_recording t.sink.trace then
+          Simkit.Trace.emitf t.sink.trace ~time:now ~source:"disk"
+            ~kind:"io.start" "%s (%dB, %a)" req.label req.bytes
+            Simkit.Time.pp_span span;
         ignore
           (Simkit.Engine.schedule t.engine ~label:label_complete ~after:span
              (fun () ->
                t.in_service <- None;
                t.requests_completed <- t.requests_completed + 1;
                t.bytes_transferred <- t.bytes_transferred + req.bytes;
-               if Simkit.Trace.is_recording t.trace then
-                 Simkit.Trace.emitf t.trace
+               if Simkit.Trace.is_recording t.sink.trace then
+                 Simkit.Trace.emitf t.sink.trace
                    ~time:(Simkit.Engine.now t.engine)
                    ~source:"disk" ~kind:"io.done" "%s" req.label;
                req.on_complete ();
@@ -182,7 +180,7 @@ let submit t ~initiator ~bytes ?(label = "io") ?(txn = -1)
   end
   else begin
     let qspan =
-      Obs.Tracer.start t.obs
+      Obs.Tracer.start t.sink.spans
         ~time:(Simkit.Engine.now t.engine)
         ~txn ~category:Obs.Span.Disk_queue ~track:"disk.queue" ~name:label
     in
@@ -202,7 +200,7 @@ let expel t ~initiator =
     ring_iter t (fun req ->
         if req.initiator = initiator then begin
           t.requests_dropped <- t.requests_dropped + 1;
-          Obs.Tracer.finish t.obs ~time:now req.qspan
+          Obs.Tracer.finish t.sink.spans ~time:now req.qspan
         end
         else survivors := req :: !survivors);
     Array.fill t.ring 0 (Array.length t.ring) no_request;

@@ -25,13 +25,9 @@ val default_config : config
 (** 400 KB/s (the paper's parameter, with KB = 1000 bytes) and 4 KiB
     blocks. *)
 
-val create :
-  engine:Simkit.Engine.t ->
-  ?trace:Simkit.Trace.t ->
-  ?obs:Obs.Tracer.t ->
-  config ->
-  t
-(** [obs] (default disabled) records a {!Obs.Span.Disk_queue} span per
+val create : engine:Simkit.Engine.t -> ?sink:Obs.Sink.t -> config -> t
+(** [sink] (default {!Obs.Sink.disabled}): [trace] gets each request's
+    service start and end; [spans] a {!Obs.Span.Disk_queue} span per
     request from submission to service start, and a service span from
     service start to completion in the category the submitter passed —
     the raw material for the latency breakdown's queue-wait vs.

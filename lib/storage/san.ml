@@ -19,9 +19,7 @@ let default_config =
 
 type 'r t = {
   engine : Simkit.Engine.t;
-  trace : Simkit.Trace.t;
-  obs : Obs.Tracer.t;
-  journal : Obs.Journal.t;
+  sink : Obs.Sink.t;
   config : config;
   shared : Disk.t option;  (* the single device, when shared *)
   mutable partition_devices : (int * Disk.t) list;  (* owner -> device *)
@@ -31,23 +29,13 @@ type 'r t = {
   mutable fencing_available : bool;
 }
 
-let create ~engine ?trace ?obs ?journal ~size config =
-  let trace =
-    match trace with Some t -> t | None -> Simkit.Trace.disabled ()
-  in
-  let obs = match obs with Some o -> o | None -> Obs.Tracer.disabled () in
-  let journal =
-    match journal with Some j -> j | None -> Obs.Journal.disabled ()
-  in
+let create ~engine ?(sink = Obs.Sink.disabled ()) ~size config =
   {
     engine;
-    trace;
-    obs;
-    journal;
+    sink;
     config;
     shared =
-      (if config.shared_device then
-         Some (Disk.create ~engine ~trace ~obs config.disk)
+      (if config.shared_device then Some (Disk.create ~engine ~sink config.disk)
        else None);
     partition_devices = [];
     size;
@@ -92,9 +80,7 @@ let add_partition t ~owner =
     match t.shared with
     | Some d -> d
     | None ->
-        let d =
-          Disk.create ~engine:t.engine ~trace:t.trace ~obs:t.obs t.config.disk
-        in
+        let d = Disk.create ~engine:t.engine ~sink:t.sink t.config.disk in
         t.partition_devices <- (idx, d) :: t.partition_devices;
         d
   in
@@ -102,7 +88,7 @@ let add_partition t ~owner =
     Wal.create ~engine:t.engine ~disk:device
       ~owner:(Netsim.Address.name owner) ~initiator:idx ~size:t.size
       ~header_bytes:t.config.header_bytes
-      ~group_commit:t.config.group_commit ~trace:t.trace ()
+      ~group_commit:t.config.group_commit ~sink:t.sink ()
   in
   Hashtbl.replace t.partitions idx wal;
   wal
@@ -116,7 +102,7 @@ let fence t ~victim ~on_fenced =
     (* The fencing controller is unreachable: the request is lost and the
        callback never fires — the caller's own retries (or a human) must
        get it unstuck. This is the availability hazard L1PC removes. *)
-    Simkit.Trace.emitf t.trace
+    Simkit.Trace.emitf t.sink.trace
       ~time:(Simkit.Engine.now t.engine)
       ~source:"san" ~kind:"fence.unavailable" "victim %a" Netsim.Address.pp
       victim
@@ -124,17 +110,17 @@ let fence t ~victim ~on_fenced =
   let idx = Netsim.Address.index victim in
   expel_everywhere t ~initiator:idx;
   Hashtbl.replace t.fenced idx ();
-  Simkit.Trace.emitf t.trace
+  Simkit.Trace.emitf t.sink.trace
     ~time:(Simkit.Engine.now t.engine)
     ~source:"san" ~kind:"fence" "victim %a" Netsim.Address.pp victim;
-  if Obs.Journal.is_recording t.journal then
-    Obs.Journal.emit t.journal
+  if Obs.Journal.is_recording t.sink.journal then
+    Obs.Sink.journal t.sink
       ~time:(Simkit.Engine.now t.engine)
       ~node:idx
       (Obs.Journal.Fence_begin { victim = idx });
   let on_fenced () =
-    if Obs.Journal.is_recording t.journal then
-      Obs.Journal.emit t.journal
+    if Obs.Journal.is_recording t.sink.journal then
+      Obs.Sink.journal t.sink
         ~time:(Simkit.Engine.now t.engine)
         ~node:idx
         (Obs.Journal.Fence_end { victim = idx });
@@ -172,8 +158,8 @@ let read_partition t ~reader ~target ~on_read =
            (Netsim.Address.name reader)
            (Netsim.Address.name target))
       ~on_complete:(fun () ->
-        if Obs.Journal.is_recording t.journal then
-          Obs.Journal.emit t.journal
+        if Obs.Journal.is_recording t.sink.journal then
+          Obs.Sink.journal t.sink
             ~time:(Simkit.Engine.now t.engine)
             ~node:reader_idx
             (Obs.Journal.Scan_end
@@ -183,18 +169,18 @@ let read_partition t ~reader ~target ~on_read =
   in
   match outcome with
   | `Accepted ->
-      if Obs.Journal.is_recording t.journal then begin
+      if Obs.Journal.is_recording t.sink.journal then begin
         let time = Simkit.Engine.now t.engine in
-        Obs.Journal.emit t.journal ~time ~node:reader_idx
+        Obs.Sink.journal t.sink ~time ~node:reader_idx
           (Obs.Journal.Mount { target = target_idx });
-        Obs.Journal.emit t.journal ~time ~node:reader_idx
+        Obs.Sink.journal t.sink ~time ~node:reader_idx
           (Obs.Journal.Scan_begin { target = target_idx })
       end
   | `Rejected ->
       (* The reader itself is fenced: it is about to be power-cycled, so
          the read silently never completes — exactly what the victim of a
          STONITH observes. *)
-      Simkit.Trace.emitf t.trace
+      Simkit.Trace.emitf t.sink.trace
         ~time:(Simkit.Engine.now t.engine)
         ~source:"san" ~kind:"read.rejected" "%a reading %a"
         Netsim.Address.pp reader Netsim.Address.pp target

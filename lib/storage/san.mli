@@ -40,16 +40,16 @@ val default_config : config
 
 val create :
   engine:Simkit.Engine.t ->
-  ?trace:Simkit.Trace.t ->
-  ?obs:Obs.Tracer.t ->
-  ?journal:Obs.Journal.t ->
+  ?sink:Obs.Sink.t ->
   size:('r -> int) ->
   config ->
   'r t
-(** [obs] is threaded into every device (shared or per-partition) so
-    queue-wait and service spans land in one tracer. [journal] (default
-    disabled) receives [Fence_begin]/[Fence_end] from {!fence} and
-    [Mount]/[Scan_begin]/[Scan_end] from {!read_partition}. *)
+(** [sink] (default {!Obs.Sink.disabled}) is threaded into every device
+    (shared or per-partition) and every partition's log, so their trace
+    entries and spans land in one place. Its [trace] gets fencing and
+    rejected reads; its [journal] receives [Fence_begin]/[Fence_end]
+    from {!fence} and [Mount]/[Scan_begin]/[Scan_end] from
+    {!read_partition}. *)
 
 val disk : 'r t -> Disk.t
 (** The shared device. @raise Invalid_argument under

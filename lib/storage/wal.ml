@@ -20,7 +20,7 @@ type 'r t = {
      not rebuild the same string each time. *)
   label_force : string;
   label_async : string;
-  trace : Simkit.Trace.t;
+  sink : Obs.Sink.t;
   mutable durable_records : 'r list;  (* reversed *)
   mutable durable_count : int;
   mutable durable_bytes : int;
@@ -44,11 +44,8 @@ type stats = {
 }
 
 let create ~engine ~disk ~owner ~initiator ~size ?(header_bytes = 64)
-    ?(group_commit = false) ?trace () =
+    ?(group_commit = false) ?(sink = Obs.Sink.disabled ()) () =
   if header_bytes < 0 then invalid_arg "Wal.create: negative header_bytes";
-  let trace =
-    match trace with Some t -> t | None -> Simkit.Trace.disabled ()
-  in
   {
     engine;
     disk;
@@ -61,7 +58,7 @@ let create ~engine ~disk ~owner ~initiator ~size ?(header_bytes = 64)
     inflight = false;
     label_force = owner ^ ".log.force";
     label_async = owner ^ ".log.async";
-    trace;
+    sink;
     durable_records = [];
     durable_count = 0;
     durable_bytes = 0;
@@ -106,8 +103,8 @@ let rec flush_group (t : _ t) =
               commit_records t b.b_records b.b_bytes;
               if t.epoch = b.b_epoch then b.b_on_durable ())
             batches;
-          if Simkit.Trace.is_recording t.trace then
-            Simkit.Trace.emitf t.trace
+          if Simkit.Trace.is_recording t.sink.trace then
+            Simkit.Trace.emitf t.sink.trace
               ~time:(Simkit.Engine.now t.engine)
               ~source:t.owner ~kind:"log.group" "%d batch(es), %dB"
               (List.length batches) bytes;
@@ -141,8 +138,8 @@ let submit_grouped t ~sync records ~on_durable =
       b_on_durable = on_durable;
     }
     t.pending;
-  if Simkit.Trace.is_recording t.trace then
-    Simkit.Trace.emitf t.trace
+  if Simkit.Trace.is_recording t.sink.trace then
+    Simkit.Trace.emitf t.sink.trace
       ~time:(Simkit.Engine.now t.engine)
       ~source:t.owner
       ~kind:(if sync then "log.force" else "log.append")
@@ -160,8 +157,8 @@ let submit t ~sync ?(txn = -1) records ~on_durable =
     Disk.submit t.disk ~initiator:t.initiator ~bytes ~label ~txn ~category
       ~on_complete:(fun () ->
         commit_records t records bytes;
-        if Simkit.Trace.is_recording t.trace then
-          Simkit.Trace.emitf t.trace
+        if Simkit.Trace.is_recording t.sink.trace then
+          Simkit.Trace.emitf t.sink.trace
             ~time:(Simkit.Engine.now t.engine)
             ~source:t.owner ~kind:"log.durable" "%d record(s), %dB"
             (List.length records) bytes;
@@ -173,16 +170,16 @@ let submit t ~sync ?(txn = -1) records ~on_durable =
       t.unforced <- t.unforced + List.length records;
       if sync then t.sync_writes <- t.sync_writes + 1
       else t.async_writes <- t.async_writes + 1;
-      if Simkit.Trace.is_recording t.trace then
-        Simkit.Trace.emitf t.trace
+      if Simkit.Trace.is_recording t.sink.trace then
+        Simkit.Trace.emitf t.sink.trace
           ~time:(Simkit.Engine.now t.engine)
           ~source:t.owner
           ~kind:(if sync then "log.force" else "log.append")
           "%d record(s), %dB" (List.length records) bytes
   | `Rejected ->
       t.rejected_writes <- t.rejected_writes + 1;
-      if Simkit.Trace.is_recording t.trace then
-        Simkit.Trace.emitf t.trace
+      if Simkit.Trace.is_recording t.sink.trace then
+        Simkit.Trace.emitf t.sink.trace
           ~time:(Simkit.Engine.now t.engine)
           ~source:t.owner ~kind:"log.rejected" "%d record(s)"
           (List.length records)
@@ -222,8 +219,8 @@ let gc t ~keep =
     t.durable_records <- kept;
     t.durable_count <- List.length kept;
     t.durable_bytes <- bytes;
-    if Simkit.Trace.is_recording t.trace then
-      Simkit.Trace.emitf t.trace
+    if Simkit.Trace.is_recording t.sink.trace then
+      Simkit.Trace.emitf t.sink.trace
         ~time:(Simkit.Engine.now t.engine)
         ~source:t.owner ~kind:"log.gc" "%d record(s) collected" removed
   end

@@ -40,11 +40,12 @@ val create :
   size:('r -> int) ->
   ?header_bytes:int ->
   ?group_commit:bool ->
-  ?trace:Simkit.Trace.t ->
+  ?sink:Obs.Sink.t ->
   unit ->
   'r t
 (** [size] gives each record's payload footprint in bytes; [header_bytes]
-    (default 64) is added per record for framing.
+    (default 64) is added per record for framing. [sink] (default
+    {!Obs.Sink.disabled}): [trace] gets each write and crash.
 
     [group_commit] (default [false]) turns on the classic log-manager
     optimization: at most one device request is outstanding per log, and

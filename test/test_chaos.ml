@@ -69,13 +69,18 @@ let test_validate_rejects () =
    seed, schedule) runs must be indistinguishable — same verdict, same
    counts and the same event trace, entry for entry. *)
 let test_replay_bit_identical () =
-  let spec = { small_spec with record_trace = true } in
   List.iter
     (fun protocol ->
       List.iter
         (fun seed ->
-          let a = Chaos.Runner.execute spec ~protocol ~seed in
-          let b = Chaos.Runner.execute spec ~protocol ~seed in
+          let config =
+            {
+              (Chaos.Runner.config_of small_spec ~protocol ~seed) with
+              record_trace = true;
+            }
+          in
+          let a = Chaos.Runner.execute_config small_spec ~config ~seed in
+          let b = Chaos.Runner.execute_config small_spec ~config ~seed in
           Alcotest.(check int)
             "same commit count" a.Chaos.Runner.committed
             b.Chaos.Runner.committed;
@@ -228,10 +233,14 @@ let test_mutual_fence_race () =
           ];
       }
   in
-  let spec = { Chaos.Runner.default_spec with record_journal = true } in
-  let o =
-    Chaos.Runner.execute ~schedule spec ~protocol:Acp.Protocol.Opc ~seed:802
+  let spec = Chaos.Runner.default_spec in
+  let config =
+    {
+      (Chaos.Runner.config_of spec ~protocol:Acp.Protocol.Opc ~seed:802) with
+      record_journal = true;
+    }
   in
+  let o = Chaos.Runner.execute_config ~schedule spec ~config ~seed:802 in
   Alcotest.(check bool) "1PC seed 802 passes" true (Chaos.Runner.passed o);
   (* The fix's signature: the fenced-but-live mds0 power-cycles itself
      (a crash entry after the 388 ms partition) instead of serving

@@ -362,8 +362,7 @@ let test_marks_recorded () =
   (* 1PC releases at the same instant it replies. *)
   Alcotest.(check int) "reply and release coincide under 1PC"
     (Simkit.Time.to_ns
-       (Simkit.Time.add !replied
-          (Cluster.config cluster).Config.method_latency))
+       (Simkit.Time.add !replied Config.method_latency))
     (Simkit.Time.to_ns !read_done)
 
 let test_lock_hold_ordering () =

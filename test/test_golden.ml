@@ -32,115 +32,81 @@ let fig6_golden =
     (Acp.Protocol.Lp1, "2487.56", 100, 0, 20_301_000, 402_000);
   ]
 
-let test_fig6 () =
+(* Every Figure 6 digit of a run under [config] (the stock one by
+   default); [tag] names the collectors it turns on in each check. *)
+let check_fig6 ?config ?(tag = "") () =
+  let name kind what =
+    pname kind ^ " " ^ what ^ if tag = "" then "" else " (" ^ tag ^ ")"
+  in
   List.iter
     (fun (kind, throughput, committed, aborted, latency_ns, lock_ns) ->
-      let p = Experiment.run_fig6_point kind in
+      let p = Experiment.run_fig6_point ?config kind in
       Alcotest.(check string)
-        (pname kind ^ " throughput")
-        throughput
+        (name kind "throughput") throughput
         (Printf.sprintf "%.2f" p.Experiment.throughput);
-      Alcotest.(check int) (pname kind ^ " committed") committed p.committed;
-      Alcotest.(check int) (pname kind ^ " aborted") aborted p.aborted;
+      Alcotest.(check int) (name kind "committed") committed p.committed;
+      Alcotest.(check int) (name kind "aborted") aborted p.aborted;
       Alcotest.(check int)
-        (pname kind ^ " mean latency ns")
+        (name kind "mean latency ns")
         latency_ns
         (Simkit.Time.span_to_ns p.mean_latency);
       Alcotest.(check int)
-        (pname kind ^ " mean lock hold ns")
+        (name kind "mean lock hold ns")
         lock_ns
         (Simkit.Time.span_to_ns p.mean_lock_hold))
     fig6_golden
+
+let test_fig6 () = check_fig6 ()
 
 (* Span recording must be passive: it schedules no events, reads no
    clocks, consumes no randomness. A figure-6 run with the tracer
    enabled must therefore reproduce every golden digit bit-for-bit. *)
 let test_fig6_spans_enabled () =
-  let config =
-    { Experiment.fig6_config with Opc_cluster.Config.record_spans = true }
-  in
-  List.iter
-    (fun (kind, throughput, committed, aborted, latency_ns, lock_ns) ->
-      let p = Experiment.run_fig6_point ~config kind in
-      Alcotest.(check string)
-        (pname kind ^ " throughput (spans on)")
-        throughput
-        (Printf.sprintf "%.2f" p.Experiment.throughput);
-      Alcotest.(check int)
-        (pname kind ^ " committed (spans on)")
-        committed p.committed;
-      Alcotest.(check int)
-        (pname kind ^ " aborted (spans on)")
-        aborted p.aborted;
-      Alcotest.(check int)
-        (pname kind ^ " mean latency ns (spans on)")
-        latency_ns
-        (Simkit.Time.span_to_ns p.mean_latency);
-      Alcotest.(check int)
-        (pname kind ^ " mean lock hold ns (spans on)")
-        lock_ns
-        (Simkit.Time.span_to_ns p.mean_lock_hold))
-    fig6_golden
+  check_fig6 ~tag:"spans on"
+    ~config:
+      { Experiment.fig6_config with Opc_cluster.Config.record_spans = true }
+    ()
 
 (* The flight recorder must be equally passive: its ring writes are
-   plain array stores off the dispatch/journal/gauge taps, so a
-   figure-6 run with a recorder attached reproduces every digit. *)
+   plain array stores off the engine observer and the journal and
+   gauge feeds, so a figure-6 run with a recorder reproduces every
+   digit. *)
 let test_fig6_recorder_enabled () =
-  let config =
-    { Experiment.fig6_config with Opc_cluster.Config.recorder_size = Some 512 }
-  in
-  List.iter
-    (fun (kind, throughput, committed, aborted, latency_ns, lock_ns) ->
-      let p = Experiment.run_fig6_point ~config kind in
-      Alcotest.(check string)
-        (pname kind ^ " throughput (recorder on)")
-        throughput
-        (Printf.sprintf "%.2f" p.Experiment.throughput);
-      Alcotest.(check int)
-        (pname kind ^ " committed (recorder on)")
-        committed p.committed;
-      Alcotest.(check int)
-        (pname kind ^ " aborted (recorder on)")
-        aborted p.aborted;
-      Alcotest.(check int)
-        (pname kind ^ " mean latency ns (recorder on)")
-        latency_ns
-        (Simkit.Time.span_to_ns p.mean_latency);
-      Alcotest.(check int)
-        (pname kind ^ " mean lock hold ns (recorder on)")
-        lock_ns
-        (Simkit.Time.span_to_ns p.mean_lock_hold))
-    fig6_golden
+  check_fig6 ~tag:"recorder on"
+    ~config:
+      {
+        Experiment.fig6_config with
+        Opc_cluster.Config.recorder_size = Some 512;
+      }
+    ()
 
 (* The coverage tap is two int stores per transition and the message
    meter a few per send — neither schedules events nor reads clocks,
    so a figure-6 run with both enabled reproduces every digit. *)
 let test_fig6_coverage_enabled () =
-  let config =
-    { Experiment.fig6_config with Opc_cluster.Config.record_coverage = true }
-  in
-  List.iter
-    (fun (kind, throughput, committed, aborted, latency_ns, lock_ns) ->
-      let p = Experiment.run_fig6_point ~config kind in
-      Alcotest.(check string)
-        (pname kind ^ " throughput (coverage on)")
-        throughput
-        (Printf.sprintf "%.2f" p.Experiment.throughput);
-      Alcotest.(check int)
-        (pname kind ^ " committed (coverage on)")
-        committed p.committed;
-      Alcotest.(check int)
-        (pname kind ^ " aborted (coverage on)")
-        aborted p.aborted;
-      Alcotest.(check int)
-        (pname kind ^ " mean latency ns (coverage on)")
-        latency_ns
-        (Simkit.Time.span_to_ns p.mean_latency);
-      Alcotest.(check int)
-        (pname kind ^ " mean lock hold ns (coverage on)")
-        lock_ns
-        (Simkit.Time.span_to_ns p.mean_lock_hold))
-    fig6_golden
+  check_fig6 ~tag:"coverage on"
+    ~config:
+      { Experiment.fig6_config with Opc_cluster.Config.record_coverage = true }
+    ()
+
+(* Every collector at once — trace, spans, journal, 5 ms gauge
+   sampling, profiler, recorder, coverage and meter. They share one
+   sink, one engine observer and the recorder's feeds, so this is the
+   combination the one-at-a-time cases cannot catch. *)
+let all_on (c : Opc_cluster.Config.t) =
+  {
+    c with
+    record_trace = true;
+    record_spans = true;
+    record_journal = true;
+    sample_period = Some (Simkit.Time.span_ms 5);
+    record_prof = true;
+    recorder_size = Some 4096;
+    record_coverage = true;
+  }
+
+let test_fig6_all_enabled () =
+  check_fig6 ~tag:"all on" ~config:(all_on Experiment.fig6_config) ()
 
 (* ------------------------------------------------------------------ *)
 (* Table I (measured)                                                  *)
@@ -398,24 +364,29 @@ let test_chaos () =
 
 (* One small point of `bench scale`, pinned end to end: counters, the
    engine's total dispatch count (any change to what gets scheduled
-   moves it) and the latency quantiles. *)
-let test_scale_point () =
+   moves it) and the latency quantiles; [config] and [tag] as for
+   {!check_fig6}. *)
+let check_scale_point ?config ?(tag = "") () =
+  let name what = if tag = "" then what else what ^ " (" ^ tag ^ ")" in
   let p =
-    Experiment.run_scale_point ~servers:8 ~txns:2000 ~seed:1
+    Experiment.run_scale_point ?config ~servers:8 ~txns:2000 ~seed:1
       Acp.Protocol.Opc
   in
-  Alcotest.(check int) "submitted" 1896 p.Experiment.submitted;
-  Alcotest.(check int) "committed" 1896 p.committed;
-  Alcotest.(check int) "aborted" 0 p.aborted;
-  Alcotest.(check int) "events" 37944 p.events;
-  Alcotest.(check int) "sim elapsed ns" 11_937_751_000
+  Alcotest.(check int) (name "submitted") 1896 p.Experiment.submitted;
+  Alcotest.(check int) (name "committed") 1896 p.committed;
+  Alcotest.(check int) (name "aborted") 0 p.aborted;
+  Alcotest.(check int) (name "events") 37944 p.events;
+  Alcotest.(check int) (name "sim elapsed ns") 11_937_751_000
     (Simkit.Time.span_to_ns p.sim_elapsed);
-  Alcotest.(check int) "p50 ns" 82_220_000
+  Alcotest.(check int) (name "p50 ns") 82_220_000
     (Simkit.Time.span_to_ns p.latency_p50);
-  Alcotest.(check int) "p95 ns" 185_228_000
+  Alcotest.(check int) (name "p95 ns") 185_228_000
     (Simkit.Time.span_to_ns p.latency_p95);
-  Alcotest.(check int) "p99 ns" 276_176_000
-    (Simkit.Time.span_to_ns p.latency_p99)
+  Alcotest.(check int) (name "p99 ns") 276_176_000
+    (Simkit.Time.span_to_ns p.latency_p99);
+  p
+
+let test_scale_point () = ignore (check_scale_point ())
 
 (* The same point for the logless protocol: with no log device the
    sharded-store regime collapses to pure message latency. *)
@@ -457,56 +428,42 @@ let test_scale_point_64 () =
     (Simkit.Time.span_to_ns p.latency_p99)
 
 (* The scale-point pins under a live flight recorder: every digit
-   bit-identical, and the ring actually saw the run. *)
+   bit-identical. *)
 let test_scale_point_recorder_enabled () =
-  let config =
-    {
-      (Experiment.scale_config ~servers:8 ~seed:1) with
-      Opc_cluster.Config.recorder_size = Some 512;
-    }
-  in
-  let p =
-    Experiment.run_scale_point ~config ~servers:8 ~txns:2000 ~seed:1
-      Acp.Protocol.Opc
-  in
-  Alcotest.(check int) "submitted (recorder on)" 1896 p.Experiment.submitted;
-  Alcotest.(check int) "committed (recorder on)" 1896 p.committed;
-  Alcotest.(check int) "aborted (recorder on)" 0 p.aborted;
-  Alcotest.(check int) "events (recorder on)" 37944 p.events;
-  Alcotest.(check int) "sim elapsed ns (recorder on)" 11_937_751_000
-    (Simkit.Time.span_to_ns p.sim_elapsed);
-  Alcotest.(check int) "p50 ns (recorder on)" 82_220_000
-    (Simkit.Time.span_to_ns p.latency_p50);
-  Alcotest.(check int) "p95 ns (recorder on)" 185_228_000
-    (Simkit.Time.span_to_ns p.latency_p95);
-  Alcotest.(check int) "p99 ns (recorder on)" 276_176_000
-    (Simkit.Time.span_to_ns p.latency_p99)
+  ignore
+    (check_scale_point ~tag:"recorder on"
+       ~config:
+         {
+           (Experiment.scale_config ~servers:8 ~seed:1) with
+           Opc_cluster.Config.recorder_size = Some 512;
+         }
+       ())
 
 (* The scale-point pins with the coverage tap and message meter live:
-   every digit bit-identical, and the tap actually saw the run. *)
+   every digit bit-identical. *)
 let test_scale_point_coverage_enabled () =
-  let config =
-    {
-      (Experiment.scale_config ~servers:8 ~seed:1) with
-      Opc_cluster.Config.record_coverage = true;
-    }
-  in
+  ignore
+    (check_scale_point ~tag:"coverage on"
+       ~config:
+         {
+           (Experiment.scale_config ~servers:8 ~seed:1) with
+           Opc_cluster.Config.record_coverage = true;
+         }
+       ())
+
+(* The scale-point pins with every collector on, and the profiler,
+   through the engine observer they share, saw every dispatch. *)
+let test_scale_point_all_enabled () =
   let p =
-    Experiment.run_scale_point ~config ~servers:8 ~txns:2000 ~seed:1
-      Acp.Protocol.Opc
+    check_scale_point ~tag:"all on"
+      ~config:(all_on (Experiment.scale_config ~servers:8 ~seed:1))
+      ()
   in
-  Alcotest.(check int) "submitted (coverage on)" 1896 p.Experiment.submitted;
-  Alcotest.(check int) "committed (coverage on)" 1896 p.committed;
-  Alcotest.(check int) "aborted (coverage on)" 0 p.aborted;
-  Alcotest.(check int) "events (coverage on)" 37944 p.events;
-  Alcotest.(check int) "sim elapsed ns (coverage on)" 11_937_751_000
-    (Simkit.Time.span_to_ns p.sim_elapsed);
-  Alcotest.(check int) "p50 ns (coverage on)" 82_220_000
-    (Simkit.Time.span_to_ns p.latency_p50);
-  Alcotest.(check int) "p95 ns (coverage on)" 185_228_000
-    (Simkit.Time.span_to_ns p.latency_p95);
-  Alcotest.(check int) "p99 ns (coverage on)" 276_176_000
-    (Simkit.Time.span_to_ns p.latency_p99)
+  match p.Experiment.profile with
+  | None -> Alcotest.fail "the all-on run kept no profile"
+  | Some r ->
+      Alcotest.(check int) "profiled dispatches (all on)" p.events
+        r.Obs.Prof.total_dispatches
 
 let () =
   Alcotest.run "golden"
@@ -520,6 +477,8 @@ let () =
             test_fig6_recorder_enabled;
           Alcotest.test_case "figure 6 digits, coverage enabled" `Quick
             test_fig6_coverage_enabled;
+          Alcotest.test_case "figure 6 digits, all collectors enabled"
+            `Quick test_fig6_all_enabled;
           Alcotest.test_case "table I measured columns" `Quick test_table1;
           Alcotest.test_case "scale point (8 servers)" `Quick
             test_scale_point;
@@ -531,6 +490,8 @@ let () =
             `Quick test_scale_point_recorder_enabled;
           Alcotest.test_case "scale point (8 servers, coverage enabled)"
             `Quick test_scale_point_coverage_enabled;
+          Alcotest.test_case "scale point (8 servers, all collectors enabled)"
+            `Quick test_scale_point_all_enabled;
         ] );
       ( "chaos",
         [ Alcotest.test_case "seeds 1-5 verdicts" `Slow test_chaos ] );

@@ -254,6 +254,39 @@ let test_endpoints () =
           ignore (Network.address_at net i)))
     [ -1; 2 ]
 
+(* Every probability the network takes — at [create] or through the
+   runtime setters — must lie in [0, 1]; [nan] would compare false
+   against both bounds and silently disable the fault. *)
+let test_probability_range () =
+  let bad = [ -0.1; 1.1; Float.nan ] in
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted an out-of-range probability" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun p ->
+      let what = Printf.sprintf "%s %g" in
+      raises (what "create drop_probability" p) (fun () ->
+          ignore
+            (make ~config:{ Network.default_config with drop_probability = p }
+               ()));
+      raises (what "create duplicate_probability" p) (fun () ->
+          ignore
+            (make
+               ~config:
+                 { Network.default_config with duplicate_probability = p }
+               ()));
+      let _, net = make () in
+      raises (what "set_drop_probability" p) (fun () ->
+          Network.set_drop_probability net p);
+      raises (what "set_duplicate_probability" p) (fun () ->
+          Network.set_duplicate_probability net p);
+      Alcotest.(check (pair (float 0.) (float 0.)))
+        "rates unchanged" (0.0, 0.0)
+        (Network.drop_probability net, Network.duplicate_probability net))
+    bad
+
 (* ------------------------------------------------------------------ *)
 (* Failure detector                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -618,7 +651,8 @@ let test_meter_conservation () =
     { Network.default_config with duplicate_probability = 0.5 }
   in
   let net : string Network.t =
-    Network.create ~engine ~rng ~tag_of ~meter config
+    Network.create ~engine ~rng ~sink:{ (Obs.Sink.disabled ()) with meter }
+      ~tag_of config
   in
   let a = Network.register net ~name:"a" (fun _ -> ()) in
   let b = Network.register net ~name:"b" (fun _ -> ()) in
@@ -746,7 +780,8 @@ let run_twin sc ~multicast =
     }
   in
   let net : int Network.t =
-    Network.create ~engine ~rng ~tag_of:(fun p -> p land 1) ~meter config
+    Network.create ~engine ~rng ~sink:{ (Obs.Sink.disabled ()) with meter }
+      ~tag_of:(fun p -> p land 1) config
   in
   let log = ref [] in
   let addrs =
@@ -837,6 +872,8 @@ let () =
           Alcotest.test_case "self send" `Quick test_self_send;
           Alcotest.test_case "in flight count" `Quick test_in_flight_count;
           Alcotest.test_case "endpoints" `Quick test_endpoints;
+          Alcotest.test_case "probability range" `Quick
+            test_probability_range;
           QCheck_alcotest.to_alcotest prop_multicast_matches_sends;
         ] );
       ( "meter",

@@ -135,24 +135,22 @@ let test_report_telescopes () =
          in
          sorted r.Obs.Prof.buckets)
 
-(* Disabled / misuse guards. *)
+(* Disabled guards: a disabled profiler books nothing and has no report;
+   an enabled one reports from its creation, before any dispatch. *)
 let test_prof_guards () =
-  let engine = Simkit.Engine.create () in
   let off = Obs.Prof.disabled () in
   Alcotest.(check bool) "disabled is not recording" false
     (Obs.Prof.is_recording off);
-  Obs.Prof.attach off engine;
+  Obs.Prof.enter off;
+  Obs.Prof.leave off (Simkit.Label.v Other "prof.guard");
   Alcotest.check_raises "report on disabled"
     (Invalid_argument "Obs.Prof.report: profiler disabled")
     (fun () -> ignore (Obs.Prof.report off));
-  let on = Obs.Prof.create () in
-  Alcotest.check_raises "report before attach"
-    (Invalid_argument "Obs.Prof.report: never attached")
-    (fun () -> ignore (Obs.Prof.report on));
-  Obs.Prof.attach on engine;
-  Alcotest.check_raises "double attach"
-    (Invalid_argument "Obs.Prof.attach: already attached")
-    (fun () -> Obs.Prof.attach on engine)
+  let r = Obs.Prof.report (Obs.Prof.create ()) in
+  Alcotest.(check int) "no dispatches before any event" 0
+    r.Obs.Prof.total_dispatches;
+  Alcotest.(check int) "residual is the whole window"
+    r.Obs.Prof.total_cpu_ns r.Obs.Prof.residual_cpu_ns
 
 let () =
   Alcotest.run "prof"

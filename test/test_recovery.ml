@@ -99,9 +99,7 @@ let make_harness ?(initial_log = []) () =
       suspects =
         (fun peer -> Hashtbl.mem suspected (Netsim.Address.index peer));
       ledger = Metrics.Ledger.create ();
-      trace = Simkit.Trace.disabled ();
-      obs = Obs.Tracer.disabled ();
-      cover = Obs.Coverage.disabled ();
+      sink = Obs.Sink.disabled ();
       client_reply = (fun txn outcome -> replies := (txn, outcome) :: !replies);
       lock_hold = (fun ~locked_at:_ -> ());
       alive = (fun () -> true);

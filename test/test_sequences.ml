@@ -37,7 +37,7 @@ let observe protocol =
   (match !outcome with
   | Some Acp.Txn.Committed -> ()
   | _ -> Alcotest.fail "expected commit");
-  let entries = Simkit.Trace.entries (Cluster.trace cluster) in
+  let entries = Simkit.Trace.entries (Cluster.sink cluster).trace in
   let messages =
     List.filter_map
       (fun (e : Simkit.Trace.entry) ->

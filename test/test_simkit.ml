@@ -603,31 +603,60 @@ let test_engine_batches_directed () =
         [ Batch (3, 2); Batch_canceller (2, 1, 0); Run_until 3 ] );
     ]
 
-(* A batch's members are dispatched one by one to the hooks too: each
-   gets a tap call and an observer pair, whether a bounded run stops
-   among them or not. *)
+(* A batch's members are dispatched one by one to the observer too:
+   each gets its own bracket, whether a bounded run stops among them or
+   not, and the clock hook sees the one move to their instant. *)
 let test_engine_batch_hooks () =
   let e = Engine.create () in
-  let taps = ref 0 and before = ref 0 and after = ref 0 in
-  Engine.set_dispatch_tap e (fun _ _ -> incr taps);
-  Engine.set_dispatch_observer e
-    ~before:(fun () -> incr before)
-    ~after:(fun _ -> incr after);
+  let clocks = ref 0 and before = ref 0 and after = ref 0 in
+  Engine.observe e
+    ~clock:(fun _ -> incr clocks)
+    ~before:(fun _ _ -> incr before)
+    ~after:(fun _ -> incr after)
+    ();
   let h = Engine.schedule_batch e ~at:(Time.of_ns 5) ~count:6 ignore in
   Alcotest.(check int) "pending" 6 (Engine.pending e);
   Alcotest.(check int) "high water" 6 (Engine.pending_high_water e);
   Alcotest.(check bool) "stopped" true
     (Engine.run ~max_events:4 e = Engine.Reached_limit);
   Alcotest.(check (list int))
-    "tap, before, after, dispatched after 4" [ 4; 4; 4; 4 ]
-    [ !taps; !before; !after; Engine.dispatched e ];
+    "clock, before, after, dispatched after 4" [ 1; 4; 4; 4 ]
+    [ !clocks; !before; !after; Engine.dispatched e ];
   Alcotest.(check bool) "still pending" true (Engine.is_pending h);
   Alcotest.(check int) "members left" 2 (Engine.pending e);
   ignore (Engine.run e);
   Alcotest.(check (list int))
-    "tap, before, after, dispatched after 6" [ 6; 6; 6; 6 ]
-    [ !taps; !before; !after; Engine.dispatched e ];
+    "clock, before, after, dispatched after 6" [ 1; 6; 6; 6 ]
+    [ !clocks; !before; !after; Engine.dispatched e ];
   Alcotest.(check bool) "done" false (Engine.is_pending h)
+
+(* A later [observe] replaces the whole slot: hooks it omits stop being
+   called, so a clock-only observer leaves dispatches unbracketed. *)
+let test_engine_observe_replaces () =
+  let e = Engine.create () in
+  let clocks = ref 0 and before = ref 0 and after = ref 0 in
+  let counts () = [ !clocks; !before; !after ] in
+  let step_at ns =
+    ignore (Engine.schedule_at e ~at:(Time.of_ns ns) ignore);
+    ignore (Engine.run e)
+  in
+  Engine.observe e
+    ~clock:(fun _ -> incr clocks)
+    ~before:(fun _ _ -> incr before)
+    ~after:(fun _ -> incr after)
+    ();
+  step_at 1;
+  Alcotest.(check (list int)) "all hooks" [ 1; 1; 1 ] (counts ());
+  Engine.observe e ~clock:(fun _ -> incr clocks) ();
+  step_at 2;
+  Alcotest.(check (list int)) "clock only" [ 2; 1; 1 ] (counts ());
+  Engine.observe e ~after:(fun _ -> incr after) ();
+  step_at 3;
+  Alcotest.(check (list int)) "after only" [ 2; 1; 2 ] (counts ());
+  Engine.observe e ();
+  step_at 4;
+  Alcotest.(check (list int)) "none" [ 2; 1; 2 ] (counts ());
+  Alcotest.(check int) "dispatched" 4 (Engine.dispatched e)
 
 (* A member that raises stops the run like any event, and leaves the
    members behind it queued for the next [run]. *)
@@ -779,7 +808,7 @@ let traced_create protocol =
   (match Opc.Cluster.settle cluster with
   | Opc.Cluster.Quiescent -> ()
   | _ -> Alcotest.fail "two-node CREATE did not settle");
-  Trace.entries (Opc.Cluster.trace cluster)
+  Trace.entries (Opc.Cluster.sink cluster).trace
 
 let test_timeline_golden () =
   let rendered =
@@ -1002,6 +1031,8 @@ let () =
           Alcotest.test_case "batches, directed" `Quick
             test_engine_batches_directed;
           Alcotest.test_case "batch hooks" `Quick test_engine_batch_hooks;
+          Alcotest.test_case "observe replaces" `Quick
+            test_engine_observe_replaces;
           Alcotest.test_case "batch failure" `Quick test_engine_batch_failure;
           Alcotest.test_case "cancel releases" `Quick
             test_engine_cancel_releases;

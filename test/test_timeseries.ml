@@ -13,12 +13,16 @@ let pname = Acp.Protocol.name
 (* Sampler semantics                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Drive [ts] from [engine]'s clock, as a cluster's sink does. *)
+let install ts engine =
+  Obs.Sink.install { (Obs.Sink.disabled ()) with sampler = ts } engine
+
 let test_sampler_cadence () =
   let engine = Simkit.Engine.create () in
   let v = ref 0 in
   let ts = Obs.Timeseries.create ~period:(Simkit.Time.span_ms 5) in
   Obs.Timeseries.register ts ~name:"v" (fun () -> !v);
-  Obs.Timeseries.attach ts engine;
+  install ts engine;
   List.iter
     (fun (ms, value) ->
       ignore
@@ -29,7 +33,7 @@ let test_sampler_cadence () =
   ignore (Simkit.Engine.run engine);
   Alcotest.(check (array string)) "columns" [| "v" |]
     (Obs.Timeseries.columns ts);
-  (* Initial row at attach, then one row per crossed period boundary.
+  (* Initial row at install, then one row per crossed period boundary.
      The row at a boundary reads the state *before* same-instant events:
      at 5 ms the sampler sees the value the 3 ms event left behind. *)
   let rows = ref [] in
@@ -54,9 +58,9 @@ let test_sampler_guards () =
   let engine = Simkit.Engine.create () in
   let ts = Obs.Timeseries.create ~period:(Simkit.Time.span_ms 1) in
   Obs.Timeseries.register ts ~name:"g" (fun () -> 0);
-  Obs.Timeseries.attach ts engine;
-  Alcotest.check_raises "register after attach"
-    (Invalid_argument "Obs.Timeseries.register: already attached")
+  install ts engine;
+  Alcotest.check_raises "register after install"
+    (Invalid_argument "Obs.Timeseries.register: already started")
     (fun () -> Obs.Timeseries.register ts ~name:"late" (fun () -> 0))
 
 let test_sampler_disabled () =
@@ -65,7 +69,7 @@ let test_sampler_disabled () =
   Alcotest.(check bool) "not recording" false (Obs.Timeseries.is_recording ts);
   Obs.Timeseries.register ts ~name:"g" (fun () ->
       Alcotest.fail "disabled sampler must never read a gauge");
-  Obs.Timeseries.attach ts engine;
+  install ts engine;
   ignore (Simkit.Engine.schedule engine ~after:(Simkit.Time.span_ms 10)
             (fun () -> ()));
   ignore (Simkit.Engine.run engine);
@@ -186,14 +190,22 @@ let test_mttr_open_and_recrash () =
 (* Acceptance (a): segments sum exactly to each chaos window           *)
 (* ------------------------------------------------------------------ *)
 
+(* A 1PC chaos run of the default spec with the lifecycle journal on. *)
+let journaled ?schedule ~seed () =
+  let spec = Chaos.Runner.default_spec in
+  let config =
+    {
+      (Chaos.Runner.config_of spec ~protocol:Acp.Protocol.Opc ~seed) with
+      record_journal = true;
+    }
+  in
+  Chaos.Runner.execute_config ?schedule spec ~config ~seed
+
 let test_chaos_windows_decompose () =
-  let spec = { Chaos.Runner.default_spec with record_journal = true } in
   let windows_seen = ref 0 in
   List.iter
     (fun seed ->
-      let o =
-        Chaos.Runner.execute spec ~protocol:Acp.Protocol.Opc ~seed
-      in
+      let o = journaled ~seed () in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d passes" seed)
         true (Chaos.Runner.passed o);
@@ -217,16 +229,13 @@ let test_chaos_windows_decompose () =
 (* ------------------------------------------------------------------ *)
 
 let test_window_starts_at_injected_crash () =
-  let spec = { Chaos.Runner.default_spec with record_journal = true } in
   let schedule =
     {
       Chaos.Schedule.window_ms = 600;
       events = [ Chaos.Schedule.Crash { server = 1; at_ms = 100 } ];
     }
   in
-  let o =
-    Chaos.Runner.execute ~schedule spec ~protocol:Acp.Protocol.Opc ~seed:1
-  in
+  let o = journaled ~schedule ~seed:1 () in
   Alcotest.(check bool) "run passes" true (Chaos.Runner.passed o);
   let windows = Obs.Mttr.windows o.Chaos.Runner.journal in
   Alcotest.(check bool) "window closed" true (windows <> []);
@@ -361,8 +370,7 @@ let test_disabled_sampler_overhead () =
 (* Determinism with the journal on: the chaos goldens' seed-1 verdict
    must be unchanged when the run also records a journal. *)
 let test_chaos_journal_is_passive () =
-  let spec = { Chaos.Runner.default_spec with record_journal = true } in
-  let o = Chaos.Runner.execute spec ~protocol:Acp.Protocol.Opc ~seed:1 in
+  let o = journaled ~seed:1 () in
   Alcotest.(check bool) "passes" true (Chaos.Runner.passed o);
   Alcotest.(check int) "committed" 78 o.Chaos.Runner.committed;
   Alcotest.(check int) "aborted" 4 o.aborted;
