@@ -681,22 +681,27 @@ type timed = {
   point : Opc.Experiment.scale_point;
   cpu_s : float;
   wall_s : float;
+  minor_words : float;
 }
 
 (* Time one scale point with the profiler off, from a freshly compacted
    heap, so its rate does not depend on what ran before it in the
    process. The gated rate is events per CPU-second (Sys.time), which
    scheduler contention on a shared machine does not dilute; wall time
-   is recorded alongside. *)
+   is recorded alongside, and so are the minor-heap words the point
+   allocated, an exact count that repeats run after run. *)
 let time_point ~servers ~txns ~seed kind =
   Gc.compact ();
+  let w0 = Gc.minor_words () in
   let c0 = Sys.time () in
   let t0 = Unix.gettimeofday () in
   let point = Opc.Experiment.run_scale_point ~servers ~txns ~seed kind in
   let wall_s = Unix.gettimeofday () -. t0 in
-  { point; cpu_s = Sys.time () -. c0; wall_s }
+  let cpu_s = Sys.time () -. c0 in
+  { point; cpu_s; wall_s; minor_words = Gc.minor_words () -. w0 }
 
 let events_per_cpu_s t = float_of_int t.point.events /. t.cpu_s
+let minor_words_per_txn ~txns t = t.minor_words /. float_of_int txns
 
 (* One profiled scale point: same workload as the timed sweep, but with
    [record_prof] on. Profiled runs are never the timed ones — the
@@ -860,6 +865,8 @@ let scale ~smoke ~seeds ~txns () =
                   ( "latency_p99_ns",
                     Json.Int (Opc.Simkit.Time.span_to_ns p.latency_p99) );
                   ("live_words", Json.Int live_words);
+                  ( "minor_words_per_txn",
+                    Json.Float (minor_words_per_txn ~txns timed) );
                 ]
               :: !points
           done)
@@ -1324,6 +1331,13 @@ let regression_check ~against ~tolerance () =
     "1PC, %d servers, %d txns, seed %d:@.  baseline %.0f events/s (cpu), \
      measured %.0f events/s (cpu, best of 3; floor %.0f)@."
     servers txns seed base_eps eps (floor base_eps);
+  (* Allocation is an exact count: shown beside the baseline's, not
+     gated. *)
+  Fmt.pr "  baseline %s minor words/txn, measured %.1f@."
+    (match Json.(to_float (member "minor_words_per_txn" point)) with
+    | Some w -> Fmt.str "%.1f" w
+    | None -> "(not recorded)")
+    (minor_words_per_txn ~txns best);
   (* On a tripped gate, turn "slower" into "slower, and THIS
      subsystem paid for it": re-run the same point profiled and
      compare per-subsystem self-time per event against the split

@@ -161,10 +161,12 @@ let harden_once t id updates =
   end;
   fresh
 
+(* Every service of a dead incarnation is a no-op. The per-call
+   services test [alive ()] inline rather than through a helper that
+   takes the body as a closure, which would allocate on every call. *)
 let make_context t =
   let epoch = t.epoch in
   let alive () = t.up && t.epoch = epoch in
-  let guard f = if alive () then f () in
   {
     Acp.Context.engine = t.sv.engine;
     self = t.address;
@@ -172,33 +174,35 @@ let make_context t =
     address_of = Netsim.Network.address_at t.sv.network;
     send =
       (fun ~dst wire ->
-        guard (fun () ->
-            count_msg t wire;
-            if Simkit.Trace.is_recording t.sv.sink.trace then
-              Simkit.Trace.emitf t.sv.sink.trace
-                ~time:(Simkit.Engine.now t.sv.engine)
-                ~source:(name t) ~kind:"send" "%a -> %a" Acp.Wire.pp wire
-                Netsim.Address.pp dst;
-            Netsim.Network.send t.sv.network ~src:t.address ~dst
-              (Msg.Acp wire)));
+        if alive () then begin
+          count_msg t wire;
+          if Simkit.Trace.is_recording t.sv.sink.trace then
+            Simkit.Trace.emitf t.sv.sink.trace
+              ~time:(Simkit.Engine.now t.sv.engine)
+              ~source:(name t) ~kind:"send" "%a -> %a" Acp.Wire.pp wire
+              Netsim.Address.pp dst;
+          Netsim.Network.send t.sv.network ~src:t.address ~dst (Msg.Acp wire)
+        end);
     force =
       (fun records ~on_durable ->
-        guard (fun () ->
-            Metrics.Ledger.bump t.counters.log_sync;
-            let txn = txn_of_records records in
-            Storage.Wal.force ~txn t.wal records ~on_durable:(fun () ->
-                guard on_durable)));
+        if alive () then begin
+          Metrics.Ledger.bump t.counters.log_sync;
+          let txn = txn_of_records records in
+          Storage.Wal.force ~txn t.wal records ~on_durable:(fun () ->
+              if alive () then on_durable ())
+        end);
     append_async =
       (fun ?on_durable records ->
-        guard (fun () ->
-            Metrics.Ledger.bump t.counters.log_async;
-            let on_durable =
-              match on_durable with
-              | None -> fun () -> ()
-              | Some f -> fun () -> guard f
-            in
-            let txn = txn_of_records records in
-            Storage.Wal.append_async ~txn ~on_durable t.wal records));
+        if alive () then begin
+          Metrics.Ledger.bump t.counters.log_async;
+          let on_durable =
+            match on_durable with
+            | None -> ignore
+            | Some f -> fun () -> if alive () then f ()
+          in
+          let txn = txn_of_records records in
+          Storage.Wal.append_async ~txn ~on_durable t.wal records
+        end);
     log_gc =
       (fun txn ->
         Storage.Wal.gc t.wal ~keep:(fun r ->
@@ -230,7 +234,7 @@ let make_context t =
                 end
               end)
         in
-        guard attempt);
+        if alive () then attempt ());
     locks = t.locks;
     store = t.store;
     harden =
@@ -248,7 +252,7 @@ let make_context t =
         let span = Simkit.Time.mul_span Config.method_latency n in
         ignore
           (Simkit.Engine.schedule t.sv.engine ~label:label_compute ~after:span
-             (fun () -> guard k)));
+             (fun () -> if alive () then k ())));
     set_timer = Acp.Context.slot_timer t.sv.engine ~alive;
     timeout = t.sv.config.Config.txn_timeout;
     resend_interval =
@@ -275,12 +279,12 @@ let make_context t =
     ledger = t.sv.ledger;
     sink = t.sv.sink;
     client_reply =
-      (fun txn outcome -> guard (fun () -> t.sv.client_reply txn outcome));
+      (fun txn outcome -> if alive () then t.sv.client_reply txn outcome);
     lock_hold =
       (fun ~locked_at ->
-        guard (fun () ->
-            Metrics.Histogram.record t.sv.lock_hold
-              (Simkit.Time.diff (Simkit.Engine.now t.sv.engine) locked_at)));
+        if alive () then
+          Metrics.Histogram.record t.sv.lock_hold
+            (Simkit.Time.diff (Simkit.Engine.now t.sv.engine) locked_at));
     alive;
   }
 
@@ -337,34 +341,40 @@ let create sv ~server ~root =
   holder := Some t;
   t
 
-(* [peers] is computed once per incarnation: the endpoint set is fixed
-   once the cluster is assembled. *)
-let rec heartbeat_loop t epoch peers =
-  if t.up && t.epoch = epoch then begin
-    if Storage.San.is_fenced t.sv.san t.address then begin
-      (* Disk-lease check. Fencing assumes a STONITH follows, but when
-         two nodes fence each other concurrently the loser's fencer can
-         die (STONITH'd by us) before power-cycling us back — leaving a
-         zombie: expelled from the SAN, every log write silently
-         rejected, yet still heartbeating so no peer ever suspects or
-         recovers us, and every transaction we touch is stuck forever
-         (found via the seed-802 incident bundle; see EXPERIMENTS.md).
-         Like a SAN file system losing its disk lease, a live node that
-         finds itself fenced panics: power-cycle now and rejoin through
-         the normal recovery path instead of serving without a log. *)
-      trace_node t ~kind:"node.panic" "fenced while live; power-cycling";
-      Metrics.Ledger.incr t.sv.ledger "node.self_fence";
-      t.sv.stonith t.address
+(* The incarnation [epoch]'s heartbeat timer: one closure that beats
+   and re-arms itself with itself. [peers] is built once per
+   incarnation (the endpoint set is fixed once the cluster is
+   assembled) and never changed, as [Network.multicast] reads it until
+   the beat's copies land. *)
+let heartbeat t epoch peers =
+  let rec beat () =
+    if t.up && t.epoch = epoch then begin
+      if Storage.San.is_fenced t.sv.san t.address then begin
+        (* Disk-lease check. Fencing assumes a STONITH follows, but when
+           two nodes fence each other concurrently the loser's fencer
+           can die (STONITH'd by us) before power-cycling us back —
+           leaving a zombie: expelled from the SAN, every log write
+           silently rejected, yet still heartbeating so no peer ever
+           suspects or recovers us, and every transaction we touch is
+           stuck forever (found via the seed-802 incident bundle; see
+           EXPERIMENTS.md). Like a SAN file system losing its disk
+           lease, a live node that finds itself fenced panics:
+           power-cycle now and rejoin through the normal recovery path
+           instead of serving without a log. *)
+        trace_node t ~kind:"node.panic" "fenced while live; power-cycling";
+        Metrics.Ledger.incr t.sv.ledger "node.self_fence";
+        t.sv.stonith t.address
+      end
+      else begin
+        Netsim.Network.multicast t.sv.network ~src:t.address ~dsts:peers
+          Msg.Heartbeat;
+        ignore
+          (Simkit.Engine.schedule t.sv.engine ~label:label_heartbeat
+             ~after:t.sv.config.Config.heartbeat_interval beat)
+      end
     end
-    else begin
-      Netsim.Network.multicast t.sv.network ~src:t.address ~dsts:peers
-        Msg.Heartbeat;
-      ignore
-        (Simkit.Engine.schedule t.sv.engine ~label:label_heartbeat
-           ~after:t.sv.config.Config.heartbeat_interval (fun () ->
-             heartbeat_loop t epoch peers))
-    end
-  end
+  in
+  beat
 
 let bring_up ?(on_recovered = fun () -> ()) t ~recover =
   t.up <- true;
@@ -409,7 +419,7 @@ let bring_up ?(on_recovered = fun () -> ()) t ~recover =
   in
   t.detector <- Some detector;
   Netsim.Failure_detector.start detector;
-  heartbeat_loop t epoch (Array.of_list peers);
+  heartbeat t epoch (Array.of_list peers) ();
   if not recover then begin
     t.serving <- true;
     journal_node t Obs.Journal.Serving

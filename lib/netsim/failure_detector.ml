@@ -23,7 +23,43 @@ type t = {
   on_alive : Address.t -> unit;
   mutable running : bool;
   mutable sweep : Simkit.Engine.handle option;
+  (* The sweep event's callback, built once with the detector: every
+     sweep re-arms with this same closure. *)
+  tick : unit -> unit;
 }
+
+(* [a]'s state byte; [not_peer] for any address outside the table. *)
+let[@inline] state_of t a =
+  let i = Address.index a in
+  if i >= 0 && i < Bytes.length t.state then Bytes.unsafe_get t.state i
+  else not_peer
+
+let check_peer t now a =
+  let i = Address.index a in
+  if Bytes.unsafe_get t.state i = alive
+     && now >= Array.unsafe_get t.last_heard i + t.timeout
+  then begin
+    Bytes.unsafe_set t.state i suspect;
+    t.on_suspect a
+  end
+
+let arm t =
+  t.sweep <-
+    Some
+      (Simkit.Engine.schedule t.engine ~label:label_sweep
+         ~after:t.sweep_interval t.tick)
+
+(* One sweep, in peer order, then the next one armed — also when an
+   [on_suspect] callback stopped the detector, whose next sweep then
+   finds it stopped and ends the chain. *)
+let sweep_peers t =
+  if t.running then begin
+    let now = (Simkit.Engine.now t.engine :> int) in
+    for k = 0 to Array.length t.peers - 1 do
+      check_peer t now (Array.unsafe_get t.peers k)
+    done;
+    arm t
+  end
 
 let create ~engine ~timeout ?sweep_interval ~peers ~on_suspect
     ?(on_alive = fun _ -> ()) () =
@@ -41,45 +77,23 @@ let create ~engine ~timeout ?sweep_interval ~peers ~on_suspect
   in
   let state = Bytes.make width not_peer in
   Array.iter (fun a -> Bytes.set state (Address.index a) alive) peers;
-  {
-    engine;
-    timeout = Simkit.Time.span_to_ns timeout;
-    sweep_interval;
-    peers;
-    state;
-    last_heard = Array.make width now;
-    on_suspect;
-    on_alive;
-    running = false;
-    sweep = None;
-  }
-
-(* [a]'s state byte; [not_peer] for any address outside the table. *)
-let[@inline] state_of t a =
-  let i = Address.index a in
-  if i >= 0 && i < Bytes.length t.state then Bytes.unsafe_get t.state i
-  else not_peer
-
-let check_peer t now a =
-  let i = Address.index a in
-  if Bytes.unsafe_get t.state i = alive
-     && now >= Array.unsafe_get t.last_heard i + t.timeout
-  then begin
-    Bytes.unsafe_set t.state i suspect;
-    t.on_suspect a
-  end
-
-let rec arm t =
-  let h =
-    Simkit.Engine.schedule t.engine ~label:label_sweep
-      ~after:t.sweep_interval (fun () ->
-        if t.running then begin
-          let now = (Simkit.Engine.now t.engine :> int) in
-          Array.iter (check_peer t now) t.peers;
-          arm t
-        end)
+  let last_heard = Array.make width now in
+  let rec t =
+    {
+      engine;
+      timeout = Simkit.Time.span_to_ns timeout;
+      sweep_interval;
+      peers;
+      state;
+      last_heard;
+      on_suspect;
+      on_alive;
+      running = false;
+      sweep = None;
+      tick = (fun () -> sweep_peers t);
+    }
   in
-  t.sweep <- Some h
+  t
 
 let start t =
   if not t.running then begin

@@ -4,7 +4,6 @@ module Meter = Obs.Meter
 
 type 'msg envelope = {
   src : Address.t;
-  dst : Address.t;
   sent_at : Simkit.Time.t;
   payload : 'msg;
 }
@@ -55,7 +54,13 @@ type 'msg t = {
   mutable duplicate_probability : float;
   mutable eps : 'msg endpoint array;
   mutable n : int;
-  cuts : (int * int, unit) Hashtbl.t;  (* ordered pairs, lo first *)
+  (* Partition cuts: a [cut_width] x [cut_width] byte matrix indexed
+     by {!Address.index}, set in both orders, grown on the first cut
+     that needs it. [cuts] counts the cut links, so a healthy fabric
+     answers [reachable] on one load. *)
+  mutable cut : Bytes.t;
+  mutable cut_width : int;
+  mutable cuts : int;
   (* Reused buffer for [multicast]: the copies it admits, as
      [(endpoint index lsl 1) lor dup]. *)
   mutable fanout : int array;
@@ -89,7 +94,9 @@ let create ~engine ~rng ?(sink = Obs.Sink.disabled ())
     duplicate_probability = config.duplicate_probability;
     eps = [||];
     n = 0;
-    cuts = Hashtbl.create 16;
+    cut = Bytes.empty;
+    cut_width = 0;
+    cuts = 0;
     fanout = [||];
     sent = 0;
     delivered = 0;
@@ -124,14 +131,28 @@ let endpoint t a =
   if i < 0 || i >= t.n then invalid_arg "Network: foreign address";
   t.eps.(i)
 
-let pair a b =
-  let ia = Address.index a and ib = Address.index b in
-  if ia <= ib then (ia, ib) else (ib, ia)
+let is_cut t ia ib =
+  ia < t.cut_width && ib < t.cut_width
+  && Bytes.unsafe_get t.cut ((ia * t.cut_width) + ib) <> '\000'
 
-(* Fast path: a healthy fabric (no cuts) answers without allocating the
-   pair key. *)
 let reachable t a b =
-  Hashtbl.length t.cuts = 0 || not (Hashtbl.mem t.cuts (pair a b))
+  t.cuts = 0 || not (is_cut t (Address.index a) (Address.index b))
+
+(* Mark the link between [ia] and [ib] cut ('\001') or whole ('\000'),
+   in both orders. *)
+let set_cut t ia ib v =
+  let top = max ia ib in
+  if top >= t.cut_width then begin
+    let w = max (top + 1) (2 * t.cut_width) in
+    let m = Bytes.make (w * w) '\000' in
+    for r = 0 to t.cut_width - 1 do
+      Bytes.blit t.cut (r * t.cut_width) m (r * w) t.cut_width
+    done;
+    t.cut <- m;
+    t.cut_width <- w
+  end;
+  Bytes.unsafe_set t.cut ((ia * t.cut_width) + ib) v;
+  Bytes.unsafe_set t.cut ((ib * t.cut_width) + ia) v
 
 let set_up t a = (endpoint t a).up <- true
 let set_down t a = (endpoint t a).up <- false
@@ -142,8 +163,11 @@ let partition t left right =
     (fun a ->
       List.iter
         (fun b ->
-          if not (Address.equal a b) then
-            Hashtbl.replace t.cuts (pair a b) ())
+          let ia = Address.index a and ib = Address.index b in
+          if ia <> ib && not (is_cut t ia ib) then begin
+            set_cut t ia ib '\001';
+            t.cuts <- t.cuts + 1
+          end)
         right)
     left
 
@@ -152,12 +176,19 @@ let journal_heal t =
     Obs.Journal.Heal
 
 let heal t =
-  if Hashtbl.length t.cuts > 0 then journal_heal t;
-  Hashtbl.reset t.cuts
+  if t.cuts > 0 then begin
+    journal_heal t;
+    Bytes.fill t.cut 0 (Bytes.length t.cut) '\000';
+    t.cuts <- 0
+  end
 
 let heal_pair t a b =
-  if Hashtbl.mem t.cuts (pair a b) then journal_heal t;
-  Hashtbl.remove t.cuts (pair a b)
+  let ia = Address.index a and ib = Address.index b in
+  if is_cut t ia ib then begin
+    journal_heal t;
+    set_cut t ia ib '\000';
+    t.cuts <- t.cuts - 1
+  end
 
 let set_drop_probability t p =
   check_probability ~what:"set_drop_probability: probability" p;
@@ -230,12 +261,12 @@ let admit t src_ep ~src ~dst ~mtag ~sent_at ~at payload =
   end
 
 (* Delivery of one copy, at its instant: the destination down or the
-   link cut since the send drop it, otherwise its handler gets it. The
-   first copy of a message is the logical one; a [dup] copy is the
-   duplication fault, classified apart so the conservation law stays
-   exact under duplicate bursts. *)
-let deliver t ~src dst_ep ~sent_at ~mtag ~dup payload =
-  let dst = dst_ep.address in
+   link cut since the send drop it, otherwise its handler gets the
+   message's envelope. The first copy of a message is the logical one;
+   a [dup] copy is the duplication fault, classified apart so the
+   conservation law stays exact under duplicate bursts. *)
+let deliver t dst_ep ~mtag ~dup env =
+  let src = env.src and dst = dst_ep.address in
   t.in_flight <- t.in_flight - 1;
   Meter.note_arrival t.sink.meter mtag;
   if not dst_ep.up then begin
@@ -258,7 +289,7 @@ let deliver t ~src dst_ep ~sent_at ~mtag ~dup payload =
     if Simkit.Trace.is_recording t.sink.trace then
       Simkit.Trace.emitf t.sink.trace ~time ~source:(Address.name dst)
         ~kind:"net.recv" "from %a" Address.pp src;
-    dst_ep.handler { src; dst; sent_at; payload }
+    dst_ep.handler env
   end
 
 (* One flag load + branch when the meter is off; the negative tag turns
@@ -273,15 +304,22 @@ let send t ~src ~dst payload =
   let mtag = meter_tag t payload in
   let sent_at = Simkit.Engine.now t.engine in
   let at = Simkit.Time.add sent_at t.config.latency in
-  for copy = 1 to admit t src_ep ~src ~dst ~mtag ~sent_at ~at payload do
-    let dup = copy > 1 in
-    ignore
-      (Simkit.Engine.schedule_at t.engine ~label:label_deliver ~at (fun () ->
-           deliver t ~src dst_ep ~sent_at ~mtag ~dup payload))
-  done
+  let copies = admit t src_ep ~src ~dst ~mtag ~sent_at ~at payload in
+  if copies > 0 then begin
+    let env = { src; sent_at; payload } in
+    for copy = 1 to copies do
+      let dup = copy > 1 in
+      ignore
+        (Simkit.Engine.schedule_at t.engine ~label:label_deliver ~at
+           (fun () -> deliver t dst_ep ~mtag ~dup env))
+    done
+  end
 
 (* [send] to each destination in turn, with the admitted copies queued
-   as one engine batch whose members deliver them in admission order. *)
+   as one engine batch whose members deliver them in admission order,
+   all with one envelope. When every destination was admitted exactly
+   once the members walk [dsts] itself; only a fan-out that lost or
+   duplicated a copy keeps its own list of the admitted ones. *)
 let multicast t ~src ~dsts payload =
   let src_ep = endpoint t src in
   let n = Array.length dsts in
@@ -292,24 +330,34 @@ let multicast t ~src ~dsts payload =
   let mtag = meter_tag t payload in
   let sent_at = Simkit.Engine.now t.engine in
   let at = Simkit.Time.add sent_at t.config.latency in
-  let k = ref 0 in
+  let k = ref 0 and each_once = ref true in
   for i = 0 to n - 1 do
     let dst = dsts.(i) in
-    for dup = 0 to admit t src_ep ~src ~dst ~mtag ~sent_at ~at payload - 1 do
+    let copies = admit t src_ep ~src ~dst ~mtag ~sent_at ~at payload in
+    if copies <> 1 then each_once := false;
+    for dup = 0 to copies - 1 do
       t.fanout.(!k) <- (Address.index dst lsl 1) lor dup;
       incr k
     done
   done;
   if !k > 0 then begin
-    let copies = Array.sub t.fanout 0 !k in
+    let env = { src; sent_at; payload } in
     let next = ref 0 in
+    let member =
+      if !each_once then fun () ->
+        let dst = dsts.(!next) in
+        incr next;
+        deliver t t.eps.(Address.index dst) ~mtag ~dup:false env
+      else
+        let copies = Array.sub t.fanout 0 !k in
+        fun () ->
+          let c = copies.(!next) in
+          incr next;
+          deliver t t.eps.(c lsr 1) ~mtag ~dup:(c land 1 = 1) env
+    in
     ignore
       (Simkit.Engine.schedule_batch t.engine ~label:label_deliver ~at
-         ~count:!k (fun () ->
-           let c = copies.(!next) in
-           incr next;
-           deliver t ~src t.eps.(c lsr 1) ~sent_at ~mtag ~dup:(c land 1 = 1)
-             payload))
+         ~count:!k member)
   end
 
 let stats t =

@@ -15,10 +15,14 @@
 
 type 'msg envelope = {
   src : Address.t;
-  dst : Address.t;
   sent_at : Simkit.Time.t;
   payload : 'msg;
 }
+(** What a handler receives. A message has one envelope, built once and
+    handed to every copy of it — each destination of a {!multicast} and
+    each duplicate — so a handler must not expect a fresh value per
+    delivery. It carries no destination: a handler is registered for
+    one address. *)
 
 type config = {
   latency : Simkit.Time.span;  (** fixed one-way latency *)
@@ -96,9 +100,15 @@ val multicast :
     is admitted in order with the same checks and draws, and books the
     same stats, meter notes and transit spans. The copies it admits —
     a duplicate right behind its original — share one
-    {!Simkit.Engine.schedule_batch}, so a fan-out costs one engine
-    handle and one closure, not one of each per copy; each copy is
-    still its own dispatched event.
+    {!Simkit.Engine.schedule_batch} and one envelope, so a fan-out
+    costs one engine handle, one closure and one envelope, not one of
+    each per copy; each copy is still its own dispatched event.
+
+    When every destination is admitted exactly once (no loss, refusal
+    or duplicate), the copies are delivered straight from [dsts]: the
+    array is read until the last copy lands, so the caller must not
+    change it before then. A fan-out that lost or duplicated a copy
+    records the admitted destinations itself.
     @raise Invalid_argument if [src] or a destination is foreign, before
     anything is sent. *)
 

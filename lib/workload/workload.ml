@@ -132,23 +132,110 @@ let default_mix =
   { create_weight = 70; delete_weight = 20; rename_weight = 10;
     lookup_weight = 0 }
 
+module Pool = struct
+  (* Names in insertion order, one slot each; a taken name's slot goes
+     dead. A Fenwick tree over the slots counts the live ones, so the
+     [i]-th newest is found by rank in O(log n). When the slots run out
+     the live names are packed to the front, in order, and the slots
+     doubled unless at most half were live. Slot counts are powers of
+     two. *)
+  type t = {
+    mutable names : string array;
+    mutable live : Bytes.t;  (* '\001' at a live slot *)
+    mutable tree : int array;  (* 1-based Fenwick tree over [live] *)
+    mutable used : int;  (* slots filled so far *)
+    mutable count : int;  (* live names *)
+  }
+
+  let create () =
+    { names = [||]; live = Bytes.empty; tree = [| 0 |]; used = 0; count = 0 }
+
+  let length t = t.count
+
+  let bump t slot d =
+    let i = ref (slot + 1) in
+    while !i < Array.length t.tree do
+      t.tree.(!i) <- t.tree.(!i) + d;
+      i := !i + (!i land - !i)
+    done
+
+  let repack t cap =
+    let names = Array.make cap "" and live = Bytes.make cap '\000' in
+    let tree = Array.make (cap + 1) 0 in
+    let k = ref 0 in
+    for s = 0 to t.used - 1 do
+      if Bytes.get t.live s <> '\000' then begin
+        names.(!k) <- t.names.(s);
+        Bytes.set live !k '\001';
+        tree.(!k + 1) <- 1;
+        incr k
+      end
+    done;
+    for i = 1 to cap do
+      let j = i + (i land -i) in
+      if j <= cap then tree.(j) <- tree.(j) + tree.(i)
+    done;
+    t.names <- names;
+    t.live <- live;
+    t.tree <- tree;
+    t.used <- !k
+
+  let add t name =
+    let cap = Array.length t.names in
+    if t.used = cap then
+      repack t (if cap > 0 && 2 * t.count <= cap then cap else max 8 (2 * cap));
+    let s = t.used in
+    t.names.(s) <- name;
+    Bytes.set t.live s '\001';
+    bump t s 1;
+    t.used <- s + 1;
+    t.count <- t.count + 1
+
+  (* The slot of the [rank]-th live name from the oldest, 1-based:
+     descend the tree by halving steps from the slot count. *)
+  let slot_of_rank t rank =
+    let cap = Array.length t.names in
+    let pos = ref 0 and rem = ref rank and step = ref cap in
+    while !step > 0 do
+      let next = !pos + !step in
+      if next <= cap && t.tree.(next) < !rem then begin
+        pos := next;
+        rem := !rem - t.tree.(next)
+      end;
+      step := !step lsr 1
+    done;
+    !pos
+
+  let newest t =
+    if t.count = 0 then None else Some t.names.(slot_of_rank t t.count)
+
+  let take t i =
+    if i < 0 || i >= t.count then invalid_arg "Workload.Pool.take";
+    let s = slot_of_rank t (t.count - i) in
+    let name = t.names.(s) in
+    t.names.(s) <- "";
+    Bytes.set t.live s '\000';
+    bump t s (-1);
+    t.count <- t.count - 1;
+    name
+end
+
 (* Files the generator has committed and not yet deleted/renamed-away,
    per directory: the pool deletes and renames draw from. *)
-type live_files = (Mds.Update.ino, string list ref) Hashtbl.t
+type live_files = (Mds.Update.ino, Pool.t) Hashtbl.t
 
 let pool_add (pool : live_files) dir name =
   match Hashtbl.find_opt pool dir with
-  | Some l -> l := name :: !l
-  | None -> Hashtbl.replace pool dir (ref [ name ])
+  | Some p -> Pool.add p name
+  | None ->
+      let p = Pool.create () in
+      Pool.add p name;
+      Hashtbl.replace pool dir p
 
 let pool_take (pool : live_files) rng dir =
   match Hashtbl.find_opt pool dir with
-  | Some ({ contents = _ :: _ } as l) ->
-      let arr = Array.of_list !l in
-      let i = Simkit.Rng.int rng (Array.length arr) in
-      let name = arr.(i) in
-      l := List.filteri (fun j _ -> j <> i) !l;
-      Some name
+  | Some p when Pool.length p > 0 ->
+      Some (Pool.take p (Simkit.Rng.int rng (Pool.length p)))
   | _ -> None
 
 let closed_loop cluster ~dirs ~clients ~ops_per_client
@@ -167,7 +254,7 @@ let closed_loop cluster ~dirs ~clients ~ops_per_client
   in
   let fresh_name client =
     incr counter;
-    Printf.sprintf "c%d_%d" client !counter
+    "c" ^ string_of_int client ^ "_" ^ string_of_int !counter
   in
   let rec step client remaining =
     if remaining > 0 then begin
@@ -200,9 +287,9 @@ let closed_loop cluster ~dirs ~clients ~ops_per_client
       then begin
         (* Shared-lock read of a (possibly absent) name. *)
         let name =
-          match Hashtbl.find_opt pool dir with
-          | Some { contents = n :: _ } -> n
-          | _ -> "missing"
+          match Option.bind (Hashtbl.find_opt pool dir) Pool.newest with
+          | Some n -> n
+          | None -> "missing"
         in
         Opc_cluster.Cluster.lookup t.cluster ~dir ~name ~on_done:(fun _ ->
             t.reads <- t.reads + 1;

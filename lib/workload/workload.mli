@@ -91,6 +91,27 @@ val default_mix : mix
     write-dominated HPC profile. Metadata-read-heavy studies raise
     [lookup_weight]. *)
 
+module Pool : sig
+  (** The names {!closed_loop} committed in one directory and has not
+      deleted or renamed away since: what its deletes and renames draw
+      from, and what its lookups read. *)
+
+  type t
+
+  val create : unit -> t
+  val length : t -> int
+
+  val add : t -> string -> unit
+  (** [add t name] makes [name] the newest. *)
+
+  val newest : t -> string option
+
+  val take : t -> int -> string
+  (** [take t i] removes and returns the [i]-th newest name ([0] is the
+      newest) in O(log n), keeping the others' order.
+      @raise Invalid_argument unless [0 <= i < length t]. *)
+end
+
 val closed_loop :
   Opc_cluster.Cluster.t ->
   dirs:Mds.Update.ino array ->

@@ -716,6 +716,27 @@ let test_retention protocol () =
     Alcotest.failf "%s keeps %.1f words per settled transaction (limit 16)"
       (pname protocol) per_txn
 
+(* An idle cluster's work is its heartbeats: every 50 ms each of 64
+   servers sends one beat to its 63 peers. Delivery allocates per beat,
+   not per copy, and the heartbeat timer and the detector's sweep reuse
+   one closure each, so a simulated second allocates less than one word
+   per delivered copy. *)
+let test_idle_heartbeat_allocation () =
+  let cluster = Cluster.create (Experiment.scale_config ~servers:64 ~seed:1) in
+  let delivered () =
+    (Netsim.Network.stats (Cluster.network cluster)).Netsim.Network.delivered
+  in
+  let copies0 = delivered () in
+  let words0 = Gc.minor_words () in
+  Cluster.run_for cluster (Simkit.Time.span_s 1);
+  let words = Gc.minor_words () -. words0 in
+  let copies = delivered () - copies0 in
+  Alcotest.(check int) "a second of beats" (64 * 63 * 20) copies;
+  let per_copy = words /. float_of_int copies in
+  if per_copy >= 1.0 then
+    Alcotest.failf "%.2f words per delivered heartbeat copy (limit 1)"
+      per_copy
+
 (* Configuration validation and fault pretty-printing coverage. *)
 let test_config_validation () =
   (match Config.validate { Config.default with servers = 0 } with
@@ -810,6 +831,8 @@ let () =
           Alcotest.test_case "read-heavy mix" `Quick test_read_heavy_mix;
           Alcotest.test_case "scale smoke (16 servers)" `Slow
             test_scale_smoke;
+          Alcotest.test_case "idle heartbeats allocate per beat" `Quick
+            test_idle_heartbeat_allocation;
           Alcotest.test_case "config validation" `Quick
             test_config_validation;
           Alcotest.test_case "fault pp/inject" `Quick test_fault_pp_and_inject;

@@ -42,9 +42,67 @@ let test_envelope_fields () =
   | None -> Alcotest.fail "no delivery"
   | Some env ->
       Alcotest.(check string) "src" "a" (Address.name env.Network.src);
-      Alcotest.(check string) "dst" "b" (Address.name env.Network.dst);
       Alcotest.(check int) "sent_at" 7_000 (Time.to_ns env.Network.sent_at);
       Alcotest.(check string) "payload" "payload" env.Network.payload
+
+(* A message has one envelope: every copy of a fan-out, duplicates
+   included, hands its handler the physically same value, carrying the
+   send's source, instant and payload. *)
+let test_one_envelope_per_message () =
+  let config =
+    { Network.default_config with Network.duplicate_probability = 1.0 }
+  in
+  let engine, net = make ~config () in
+  let seen = ref [] in
+  let a = Network.register net ~name:"a" (fun _ -> ()) in
+  let dsts =
+    Array.init 4 (fun i ->
+        Network.register net ~name:(string_of_int i) (fun env ->
+            seen := (i, env) :: !seen))
+  in
+  let payload = "beat" in
+  ignore
+    (Engine.schedule engine ~after:(Time.span_us 3) (fun () ->
+         Network.multicast net ~src:a ~dsts payload));
+  ignore (Engine.run engine);
+  let seen = List.rev !seen in
+  Alcotest.(check (list int))
+    "each destination twice, duplicate behind its original"
+    [ 0; 0; 1; 1; 2; 2; 3; 3 ] (List.map fst seen);
+  let env = snd (List.hd seen) in
+  List.iter
+    (fun (i, e) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "copy to %d is the same envelope" i)
+        true (e == env))
+    seen;
+  Alcotest.(check string) "src" "a" (Address.name env.Network.src);
+  Alcotest.(check int) "sent_at" 3_000 (Time.to_ns env.Network.sent_at);
+  Alcotest.(check bool) "payload" true (env.Network.payload == payload)
+
+(* Delivery allocates per message, not per copy: once a first cast has
+   grown the network's buffers, a healthy multicast to 64 endpoints and
+   its delivery allocate exactly what one to 2 endpoints does. *)
+let test_multicast_allocation_flat () =
+  let cast_words n =
+    let engine, net = make () in
+    let a = Network.register net ~name:"a" (fun _ -> ()) in
+    let dsts =
+      Array.init n (fun i ->
+          Network.register net ~name:(string_of_int i) (fun _ -> ()))
+    in
+    let cast () =
+      Network.multicast net ~src:a ~dsts "m";
+      ignore (Engine.run engine)
+    in
+    cast ();
+    let before = Gc.minor_words () in
+    cast ();
+    Gc.minor_words () -. before
+  in
+  let small = cast_words 2 in
+  Alcotest.(check (float 0.)) "64 endpoints allocate as 2 do" small
+    (cast_words 64)
 
 (* Messages on one link never overtake each other: every copy arrives
    one latency after its send, and same-instant copies keep their send
@@ -165,6 +223,44 @@ let test_heal_pair () =
   Network.send net ~src:a ~dst:b "m";
   ignore (Engine.run engine);
   Alcotest.(check (list string)) "delivered" [ "m" ] !got
+
+(* A cut holds in both directions whichever side named it, cutting a
+   link twice counts once, and [heal] and [heal_pair] journal [Heal]
+   exactly when they remove a cut. *)
+let test_partition_symmetric () =
+  let engine = Engine.create () in
+  let journal = Obs.Journal.create () in
+  let net : string Network.t =
+    Network.create ~engine ~rng:(Rng.create ~seed:1)
+      ~sink:{ (Obs.Sink.disabled ()) with journal }
+      Network.default_config
+  in
+  let ep name = Network.register net ~name (fun _ -> ()) in
+  let a = ep "a" and b = ep "b" and c = ep "c" in
+  let heals () = Obs.Journal.length journal in
+  let reach x y = Network.reachable net x y in
+  Network.partition net [ a ] [ b; c ];
+  Network.partition net [ b ] [ a ];
+  Alcotest.(check (list bool))
+    "b->a, c->a cut; a->a, b->c, c->b whole" [ false; false; true; true; true ]
+    [ reach b a; reach c a; reach a a; reach b c; reach c b ];
+  Network.heal_pair net b a;
+  Alcotest.(check (list bool)) "a-b healed, a-c still cut" [ true; true; false ]
+    [ reach a b; reach b a; reach c a ];
+  Alcotest.(check int) "one Heal" 1 (heals ());
+  Network.heal_pair net a b;
+  Network.heal_pair net b c;
+  Alcotest.(check int) "healing a whole link journals nothing" 1 (heals ());
+  Network.heal_pair net c a;
+  Alcotest.(check bool) "healed" true (reach a c);
+  Network.heal net;
+  Alcotest.(check int) "heal with no cut left journals nothing" 2 (heals ());
+  Network.partition net [ c ] [ b ];
+  Network.heal net;
+  Network.heal net;
+  Alcotest.(check (list bool)) "heal removes every cut" [ true; true ]
+    [ reach b c; reach c b ];
+  Alcotest.(check int) "one Heal per effective heal" 3 (heals ())
 
 let test_partition_in_flight () =
   let engine, net = make () in
@@ -790,7 +886,7 @@ let run_twin sc ~multicast =
             log :=
               ( Time.to_ns (Engine.now engine),
                 Address.index env.Network.src,
-                Address.index env.Network.dst,
+                i,
                 env.Network.payload )
               :: !log))
   in
@@ -861,10 +957,16 @@ let () =
         [
           Alcotest.test_case "latency" `Quick test_latency;
           Alcotest.test_case "envelope" `Quick test_envelope_fields;
+          Alcotest.test_case "one envelope per message" `Quick
+            test_one_envelope_per_message;
+          Alcotest.test_case "multicast allocation is flat" `Quick
+            test_multicast_allocation_flat;
           Alcotest.test_case "fifo links" `Quick test_fifo_links;
           Alcotest.test_case "down drops" `Quick test_down_drops;
           Alcotest.test_case "partition" `Quick test_partition;
           Alcotest.test_case "heal pair" `Quick test_heal_pair;
+          Alcotest.test_case "partition is symmetric" `Quick
+            test_partition_symmetric;
           Alcotest.test_case "partition in flight" `Quick
             test_partition_in_flight;
           Alcotest.test_case "loss" `Quick test_loss;

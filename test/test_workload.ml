@@ -116,6 +116,67 @@ let test_closed_loop_deletes_only_own_files () =
   Alcotest.(check int) "no aborts" 0 s.Workload.aborted;
   check_invariants cluster
 
+(* The closed loop's live-name pool against the list it replaced:
+   names newest first, [take i] the list's [i]-th element filtered out.
+   The same index must give the same name, so one RNG value draws the
+   same file from either. Adds, takes and reads of the newest
+   interleave, with the mix drawn per case so pools both grow through
+   several doublings and drain through repacks. *)
+type pool_op = Add of string | Take of int | Newest
+
+let pp_pool_op = function
+  | Add n -> "add " ^ n
+  | Take r -> "take " ^ string_of_int r
+  | Newest -> "newest"
+
+let prop_pool_matches_list =
+  let gen =
+    let open QCheck2.Gen in
+    let* adds = int_range 1 8 in
+    list_size (int_bound 500)
+      (frequency
+         [
+           (adds, map (fun i -> Add (string_of_int i)) (int_bound 60));
+           (4, map (fun r -> Take r) (int_bound 1_000_000));
+           (1, return Newest);
+         ])
+  in
+  QCheck2.Test.make ~name:"pool matches the newest-first list" ~count:300
+    ~print:(fun ops -> String.concat "; " (List.map pp_pool_op ops))
+    gen
+    (fun ops ->
+      let pool = Workload.Pool.create () and model = ref [] in
+      List.for_all
+        (fun op ->
+          Workload.Pool.length pool = List.length !model
+          &&
+          match op with
+          | Add n ->
+              Workload.Pool.add pool n;
+              model := n :: !model;
+              true
+          | Take _ when !model = [] -> true
+          | Take r ->
+              let i = r mod List.length !model in
+              let want = List.nth !model i in
+              model := List.filteri (fun j _ -> j <> i) !model;
+              String.equal (Workload.Pool.take pool i) want
+          | Newest -> Workload.Pool.newest pool = List.nth_opt !model 0)
+        ops
+      && Workload.Pool.length pool = List.length !model)
+
+let test_pool_take_range () =
+  let pool = Workload.Pool.create () in
+  Workload.Pool.add pool "a";
+  List.iter
+    (fun i ->
+      Alcotest.check_raises (Printf.sprintf "take %d" i)
+        (Invalid_argument "Workload.Pool.take") (fun () ->
+          ignore (Workload.Pool.take pool i)))
+    [ -1; 1 ];
+  Alcotest.(check string) "take 0" "a" (Workload.Pool.take pool 0);
+  Alcotest.(check (option string)) "empty" None (Workload.Pool.newest pool)
+
 (* ------------------------------------------------------------------ *)
 (* Batching                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -479,6 +540,8 @@ let () =
             test_closed_loop_only_creates;
           Alcotest.test_case "closed loop deletes" `Quick
             test_closed_loop_deletes_only_own_files;
+          QCheck_alcotest.to_alcotest prop_pool_matches_list;
+          Alcotest.test_case "pool take range" `Quick test_pool_take_range;
         ] );
       ( "batching",
         [
