@@ -47,9 +47,9 @@
    fails if events/s fell more than [--tolerance] (default 0.15) below
    the baseline, naming the subsystem whose self-time per event grew
    most, or saying that none grew. It exits with status 2 on a baseline
-   timed under another build profile (naming both) or lacking a
-   CPU-time rate or a 1PC profile. Unknown subcommands and flags exit
-   with status 2. *)
+   timed under another build profile or built with another compiler
+   (naming both), or lacking a CPU-time rate or a 1PC profile. Unknown
+   subcommands and flags exit with status 2. *)
 
 let section title =
   Fmt.pr "@.== %s ==@." title
@@ -94,16 +94,17 @@ let git_revision () =
   with Sys_error _ | Not_found -> "unknown"
 
 (* Write one artifact: a header saying which command wrote it, from
-   which commit and build, what [clock] its host quantities were read
-   from ("none" when it holds only simulated ones) and whether it ran
-   [--smoke], then [body]. Exits 1 unless the file reads back with
-   every header key. *)
+   which commit, build profile and compiler, what [clock] its host
+   quantities were read from ("none" when it holds only simulated ones)
+   and whether it ran [--smoke], then [body]. Exits 1 unless the file
+   reads back with every header key. *)
 let emit ~path ~benchmark ~clock ~smoke body =
   let header =
     [
       ("benchmark", Json.Str benchmark);
       ("git_revision", Json.Str (git_revision ()));
       ("build_profile", Json.Str Build_info.profile);
+      ("ocaml_version", Json.Str Sys.ocaml_version);
       ("clock", Json.Str clock);
       ("smoke", Json.Bool smoke);
     ]
@@ -1220,7 +1221,8 @@ let drill ~smoke ~seeds () =
    The negative controls judge the same measurement against the
    baseline claiming 999,999,999 events/s, which must trip the gate,
    attribution and incident bundle included, and against the baseline
-   rewritten to another build profile, which must be refused. *)
+   rewritten to another build profile or another compiler, each of
+   which must be refused. *)
 let regression_check ~against ~tolerance () =
   section
     (Fmt.str "check: events/s gate against %s (tolerance %.0f%%)" against
@@ -1239,25 +1241,39 @@ let regression_check ~against ~tolerance () =
     with Json.Parse_error msg -> refuse "cannot parse %s: %s" against msg
   in
   (* Build profiles time further apart than the tolerance (release took
-     up to 21% less host time than dev on the repo benchmark), so only a
-     baseline timed under this binary's profile can judge it. *)
-  let mismatch recorded =
-    if recorded = Some Build_info.profile then None
-    else
-      Some
-        (Fmt.str
-           "build profile mismatch: %s was timed under %s, this binary is \
-            %S; rerun `bench scale` with this build"
-           against
-           (match recorded with Some p -> Fmt.str "%S" p | None -> "no profile")
-           Build_info.profile)
+     up to 21% less host time than dev on the repo benchmark), and the
+     compiler sets the allocation counts printed beside the rate, so
+     only a baseline from this binary's profile and compiler can judge
+     it. *)
+  let mismatch (profile, compiler) =
+    let differs ~what ~verb ~none recorded mine =
+      if recorded = Some mine then None
+      else
+        Some
+          (Fmt.str
+             "%s mismatch: %s was %s %s, this binary is %S; rerun `bench \
+              scale` with this build"
+             what against verb
+             (match recorded with Some r -> Fmt.str "%S" r | None -> none)
+             mine)
+    in
+    match
+      differs ~what:"build profile" ~verb:"timed under" ~none:"no profile"
+        profile Build_info.profile
+    with
+    | Some m -> Some m
+    | None ->
+        differs ~what:"compiler" ~verb:"built with OCaml"
+          ~none:"(not recorded)" compiler Sys.ocaml_version
   in
-  let build_profile =
-    Json.member "header" baseline
-    |> Option.value ~default:Json.Null
-    |> Json.member "build_profile" |> Json.to_str
+  let recorded =
+    let header =
+      Json.member "header" baseline |> Option.value ~default:Json.Null
+    in
+    ( Json.to_str (Json.member "build_profile" header),
+      Json.to_str (Json.member "ocaml_version" header) )
   in
-  Option.iter (refuse "%s") (mismatch build_profile);
+  Option.iter (refuse "%s") (mismatch recorded);
   (* Every `scale` records a CPU-time rate per point and a 1PC profile,
      so a baseline lacking either was not written by one: refused. *)
   let opc = Opc.Acp.Protocol.Opc in
@@ -1382,8 +1398,8 @@ let regression_check ~against ~tolerance () =
     | Ok () -> Fmt.str "incident bundle: %s" dir
     | Error e -> Fmt.str "incident bundle %s failed validation: %s" dir e
   in
-  let judge (build_profile, base_eps, incident) =
-    match mismatch build_profile with
+  let judge (recorded, base_eps, incident) =
+    match mismatch recorded with
     | Some m -> [ m ]
     | None when eps >= floor base_eps -> []
     | None ->
@@ -1422,17 +1438,23 @@ let regression_check ~against ~tolerance () =
   let incident = Fmt.str "INCIDENT_check_%d" seed in
   let ok, verdict =
     gate ~name:"check" judge
-      (build_profile, base_eps, incident)
+      (recorded, base_eps, incident)
       [
         ( "baseline events_per_cpu_s = 999999999",
           [ "subsystem attribution" ],
-          (build_profile, 999_999_999., incident ^ "_control") );
+          (recorded, 999_999_999., incident ^ "_control") );
         ( "baseline build_profile = \"another-build\"",
           [
             "build profile mismatch: ";
             " timed under \"another-build\", this binary is \"";
           ],
-          (Some "another-build", base_eps, incident) );
+          ((Some "another-build", snd recorded), base_eps, incident) );
+        ( "baseline ocaml_version = \"4.14.0\"",
+          [
+            "compiler mismatch: ";
+            " built with OCaml \"4.14.0\", this binary is \"";
+          ],
+          ((fst recorded, Some "4.14.0"), base_eps, incident) );
       ]
   in
   ( [

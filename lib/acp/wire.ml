@@ -28,8 +28,7 @@ type t =
     }
 
 (* Replica-recovery messages are owner-scoped, not transaction-scoped;
-   they borrow a synthetic id so [txn] stays total (seq 0 is never
-   allocated to a real transaction). *)
+   they borrow a synthetic id so [txn] stays total. *)
 let recovery_id owner = { Txn.origin = owner; seq = 0 }
 
 let txn = function

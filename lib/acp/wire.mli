@@ -57,7 +57,9 @@ type t =
 
 val txn : t -> Txn.id
 (** Total. Owner-scoped recovery messages answer with a synthetic id
-    [{origin = owner; seq = 0}]; seq 0 is never a real transaction. *)
+    [{origin = owner; seq = 0}]. The cluster's first transaction may
+    carry the same id, so the synthetic one is only traced or routed,
+    never hardened or looked up ({!Txn.id}). *)
 
 val is_baseline : t -> bool
 (** [Update_req]/[Updated] and [Vote_req]/[Vote] — traffic that exists

@@ -33,9 +33,10 @@ type t = {
   address : Netsim.Address.t;
   wal : Acp.Log_record.t Storage.Wal.t;
   store : Mds.Store.t;
-  (* Owner tokens of the transactions whose updates reached the durable
-     image; survives crashes. *)
-  hardened : unit Simkit.Tbl.Int.t;
+  (* The transactions whose updates reached the durable image, by
+     [Txn.id.seq] (a key on its own: see {!Acp.Txn.id}); survives
+     crashes. *)
+  hardened : Simkit.Bitset.t;
   counters : counters;
   mutable up : bool;
   mutable serving : bool;  (* up and past recovery *)
@@ -152,11 +153,10 @@ let count_msg t wire =
       Metrics.Ledger.bump by_tag);
   if not (Acp.Wire.is_baseline wire) then Metrics.Ledger.bump c.msg_acp
 
-let harden_once t id updates =
-  let token = Acp.Txn.owner_token id in
-  let fresh = not (Simkit.Tbl.Int.mem t.hardened token) in
+let harden_once t (id : Acp.Txn.id) updates =
+  let fresh = not (Simkit.Bitset.mem t.hardened id.seq) in
   if fresh then begin
-    Simkit.Tbl.Int.replace t.hardened token ();
+    Simkit.Bitset.add t.hardened id.seq;
     Mds.Store.commit_durable t.store updates
   end;
   fresh
@@ -245,8 +245,7 @@ let make_context t =
            executing transaction already applied them. *)
         if harden_once t txn updates && not t.serving then
           Mds.Store.replay_durable_to_volatile t.store updates);
-    is_hardened =
-      (fun txn -> Simkit.Tbl.Int.mem t.hardened (Acp.Txn.owner_token txn));
+    is_hardened = (fun txn -> Simkit.Bitset.mem t.hardened txn.Acp.Txn.seq);
     compute =
       (fun ~n k ->
         let span = Simkit.Time.mul_span Config.method_latency n in
@@ -313,7 +312,7 @@ let create sv ~server ~root =
       wal;
       store =
         Mds.Store.create ~name:(Netsim.Address.name address) ~root;
-      hardened = Simkit.Tbl.Int.create 256;
+      hardened = Simkit.Bitset.create 256;
       counters =
         (let counter = Metrics.Ledger.counter sv.ledger in
          {

@@ -4,7 +4,9 @@ type t = {
   strategy : strategy;
   servers : int;
   rng : Simkit.Rng.t option;
-  table : int Simkit.Tbl.Int.t;
+  (* Owner by inode number, -1 if unplaced. The cluster mints inode
+     numbers from one counter, so the array is dense. *)
+  mutable owner : int array;
   mutable next_rr : int;
 }
 
@@ -19,18 +21,33 @@ let create ?rng ~strategy ~servers () =
   | Colocate _ when rng = None ->
       invalid_arg "Placement.create: Colocate needs an rng"
   | _ -> ());
-  { strategy; servers; rng; table = Simkit.Tbl.Int.create 256; next_rr = 0 }
+  { strategy; servers; rng; owner = Array.make 256 (-1); next_rr = 0 }
 
 let servers t = t.servers
+
+let placed t ino =
+  ino >= 0 && ino < Array.length t.owner && t.owner.(ino) >= 0
+
+let node_of t ino = if placed t ino then t.owner.(ino) else raise Not_found
+
+let record t ino server =
+  let len = Array.length t.owner in
+  if ino >= len then begin
+    let grown = Array.make (max (2 * len) (ino + 1)) (-1) in
+    Array.blit t.owner 0 grown 0 len;
+    t.owner <- grown
+  end;
+  t.owner.(ino) <- server
 
 let assign_root t ino ~server =
   if server < 0 || server >= t.servers then
     invalid_arg "Placement.assign_root: server out of range";
-  Simkit.Tbl.Int.replace t.table ino server
+  if ino < 0 then invalid_arg "Placement.assign_root: negative inode";
+  record t ino server
 
 let place t ~parent_server ino =
-  if Simkit.Tbl.Int.mem t.table ino then
-    invalid_arg "Placement.place: inode already placed";
+  if ino < 0 then invalid_arg "Placement.place: negative inode";
+  if placed t ino then invalid_arg "Placement.place: inode already placed";
   let server =
     match t.strategy with
     | Hash -> hash_ino ino t.servers
@@ -51,12 +68,5 @@ let place t ~parent_server ino =
           let slot = hash_ino ino (t.servers - 1) in
           if slot >= parent_server then slot + 1 else slot
   in
-  Simkit.Tbl.Int.replace t.table ino server;
+  record t ino server;
   server
-
-let node_of t ino =
-  match Simkit.Tbl.Int.find_opt t.table ino with
-  | Some s -> s
-  | None -> raise Not_found
-
-let placed t ino = Simkit.Tbl.Int.mem t.table ino

@@ -7,7 +7,9 @@
 
     Assignments are recorded at allocation time and are authoritative
     thereafter: [node_of] never changes its answer for a placed inode,
-    whatever the strategy. *)
+    whatever the strategy. They live in an array indexed by inode
+    number, which suits the cluster's densely minted inodes: a sparse
+    numbering would cost a word per number below the largest. *)
 
 type strategy =
   | Hash  (** deterministic hash of the inode number over all servers *)
@@ -32,13 +34,16 @@ val create :
 val servers : t -> int
 
 val assign_root : t -> Update.ino -> server:int -> unit
-(** Pin the root directory (or any pre-existing object) to a server. *)
+(** Pin the root directory (or any pre-existing object) to a server.
+    @raise Invalid_argument if the server is out of range or the inode
+    negative. *)
 
 val place : t -> parent_server:int -> Update.ino -> int
 (** Choose and record the owner of a new inode.
-    @raise Invalid_argument if the inode is already placed. *)
+    @raise Invalid_argument if the inode is negative or already placed. *)
 
 val node_of : t -> Update.ino -> int
 (** Owner of a placed inode. @raise Not_found if never placed. *)
 
 val placed : t -> Update.ino -> bool
+(** [false] for every inode never placed, negative ones included. *)

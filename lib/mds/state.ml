@@ -3,10 +3,20 @@ module Names = Simkit.Tbl.String
 
 type inode_info = { kind : Update.kind; nlink : int }
 
+(* An inode is stored as one immediate, [nlink lsl 1 lor is_dir], not a
+   boxed [inode_info]: adding or dropping a link is [+ 2] or [- 2]. *)
 type t = {
-  inodes : inode_info Inos.t;
+  inodes : int Inos.t;
   dentries : Update.ino Names.t Inos.t;
 }
+
+let pack kind nlink =
+  (nlink lsl 1) lor match kind with Update.Directory -> 1 | Update.File -> 0
+
+let is_dir v = v land 1 = 1
+let kind_of v = if is_dir v then Update.Directory else Update.File
+let nlink_of v = v asr 1
+let info_of v = { kind = kind_of v; nlink = nlink_of v }
 
 type error =
   | Inode_exists of Update.ino
@@ -30,7 +40,7 @@ let create () =
   { inodes = Inos.create 64; dentries = Inos.create 16 }
 
 let add_root t ino =
-  Inos.replace t.inodes ino { kind = Update.Directory; nlink = 1 };
+  Inos.replace t.inodes ino (pack Update.Directory 1);
   Inos.replace t.dentries ino (Names.create 16)
 
 let dentry_table t dir = Inos.find_opt t.dentries dir
@@ -45,7 +55,7 @@ let apply t (u : Update.t) : (Update.t, error) result =
   | Create_inode { ino; kind; nlink } ->
       if Inos.mem t.inodes ino then Error (Inode_exists ino)
       else begin
-        Inos.replace t.inodes ino { kind; nlink };
+        Inos.replace t.inodes ino (pack kind nlink);
         if kind = Update.Directory && not (Inos.mem t.dentries ino) then
           Inos.replace t.dentries ino (Names.create 8);
         Ok (Update.Unref { ino })
@@ -53,8 +63,8 @@ let apply t (u : Update.t) : (Update.t, error) result =
   | Link { dir; name; target } -> (
       match Inos.find_opt t.inodes dir with
       | None -> Error (No_such_inode dir)
-      | Some { kind = Update.File; _ } -> Error (Not_a_directory dir)
-      | Some { kind = Update.Directory; _ } ->
+      | Some v when not (is_dir v) -> Error (Not_a_directory dir)
+      | Some _ ->
           let tbl =
             match dentry_table t dir with
             | Some tbl -> tbl
@@ -82,26 +92,26 @@ let apply t (u : Update.t) : (Update.t, error) result =
   | Ref { ino } -> (
       match Inos.find_opt t.inodes ino with
       | None -> Error (No_such_inode ino)
-      | Some info ->
-          Inos.replace t.inodes ino { info with nlink = info.nlink + 1 };
+      | Some v ->
+          Inos.replace t.inodes ino (v + 2);
           Ok (Update.Unref { ino }))
   | Unref { ino } -> (
       match Inos.find_opt t.inodes ino with
       | None -> Error (No_such_inode ino)
-      | Some info ->
-          if info.nlink <= 1 then
-            if info.kind = Update.Directory && dir_entry_count t ino > 0
-            then Error (Directory_not_empty ino)
+      | Some v ->
+          if nlink_of v <= 1 then
+            if is_dir v && dir_entry_count t ino > 0 then
+              Error (Directory_not_empty ino)
             else begin
               (* Reap. *)
               Inos.remove t.inodes ino;
               Inos.remove t.dentries ino;
               Ok
                 (Update.Create_inode
-                   { ino; kind = info.kind; nlink = info.nlink })
+                   { ino; kind = kind_of v; nlink = nlink_of v })
             end
           else begin
-            Inos.replace t.inodes ino { info with nlink = info.nlink - 1 };
+            Inos.replace t.inodes ino (v - 2);
             Ok (Update.Ref { ino })
           end)
   | Touch { ino } ->
@@ -115,7 +125,7 @@ let apply_exn t u =
       invalid_arg
         (Fmt.str "State.apply_exn: %a applying %a" pp_error e Update.pp u)
 
-let inode t ino = Inos.find_opt t.inodes ino
+let inode t ino = Option.map info_of (Inos.find_opt t.inodes ino)
 
 let lookup t ~dir ~name =
   match dentry_table t dir with
@@ -124,17 +134,17 @@ let lookup t ~dir ~name =
 
 let list_dir t dir =
   match Inos.find_opt t.inodes dir with
-  | Some { kind = Update.Directory; _ } ->
+  | Some v when is_dir v ->
       let entries =
         match dentry_table t dir with
         | None -> []
         | Some tbl -> Names.fold (fun k v acc -> (k, v) :: acc) tbl []
       in
       Some (List.sort (fun (a, _) (b, _) -> String.compare a b) entries)
-  | Some { kind = Update.File; _ } | None -> None
+  | Some _ | None -> None
 
 let inodes t =
-  Inos.fold (fun ino info acc -> (ino, info) :: acc) t.inodes []
+  Inos.fold (fun ino v acc -> (ino, info_of v) :: acc) t.inodes []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let copy t =

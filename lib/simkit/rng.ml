@@ -5,15 +5,14 @@
 
 type zipf_table = { n : int; s : float; cdf : float array }
 
-type t = {
-  mutable state : int64;
-  mutable gamma : int64;
-  mutable zipf_cache : zipf_table option;
-}
+(* [sg] holds the 64-bit [state] at byte 0 and [gamma] at byte 8,
+   unboxed: a draw reads and writes them in place, so it allocates
+   nothing where a [mutable int64] field would box every new state. *)
+type t = { sg : Bytes.t; mutable zipf_cache : zipf_table option }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
@@ -33,32 +32,36 @@ let mix_gamma z =
   in
   if transitions < 24 then Int64.logxor z 0xAAAAAAAAAAAAAAAAL else z
 
-let create ~seed =
-  let s = mix64 (Int64.of_int seed) in
-  { state = s; gamma = golden_gamma; zipf_cache = None }
+let make ~state ~gamma =
+  let sg = Bytes.create 16 in
+  Bytes.set_int64_ne sg 0 state;
+  Bytes.set_int64_ne sg 8 gamma;
+  { sg; zipf_cache = None }
 
-let next_seed t =
-  t.state <- Int64.add t.state t.gamma;
-  t.state
+let create ~seed = make ~state:(mix64 (Int64.of_int seed)) ~gamma:golden_gamma
 
-let bits64 t = mix64 (next_seed t)
+let[@inline] next_seed t =
+  let s = Int64.add (Bytes.get_int64_ne t.sg 0) (Bytes.get_int64_ne t.sg 8) in
+  Bytes.set_int64_ne t.sg 0 s;
+  s
+
+let[@inline] bits64 t = mix64 (next_seed t)
 
 let split t =
-  let s = bits64 t in
-  let g = mix_gamma (next_seed t) in
-  { state = s; gamma = g; zipf_cache = None }
+  let state = bits64 t in
+  let gamma = mix_gamma (next_seed t) in
+  make ~state ~gamma
 
 (* Uniform int in [0, bound) by rejection over the top 62 bits, avoiding
-   modulo bias. *)
+   modulo bias. A top-level loop, so a draw builds no closure. *)
+let rec draw_int t bound =
+  let r = Int64.to_int (Int64.logand (bits64 t) 0x3FFF_FFFF_FFFF_FFFFL) in
+  let v = r mod bound in
+  if r - v + (bound - 1) < 0 then draw_int t bound else v
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
-  let mask = 0x3FFF_FFFF_FFFF_FFFFL in
-  let rec draw () =
-    let r = Int64.to_int (Int64.logand (bits64 t) mask) in
-    let v = r mod bound in
-    if r - v + (bound - 1) < 0 then draw () else v
-  in
-  draw ()
+  draw_int t bound
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: hi < lo";

@@ -75,11 +75,13 @@ let write_bytes t records =
   List.fold_left (fun acc r -> acc + t.size r + t.header_bytes) 0 records
   |> max t.header_bytes
 
+(* [bytes] is the write's size: the records' footprints, or one header
+   for an empty write, which leaves no record and so adds no bytes. *)
 let commit_records t records bytes =
   let n = List.length records in
   List.iter (fun r -> t.durable_records <- r :: t.durable_records) records;
   t.durable_count <- t.durable_count + n;
-  t.durable_bytes <- t.durable_bytes + bytes;
+  if n > 0 then t.durable_bytes <- t.durable_bytes + bytes;
   t.unforced <- max 0 (t.unforced - n)
 
 let count_accepted (t : _ t) ~sync =
@@ -208,22 +210,29 @@ let restart t = ignore t
 
 let unforced t = t.unforced
 
+(* Drop the records [keep] rejects, taking each off the count and the
+   footprint as it goes. The list after the last dropped record is
+   shared, so nothing is copied when nothing is dropped. *)
+let rec drop_unkept t keep = function
+  | [] -> []
+  | r :: rest as l ->
+      if keep r then
+        let rest' = drop_unkept t keep rest in
+        if rest' == rest then l else r :: rest'
+      else begin
+        t.durable_count <- t.durable_count - 1;
+        t.durable_bytes <- t.durable_bytes - t.size r - t.header_bytes;
+        drop_unkept t keep rest
+      end
+
 let gc t ~keep =
-  let kept = List.filter keep t.durable_records in
-  let removed = t.durable_count - List.length kept in
-  if removed > 0 then begin
-    (* Recompute the footprint of the survivors. *)
-    let bytes =
-      List.fold_left (fun acc r -> acc + t.size r + t.header_bytes) 0 kept
-    in
-    t.durable_records <- kept;
-    t.durable_count <- List.length kept;
-    t.durable_bytes <- bytes;
-    if Simkit.Trace.is_recording t.sink.trace then
-      Simkit.Trace.emitf t.sink.trace
-        ~time:(Simkit.Engine.now t.engine)
-        ~source:t.owner ~kind:"log.gc" "%d record(s) collected" removed
-  end
+  let count = t.durable_count in
+  t.durable_records <- drop_unkept t keep t.durable_records;
+  if t.durable_count < count && Simkit.Trace.is_recording t.sink.trace then
+    Simkit.Trace.emitf t.sink.trace
+      ~time:(Simkit.Engine.now t.engine)
+      ~source:t.owner ~kind:"log.gc" "%d record(s) collected"
+      (count - t.durable_count)
 
 let stats (t : _ t) =
   {

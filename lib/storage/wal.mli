@@ -96,6 +96,7 @@ val restart : 'r t -> unit
 val gc : 'r t -> keep:('r -> bool) -> unit
 (** Checkpoint: drop durable records for which [keep] is [false]. Modelled
     as free, matching the paper (checkpointing happens off the critical
-    path and is never charged). *)
+    path and is never charged). One pass; it copies nothing when nothing
+    is dropped. *)
 
 val stats : 'r t -> stats

@@ -83,6 +83,80 @@ let test_state_nonempty_dir_protected () =
   ignore (State.apply_exn st (Update.Unref { ino = 1 }));
   Alcotest.(check bool) "dir gone" true (State.inode st 1 = None)
 
+(* Inodes are stored packed; [inode] and [inodes] rebuild the records.
+   Links climb 1 -> 3 and back on a file and on a directory, a
+   directory with entries is only protected at its last link, and a
+   created nlink of 0 reaps on its first unref. *)
+let test_state_nlink_roundtrip () =
+  let st = State.create () in
+  State.add_root st 0;
+  ignore (State.apply_exn st (dir 1));
+  ignore (State.apply_exn st (file 2));
+  ignore (State.apply_exn st (Update.Link { dir = 1; name = "f"; target = 2 }));
+  ignore
+    (State.apply_exn st
+       (Update.Create_inode { ino = 3; kind = Update.File; nlink = 0 }));
+  let info kind nlink = { State.kind; nlink } in
+  let check_inodes msg expected =
+    Alcotest.(check bool) msg true (State.inodes st = expected);
+    List.iter
+      (fun (ino, i) ->
+        Alcotest.(check bool) msg true (State.inode st ino = Some i))
+      expected
+  in
+  let step u expected_inverse =
+    match State.apply st u with
+    | Ok inv when inv = expected_inverse -> ()
+    | Ok inv -> Alcotest.failf "%a: inverse %a" Update.pp u Update.pp inv
+    | Error e -> Alcotest.failf "%a: %a" Update.pp u State.pp_error e
+  in
+  check_inodes "created"
+    [
+      (0, info Update.Directory 1);
+      (1, info Update.Directory 1);
+      (2, info Update.File 1);
+      (3, info Update.File 0);
+    ];
+  List.iter
+    (fun ino ->
+      step (Update.Ref { ino }) (Update.Unref { ino });
+      step (Update.Ref { ino }) (Update.Unref { ino }))
+    [ 1; 2 ];
+  check_inodes "three links"
+    [
+      (0, info Update.Directory 1);
+      (1, info Update.Directory 3);
+      (2, info Update.File 3);
+      (3, info Update.File 0);
+    ];
+  List.iter
+    (fun ino ->
+      step (Update.Unref { ino }) (Update.Ref { ino });
+      step (Update.Unref { ino }) (Update.Ref { ino }))
+    [ 1; 2 ];
+  check_inodes "back to one"
+    [
+      (0, info Update.Directory 1);
+      (1, info Update.Directory 1);
+      (2, info Update.File 1);
+      (3, info Update.File 0);
+    ];
+  (match State.apply st (Update.Unref { ino = 1 }) with
+  | Error (State.Directory_not_empty 1) -> ()
+  | _ -> Alcotest.fail "last link of a non-empty directory dropped");
+  step (Update.Unref { ino = 3 })
+    (Update.Create_inode { ino = 3; kind = Update.File; nlink = 0 });
+  step (Update.Unlink { dir = 1; name = "f" })
+    (Update.Link { dir = 1; name = "f"; target = 2 });
+  step (Update.Unref { ino = 2 })
+    (Update.Create_inode { ino = 2; kind = Update.File; nlink = 1 });
+  step (Update.Unref { ino = 1 })
+    (Update.Create_inode { ino = 1; kind = Update.Directory; nlink = 1 });
+  check_inodes "reaped" [ (0, info Update.Directory 1) ];
+  Alcotest.(check bool) "reaped inode" true (State.inode st 2 = None);
+  Alcotest.(check bool) "reaped directory lists nothing" true
+    (State.list_dir st 1 = None)
+
 let test_state_copy_and_equal () =
   let st = State.create () in
   State.add_root st 0;
@@ -247,6 +321,48 @@ let test_placement_misc () =
   Alcotest.check_raises "double placement"
     (Invalid_argument "Placement.place: inode already placed") (fun () ->
       ignore (Placement.place p ~parent_server:0 1))
+
+(* Owners live in an array indexed by inode number, 256 slots to
+   start. Placing across its end grows it and keeps every earlier
+   answer; reads past the end and of negative inodes answer "never
+   placed", and a negative inode is rejected. *)
+let test_placement_dense () =
+  let p = Placement.create ~strategy:Placement.Round_robin ~servers:3 () in
+  Placement.assign_root p 0 ~server:2;
+  let unplaced ino =
+    Alcotest.(check bool) (Printf.sprintf "%d unplaced" ino) false
+      (Placement.placed p ino);
+    match Placement.node_of p ino with
+    | exception Not_found -> ()
+    | s -> Alcotest.failf "inode %d reads server %d" ino s
+  in
+  List.iter unplaced [ -1; 1; 255; 256; 10_000; max_int ];
+  let placed =
+    List.map
+      (fun ino -> (ino, Placement.place p ~parent_server:0 ino))
+      [ 255; 256; 10_000 ]
+  in
+  Alcotest.(check (list (pair int int)))
+    "round robin across the end"
+    [ (255, 0); (256, 1); (10_000, 2) ]
+    placed;
+  List.iter
+    (fun (ino, s) ->
+      Alcotest.(check bool) "placed" true (Placement.placed p ino);
+      Alcotest.(check int) "kept" s (Placement.node_of p ino))
+    ((0, 2) :: placed);
+  List.iter unplaced [ -1; 1; 257; 9_999; 10_001; 20_001; max_int ];
+  Alcotest.check_raises "negative place"
+    (Invalid_argument "Placement.place: negative inode") (fun () ->
+      ignore (Placement.place p ~parent_server:0 (-1)));
+  Alcotest.check_raises "negative root"
+    (Invalid_argument "Placement.assign_root: negative inode") (fun () ->
+      Placement.assign_root p (-2) ~server:0);
+  Alcotest.check_raises "placed past the first end"
+    (Invalid_argument "Placement.place: inode already placed") (fun () ->
+      ignore (Placement.place p ~parent_server:0 10_000));
+  Placement.assign_root p 10_000 ~server:0;
+  Alcotest.(check int) "assign_root pins" 0 (Placement.node_of p 10_000)
 
 (* ------------------------------------------------------------------ *)
 (* Planner                                                             *)
@@ -474,6 +590,8 @@ let () =
           Alcotest.test_case "unref reaps" `Quick test_state_unref_reaps;
           Alcotest.test_case "non-empty dir" `Quick
             test_state_nonempty_dir_protected;
+          Alcotest.test_case "nlink round trip" `Quick
+            test_state_nlink_roundtrip;
           Alcotest.test_case "copy/equal" `Quick test_state_copy_and_equal;
         ]
         @ qsuite [ prop_apply_inverse_roundtrip ] );
@@ -494,6 +612,7 @@ let () =
           Alcotest.test_case "colocate extremes" `Quick
             test_placement_colocate_extremes;
           Alcotest.test_case "misc" `Quick test_placement_misc;
+          Alcotest.test_case "dense array" `Quick test_placement_dense;
         ] );
       ( "planner",
         [

@@ -131,6 +131,84 @@ let test_rng_shuffle_pick () =
   Alcotest.check_raises "empty pick" (Invalid_argument "Rng.pick: empty array")
     (fun () -> ignore (Rng.pick r [||]))
 
+(* The first 10,000 draws of each kind from a fresh generator, as one
+   digest per (seed, kind). The bound 3 * 2^60 rejects about a quarter
+   of the raw draws, so the rejection loop is in the stream too. The
+   expected digests were recorded from the boxed-[int64] generator that
+   preceded the current representation: the stream must never move. *)
+let rng_stream_digests r_of_seed seed =
+  let digest draw =
+    let r = r_of_seed seed and b = Buffer.create (1 lsl 17) in
+    for _ = 1 to 10_000 do
+      draw r b
+    done;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  [
+    digest (fun r b -> Printf.bprintf b "%d," (Rng.int r 1000));
+    digest (fun r b -> Printf.bprintf b "%d," (Rng.int r (3 lsl 60)));
+    digest (fun r b -> Printf.bprintf b "%h," (Rng.float r 1.0));
+    digest (fun r b -> Printf.bprintf b "%Lx," (Rng.bits64 r));
+    digest (fun r b -> Printf.bprintf b "%b," (Rng.bool r));
+  ]
+
+let test_rng_stream_golden () =
+  let fresh seed = Rng.create ~seed in
+  let child seed = Rng.split (Rng.create ~seed) in
+  let got =
+    List.concat_map (rng_stream_digests fresh) [ 0; 1; 7; -3 ]
+    @ rng_stream_digests child 5
+  in
+  Alcotest.(check (list string)) "streams"
+    [
+      (* seed 0: int 1000, int 3*2^60, float, bits64, bool *)
+      "c437b37346919a693ad71d428f065ae9";
+      "a54ee93eac98e2e388ca336cb3eca03b";
+      "e353a388b01aade28c5a187bde71fe35";
+      "4a0ae7b42d84954751efb82d3cc8a161";
+      "76ab96af1fd1c894a4a12053faa9410a";
+      (* seed 1: int 1000, int 3*2^60, float, bits64, bool *)
+      "22ed8ccdbc4606a25a1cff07fd27bd60";
+      "d16b68ef36525eca6b63c42be33ba27e";
+      "25b6ac7bfb0aab6fda4ae4709132f543";
+      "fea6e8c8883fa924c2787249eda85271";
+      "bed0eb859fb2ff457ff3f31afc1ae02b";
+      (* seed 7: int 1000, int 3*2^60, float, bits64, bool *)
+      "6fba97d23237a16629129de75b9d1311";
+      "a425ea3c60ad4723ff6281eabdc0724c";
+      "927f5d935402a5a7270c45c2ca4c50ff";
+      "36219446bb569e0cbe143fdfefa483a4";
+      "6939d17ded3501f7749ee7bdc6ddd82f";
+      (* seed -3: int 1000, int 3*2^60, float, bits64, bool *)
+      "8ea36b839369ea6122f71e7cadec4e13";
+      "2f124dd00131ebf3dd5e052d5c300069";
+      "14f8b416fd952a7839585dc0b421dd2d";
+      "761b3bde8a4ba91d637bc351a91b56a8";
+      "88b7424bcd1b1bd53d8bc1f722f267f6";
+      (* split child of seed 5: int 1000, int 3*2^60, float, bits64, bool *)
+      "35ca5122ccc62fffd666e9399d4676fa";
+      "e6e6e7d8a8867af2b949284bf77b6872";
+      "9639c3bcca1d8a7b6d2c2931accd9f89";
+      "98ae0c388a88a8ac327594a4cd5cf0f8";
+      "9e7543d86f135b2c4f4bb3945351fb4c";
+    ]
+    got
+
+(* The generator keeps its state unboxed, so the draws the workloads
+   make per operation allocate nothing. *)
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create ~seed:31 in
+  let sink = ref 0 in
+  let words0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    sink := !sink + Rng.int r (1 + i) + Rng.int r (3 lsl 60);
+    if Rng.bool r then incr sink
+  done;
+  let words = Gc.minor_words () -. words0 in
+  ignore (Sys.opaque_identity !sink);
+  if words > 100.0 then
+    Alcotest.failf "%.0f words for 30,000 draws (limit 100)" words
+
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -992,6 +1070,70 @@ let prop_tbl_other_hash_differs =
   QCheck2.Test.make_neg ~name:"hash = Fun.id orders unlike Hashtbl"
     ~count:200 (tbl_script_gen int_key) A.run
 
+(* ------------------------------------------------------------------ *)
+(* Bitset                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A server's hardened set is a bitset keyed by [Txn.id.seq] alone. The
+   ids it sees are cluster-shaped: seqs distinct (one counter for every
+   origin, from 0), origins arbitrary. Over such ids the bitset must
+   answer like a set of whole (origin, seq) pairs. Seqs start at 0 or
+   near it, and gaps of up to 5,000 carry them far past the set's
+   initial 16 bits, through several doublings. Half the ids are never
+   added, and every added id is added twice. *)
+module Ids = Set.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+let cluster_ids_gen =
+  QCheck2.Gen.(
+    let* first = oneof [ return 0; int_bound 40 ] in
+    let* steps =
+      list_size (int_range 1 120)
+        (triple (int_bound 63)
+           (frequency [ (4, int_range 1 3); (1, int_range 1 5_000) ])
+           bool)
+    in
+    let _, ids =
+      List.fold_left
+        (fun (seq, acc) (origin, gap, added) ->
+          (seq + gap, (origin, seq, added) :: acc))
+        (first, []) steps
+    in
+    shuffle_l ids)
+
+let prop_bitset_model =
+  QCheck2.Test.make ~name:"Bitset by seq answers like a set of ids"
+    ~count:300
+    ~print:QCheck2.Print.(list (triple int int bool))
+    cluster_ids_gen
+    (fun ids ->
+      let bits = Bitset.create 16 in
+      let model =
+        List.fold_left
+          (fun model (origin, seq, added) ->
+            if added then begin
+              Bitset.add bits seq;
+              Bitset.add bits seq;
+              Ids.add (origin, seq) model
+            end
+            else model)
+          Ids.empty ids
+      in
+      List.for_all
+        (fun (origin, seq, _) ->
+          Bitset.mem bits seq = Ids.mem (origin, seq) model)
+        ids
+      && (not (Bitset.mem bits (-1)))
+      && not (Bitset.mem bits max_int))
+
+let test_bitset_negative () =
+  Alcotest.check_raises "negative add"
+    (Invalid_argument "Bitset.add: negative element") (fun () ->
+      Bitset.add (Bitset.create 8) (-1))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1013,6 +1155,9 @@ let () =
           Alcotest.test_case "exponential" `Quick test_rng_exponential;
           Alcotest.test_case "zipf" `Quick test_rng_zipf;
           Alcotest.test_case "shuffle/pick" `Quick test_rng_shuffle_pick;
+          Alcotest.test_case "stream golden" `Quick test_rng_stream_golden;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_rng_draws_allocate_nothing;
         ] );
       ( "engine",
         [
@@ -1051,6 +1196,9 @@ let () =
             prop_tbl_string;
             prop_tbl_other_hash_differs;
           ] );
+      ( "bitset",
+        Alcotest.test_case "negative" `Quick test_bitset_negative
+        :: qsuite [ prop_bitset_model ] );
       ( "trace",
         [
           Alcotest.test_case "basics" `Quick test_trace_basics;

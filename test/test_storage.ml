@@ -203,6 +203,80 @@ let test_wal_gc () =
     (rec_names wal);
   Alcotest.(check int) "bytes recomputed" (2 * 65) (Wal.durable_bytes wal)
 
+(* [gc] walks the log once and shares what it keeps after the last
+   record it drops: collecting nothing, or only the newest record,
+   allocates nothing. *)
+let test_wal_gc_shares () =
+  let engine, _, wal = make_wal () in
+  List.iter
+    (fun name -> Wal.force wal [ (name, 1) ] ~on_durable:(fun () -> ()))
+    [ "a"; "b"; "c"; "newest" ];
+  ignore (Engine.run engine);
+  let words0 = Gc.minor_words () in
+  Wal.gc wal ~keep:(fun _ -> true);
+  Wal.gc wal ~keep:(fun (name, _) -> name <> "newest");
+  let words = Gc.minor_words () -. words0 in
+  Alcotest.(check (float 0.)) "words allocated" 0. words;
+  Alcotest.(check (list string)) "kept" [ "a"; "b"; "c" ] (rec_names wal);
+  Alcotest.(check int) "count" 3 (Wal.stats wal).Wal.records_durable;
+  Alcotest.(check int) "bytes" (3 * 65) (Wal.durable_bytes wal)
+
+(* Any interleaving of writes (empty ones included, with or without
+   group commit) and collections leaves what filtering the records in
+   append order and recomputing their footprint gives. *)
+type wal_op = Write of int list | Collect of int
+
+let wal_op_print = function
+  | Write sizes -> Fmt.str "Write %a" Fmt.(Dump.list int) sizes
+  | Collect k -> Fmt.str "Collect %d" k
+
+let prop_wal_gc_model =
+  QCheck2.Test.make ~name:"gc matches filter-and-recompute" ~count:300
+    ~print:QCheck2.Print.(pair bool (list wal_op_print))
+    QCheck2.Gen.(
+      pair bool
+        (list_size (int_range 1 40)
+           (frequency
+              [
+                ( 3,
+                  map
+                    (fun l -> Write l)
+                    (list_size (int_bound 4) (int_bound 300)) );
+                (2, map (fun k -> Collect k) (int_range (-1) 5));
+              ])))
+    (fun (group_commit, ops) ->
+      let engine, d = make_disk () in
+      let wal =
+        Wal.create ~engine ~disk:d ~owner:"w" ~initiator:0 ~size:snd
+          ~header_bytes:64 ~group_commit ()
+      in
+      (* Record [n] is named by its write order; [Collect k] drops the
+         records whose number is k modulo 6 ([-1] drops nothing). *)
+      let next = ref 0 and model = ref [] in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Write sizes ->
+              let records =
+                List.map
+                  (fun size ->
+                    incr next;
+                    (string_of_int !next, size))
+                  sizes
+              in
+              Wal.force wal records ~on_durable:(fun () -> ());
+              ignore (Engine.run engine);
+              model := !model @ records
+          | Collect k ->
+              let keep (name, _) = int_of_string name mod 6 <> k in
+              Wal.gc wal ~keep;
+              model := List.filter keep !model);
+          Wal.durable wal = !model
+          && (Wal.stats wal).Wal.records_durable = List.length !model
+          && Wal.durable_bytes wal
+             = List.fold_left (fun acc (_, size) -> acc + size + 64) 0 !model)
+        ops)
+
 let test_wal_batch_is_atomic () =
   let engine, _, wal = make_wal () in
   (* Two batches; crash between their completions. The first batch is
@@ -385,6 +459,7 @@ let () =
           Alcotest.test_case "fenced writes lost" `Quick
             test_wal_fenced_writes_lost;
           Alcotest.test_case "gc" `Quick test_wal_gc;
+          Alcotest.test_case "gc shares" `Quick test_wal_gc_shares;
           Alcotest.test_case "batch atomicity" `Quick test_wal_batch_is_atomic;
           Alcotest.test_case "group commit coalesces" `Quick
             test_group_commit_coalesces;
@@ -392,6 +467,7 @@ let () =
             test_group_commit_crash_drops_buffer;
           Alcotest.test_case "group commit fenced" `Quick
             test_group_commit_fenced;
+          QCheck_alcotest.to_alcotest prop_wal_gc_model;
         ] );
       ( "san",
         [
