@@ -683,26 +683,43 @@ type timed = {
   cpu_s : float;
   wall_s : float;
   minor_words : float;
+  promoted_words : float;
+  major_words : float;  (* promoted words included, as [Gc] counts them *)
 }
 
 (* Time one scale point with the profiler off, from a freshly compacted
    heap, so its rate does not depend on what ran before it in the
    process. The gated rate is events per CPU-second (Sys.time), which
    scheduler contention on a shared machine does not dilute; wall time
-   is recorded alongside, and so are the minor-heap words the point
-   allocated, an exact count that repeats run after run. *)
+   is recorded alongside, and so are the words the point allocated. The
+   minor words repeat run after run, within one process too; promoted
+   and major words repeat only from a fresh process (EXPERIMENTS.md,
+   "BENCH_scale.json schema"). [Gc.counters] allocates its result, so
+   it is read outside the minor-word count. *)
 let time_point ~servers ~txns ~seed kind =
   Gc.compact ();
+  let _, p0, j0 = Gc.counters () in
   let w0 = Gc.minor_words () in
   let c0 = Sys.time () in
   let t0 = Unix.gettimeofday () in
   let point = Opc.Experiment.run_scale_point ~servers ~txns ~seed kind in
   let wall_s = Unix.gettimeofday () -. t0 in
   let cpu_s = Sys.time () -. c0 in
-  { point; cpu_s; wall_s; minor_words = Gc.minor_words () -. w0 }
+  let minor_words = Gc.minor_words () -. w0 in
+  let _, p1, j1 = Gc.counters () in
+  {
+    point;
+    cpu_s;
+    wall_s;
+    minor_words;
+    promoted_words = p1 -. p0;
+    major_words = j1 -. j0;
+  }
 
 let events_per_cpu_s t = float_of_int t.point.events /. t.cpu_s
 let minor_words_per_txn ~txns t = t.minor_words /. float_of_int txns
+let promoted_words_per_txn ~txns t = t.promoted_words /. float_of_int txns
+let major_words_per_txn ~txns t = t.major_words /. float_of_int txns
 
 (* One profiled scale point: same workload as the timed sweep, but with
    [record_prof] on. Profiled runs are never the timed ones — the
@@ -868,6 +885,10 @@ let scale ~smoke ~seeds ~txns () =
                   ("live_words", Json.Int live_words);
                   ( "minor_words_per_txn",
                     Json.Float (minor_words_per_txn ~txns timed) );
+                  ( "promoted_words_per_txn",
+                    Json.Float (promoted_words_per_txn ~txns timed) );
+                  ( "major_words_per_txn",
+                    Json.Float (major_words_per_txn ~txns timed) );
                 ]
               :: !points
           done)
@@ -1347,13 +1368,21 @@ let regression_check ~against ~tolerance () =
     "1PC, %d servers, %d txns, seed %d:@.  baseline %.0f events/s (cpu), \
      measured %.0f events/s (cpu, best of 3; floor %.0f)@."
     servers txns seed base_eps eps (floor base_eps);
-  (* Allocation is an exact count: shown beside the baseline's, not
-     gated. *)
-  Fmt.pr "  baseline %s minor words/txn, measured %.1f@."
-    (match Json.(to_float (member "minor_words_per_txn" point)) with
-    | Some w -> Fmt.str "%.1f" w
-    | None -> "(not recorded)")
-    (minor_words_per_txn ~txns best);
+  (* Allocation is shown beside the baseline's, not gated: the minor
+     words are an exact count, the promoted and major words repeat only
+     from a fresh process. *)
+  List.iter
+    (fun (key, what, measured) ->
+      Fmt.pr "  baseline %s %s/txn, measured %.1f@."
+        (match Json.(to_float (member key point)) with
+        | Some w -> Fmt.str "%.1f" w
+        | None -> "(not recorded)")
+        what (measured ~txns best))
+    [
+      ("minor_words_per_txn", "minor words", minor_words_per_txn);
+      ("promoted_words_per_txn", "promoted words", promoted_words_per_txn);
+      ("major_words_per_txn", "major words", major_words_per_txn);
+    ];
   (* On a tripped gate, turn "slower" into "slower, and THIS
      subsystem paid for it": re-run the same point profiled and
      compare per-subsystem self-time per event against the split

@@ -55,15 +55,9 @@ let replay ctx updates =
                Mds.Update.pp u))
     [] updates
 
-let cancel_timer slot =
-  match !slot with
-  | Some h ->
-      Simkit.Engine.cancel h;
-      slot := None
-  | None -> ()
-
-let lock_oids_of_updates updates =
-  List.map Mds.Update.target_oid updates |> List.sort_uniq Int.compare
+let cancel_timer ctx slot =
+  Simkit.Engine.cancel ctx.Context.engine !slot;
+  slot := Simkit.Engine.none
 
 let track ctx tbl id role ~name =
   Simkit.Tbl.Pair.replace tbl (Txn.key id) role;
@@ -88,7 +82,7 @@ type 'phase pair_coord = {
   mutable retries : int;
   mutable locked_at : Simkit.Time.t option;
   mutable ospan : int;
-  timer : Simkit.Engine.handle option ref;
+  timer : Simkit.Engine.handle ref;
 }
 
 let pair_coord kind (txn : Txn.t) phase =
@@ -105,7 +99,7 @@ let pair_coord kind (txn : Txn.t) phase =
         retries = 0;
         locked_at = None;
         ospan = -1;
-        timer = ref None;
+        timer = ref Simkit.Engine.none;
       }
   | [] -> invalid_arg (Kind.name kind ^ ": local plan needs no ACP")
   | _ :: _ :: _ ->

@@ -64,12 +64,9 @@ val replay : Context.t -> Mds.Update.t list -> Mds.Update.t list
 (** Recovery: re-apply known-valid updates to the volatile store and
     return their inverses (newest first). *)
 
-val cancel_timer : Simkit.Engine.handle option ref -> unit
-(** Cancel and clear a timer slot, if armed ({!Context.t.set_timer}
-    arms one). *)
-
-val lock_oids_of_updates : Mds.Update.t list -> int list
-(** Deduped, sorted lock set for a worker that only knows its updates. *)
+val cancel_timer : Context.t -> Simkit.Engine.handle ref -> unit
+(** Cancel the timer a slot holds, if armed ({!Context.t.set_timer}
+    arms one), and clear the slot to {!Simkit.Engine.none}. *)
 
 (** {1 Transaction lifetimes}
 
@@ -104,7 +101,7 @@ type 'phase pair_coord = {
   mutable retries : int;
   mutable locked_at : Simkit.Time.t option;  (** until the first release *)
   mutable ospan : int;  (** open lifetime span, [-1] = none *)
-  timer : Simkit.Engine.handle option ref;
+  timer : Simkit.Engine.handle ref;
 }
 
 val pair_coord : Kind.t -> Txn.t -> 'phase -> 'phase pair_coord

@@ -16,7 +16,7 @@ type t = {
   is_hardened : Txn.id -> bool;
   compute : n:int -> (unit -> unit) -> unit;
   set_timer :
-    Simkit.Engine.handle option ref ->
+    Simkit.Engine.handle ref ->
     label:Simkit.Label.t ->
     after:Simkit.Time.span ->
     (unit -> unit) ->
@@ -36,14 +36,13 @@ type t = {
 }
 
 let slot_timer engine ~alive slot ~label ~after f =
-  Option.iter Simkit.Engine.cancel !slot;
+  Simkit.Engine.cancel engine !slot;
   slot :=
-    Some
-      (Simkit.Engine.schedule engine ~label ~after (fun () ->
-           if alive () then begin
-             slot := None;
-             f ()
-           end))
+    Simkit.Engine.schedule engine ~label ~after (fun () ->
+        if alive () then begin
+          slot := Simkit.Engine.none;
+          f ()
+        end)
 
 let hit t id = Obs.Coverage.hit t.sink.coverage id
 

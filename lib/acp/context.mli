@@ -17,7 +17,7 @@
       hold time for the Figure 6 lock-hold experiments.
     - [set_timer slot ~label ~after f] arms [slot], cancelling the timer
       it held; when the timer fires in a live incarnation, the slot is
-      cleared and [f] runs.
+      cleared to {!Simkit.Engine.none} and [f] runs.
     - [alive ()] turns false for good once this incarnation crashes. The
       services above already check it; a caller needs it only to stop
       work that touches no service, such as taking its next lock. *)
@@ -42,7 +42,7 @@ type t = {
   compute : n:int -> (unit -> unit) -> unit;
       (** continue after [n] object-method latencies *)
   set_timer :
-    Simkit.Engine.handle option ref ->
+    Simkit.Engine.handle ref ->
     label:Simkit.Label.t ->
     after:Simkit.Time.span ->
     (unit -> unit) ->
@@ -72,7 +72,7 @@ type t = {
 val slot_timer :
   Simkit.Engine.t ->
   alive:(unit -> bool) ->
-  Simkit.Engine.handle option ref ->
+  Simkit.Engine.handle ref ->
   label:Simkit.Label.t ->
   after:Simkit.Time.span ->
   (unit -> unit) ->

@@ -26,7 +26,7 @@ type work = {
   mutable rep_acked : int list;  (* replica-group members that acked *)
   mutable w_undo : Mds.Update.t list;
   mutable w_ospan : int;  (* open worker-lifetime Phase span, -1 = none *)
-  w_timer : Simkit.Engine.handle option ref;
+  w_timer : Simkit.Engine.handle ref;
 }
 
 (* One in-flight quorum read, replacing 1PC's fence-and-scan. *)
@@ -34,7 +34,7 @@ type recovery = {
   mutable awaiting : int list;  (* members that have not answered *)
   mutable rec_attempts : int;
   rec_items : (Txn.id * Mds.Update.t list) Tbl.t;
-  rec_timer : Simkit.Engine.handle option ref;
+  rec_timer : Simkit.Engine.handle ref;
   rec_done : unit -> unit;
   mutable resurrecting : int;  (* async lock/apply continuations in flight *)
   mutable collected : bool;  (* responses closed; resurrection started *)
@@ -102,7 +102,7 @@ let send_decide t (c : coord) =
    worker's vote resends eventually reach the stateless coordinator,
    which re-answers abort (presumed abort). *)
 let coord_abort ?(notify_worker = false) t (c : coord) reason =
-  Common.cancel_timer c.timer;
+  Common.cancel_timer t.ctx c.timer;
   Context.obs_phase t.ctx c.id "l1pc.coord.abort";
   Common.undo t.ctx c.undo_list;
   c.undo_list <- [];
@@ -129,7 +129,7 @@ let rec arm_decide_timer t (c : coord) =
    critical-path cut, now with zero forces on it). *)
 let coord_decide_commit t (c : coord) =
   hit t Edges.Lp1.c_vote_yes;
-  Common.cancel_timer c.timer;
+  Common.cancel_timer t.ctx c.timer;
   c.phase <- C_deciding;
   c.retries <- 0;
   Context.obs_phase t.ctx c.id "l1pc.coord.commit";
@@ -220,7 +220,7 @@ let coord_on_decide_ack t txn =
   match Tbl.find_opt t.coords (Txn.key txn) with
   | Some c when c.phase = C_deciding ->
       hit t Edges.Lp1.c_decide_ack;
-      Common.cancel_timer c.timer;
+      Common.cancel_timer t.ctx c.timer;
       Common.drop t.ctx t.coords c.id ~span:c.ospan
   | Some _ | None -> ()
 
@@ -229,7 +229,7 @@ let coord_on_decide_ack t txn =
 (* ------------------------------------------------------------------ *)
 
 let work_drop t w =
-  Common.cancel_timer w.w_timer;
+  Common.cancel_timer t.ctx w.w_timer;
   Common.drop t.ctx t.works w.w_id ~span:w.w_ospan
 
 let rep_drop_all t txn =
@@ -312,12 +312,13 @@ let work_on_vote_req t ~src txn updates =
       t.ctx.Context.send ~dst:src (Wire.Vote { txn; vote = true })
   | Some _ -> ()
   | None ->
+      let oids = Mds.Update.lock_oids updates in
       if t.ctx.Context.is_hardened txn then begin
         (* Committed in a previous incarnation. *)
         hit t Edges.Lp1.w_hardened;
         t.ctx.Context.send ~dst:src (Wire.Vote { txn; vote = true })
       end
-      else if must_die t txn (Common.lock_oids_of_updates updates) then begin
+      else if must_die t txn oids then begin
         hit t Edges.Lp1.w_die;
         trace t txn ~kind:"txn.die"
           "L1PC worker: wait-die, older coordinator holds a needed lock";
@@ -334,14 +335,13 @@ let work_on_vote_req t ~src txn updates =
             rep_acked = [];
             w_undo = [];
             w_ospan = -1;
-            w_timer = ref None;
+            w_timer = ref Simkit.Engine.none;
           }
         in
         hit t Edges.Lp1.w_fresh;
         w.w_ospan <- Common.track t.ctx t.works txn w ~name:"l1pc.worker";
         trace t txn ~kind:"txn.start" "L1PC worker";
-        Common.acquire_locks t.ctx ~txn
-          ~oids:(Common.lock_oids_of_updates updates)
+        Common.acquire_locks t.ctx ~txn ~oids
           ~on_granted:(fun () ->
             if w.doomed then begin
               (* DECIDE(abort) overtook the lock grant; nothing applied. *)
@@ -410,7 +410,7 @@ let work_on_decide t ~src txn commit updates =
       | W_replicating | W_voted ->
           if commit then begin
             hit t Edges.Lp1.w_commit;
-            Common.cancel_timer w.w_timer;
+            Common.cancel_timer t.ctx w.w_timer;
             Context.obs_phase t.ctx txn "l1pc.worker.commit";
             t.ctx.Context.harden txn w.w_updates;
             Common.release t.ctx txn;
@@ -421,7 +421,7 @@ let work_on_decide t ~src txn commit updates =
           end
           else begin
             hit t Edges.Lp1.w_abort;
-            Common.cancel_timer w.w_timer;
+            Common.cancel_timer t.ctx w.w_timer;
             Common.undo t.ctx w.w_undo;
             Common.release t.ctx txn;
             trace t txn ~kind:"txn.abort" "decision: abort";
@@ -591,13 +591,13 @@ and resurrect t r (id : Txn.id) updates =
         rep_acked = t.ctx.Context.replicas;
         w_undo = [];
         w_ospan = -1;
-        w_timer = ref None;
+        w_timer = ref Simkit.Engine.none;
       }
     in
     w.w_ospan <- Common.track t.ctx t.works id w ~name:"l1pc.worker.recover";
     trace t id ~kind:"txn.recover" "re-voting from replica quorum";
     Common.acquire_locks t.ctx ~txn:id
-      ~oids:(Common.lock_oids_of_updates updates)
+      ~oids:(Mds.Update.lock_oids updates)
       ~on_granted:(fun () ->
         Common.apply_updates t.ctx updates ~k:(fun result ->
             (match result with
@@ -624,7 +624,7 @@ and resurrect t r (id : Txn.id) updates =
 
 and finish_collection t r =
   r.collected <- true;
-  Common.cancel_timer r.rec_timer;
+  Common.cancel_timer t.ctx r.rec_timer;
   let items =
     Tbl.fold (fun _ item acc -> item :: acc) r.rec_items []
     |> List.sort (fun ((a : Txn.id), _) (b, _) -> Txn.id_compare a b)
@@ -662,7 +662,7 @@ let recover t ~on_done =
           awaiting = members;
           rec_attempts = 0;
           rec_items = Tbl.create 16;
-          rec_timer = ref None;
+          rec_timer = ref Simkit.Engine.none;
           rec_done = on_done;
           resurrecting = 0;
           collected = false;

@@ -18,7 +18,7 @@ type work = {
   w_updates : Mds.Update.t list;
   mutable committed : bool;  (* force completed, awaiting ACK *)
   mutable w_ospan : int;  (* open worker-lifetime Phase span, -1 = none *)
-  w_timer : Simkit.Engine.handle option ref;
+  w_timer : Simkit.Engine.handle ref;
 }
 
 type t = {
@@ -120,7 +120,7 @@ let trace t id ~kind detail = Context.trace_txn t.ctx id ~kind detail
    the paper's critical-path cut — then commit our own side and let the
    worker finalize. *)
 let coord_worker_committed t (c : coord) =
-  Common.cancel_timer c.timer;
+  Common.cancel_timer t.ctx c.timer;
   c.phase <- C_committing;
   Context.obs_phase t.ctx c.id "1pc.coord.commit";
   t.ctx.Context.client_reply c.id Txn.Committed;
@@ -139,7 +139,7 @@ let coord_worker_committed t (c : coord) =
       Common.drop t.ctx t.coords c.id ~span:c.ospan)
 
 let coord_abort t (c : coord) reason =
-  Common.cancel_timer c.timer;
+  Common.cancel_timer t.ctx c.timer;
   c.phase <- C_aborting;
   Context.obs_phase t.ctx c.id "1pc.coord.abort";
   Common.undo t.ctx c.undo_list;
@@ -162,7 +162,7 @@ let coord_abort t (c : coord) reason =
 let coord_fence_and_decide t (c : coord) =
   if c.phase = C_working then begin
     c.phase <- C_recovering;
-    Common.cancel_timer c.timer;
+    Common.cancel_timer t.ctx c.timer;
     t.ctx.Context.ledger |> fun l -> Metrics.Ledger.incr l "acp.fence";
     trace t c.id ~kind:"txn.fence"
       (Fmt.str "fencing unresponsive worker %d" c.worker);
@@ -331,7 +331,7 @@ let work_track t (id : Txn.id) updates ~committed ~name =
       w_updates = updates;
       committed;
       w_ospan = -1;
-      w_timer = ref None;
+      w_timer = ref Simkit.Engine.none;
     }
   in
   w.w_ospan <- Common.track t.ctx t.works id w ~name;
@@ -389,7 +389,7 @@ let work_on_update_req t ~src txn updates =
         let w = work_track t txn updates ~committed:false ~name:"1pc.worker" in
         trace t txn ~kind:"txn.start" "1PC worker";
         Common.acquire_locks t.ctx ~txn
-          ~oids:(Common.lock_oids_of_updates updates)
+          ~oids:(Mds.Update.lock_oids updates)
           ~on_granted:(fun () ->
             Common.apply_updates t.ctx updates ~k:(function
               | Ok _inverses ->
@@ -429,7 +429,7 @@ let work_on_ack t txn =
   match Tbl.find_opt t.works (Txn.key txn) with
   | Some w when w.committed ->
       hit t Edges.Opc.w_ack;
-      Common.cancel_timer w.w_timer;
+      Common.cancel_timer t.ctx w.w_timer;
       let id = w.w_id in
       t.ctx.Context.append_async
         [ Log_record.Ended { txn = id } ]

@@ -29,7 +29,7 @@ type coord = {
   mutable acks : ISet.t;
   mutable locked_at : Simkit.Time.t option;  (* until the first release *)
   mutable ospan : int;  (* open coordinator-lifetime Phase span, -1 = none *)
-  timer : Simkit.Engine.handle option ref;
+  timer : Simkit.Engine.handle ref;
 }
 
 type wstate =
@@ -48,7 +48,7 @@ type work = {
   mutable pending_decision : [ `Commit | `Abort ] option;
       (* decision that arrived while still locking (recovery races) *)
   mutable w_ospan : int;  (* open worker-lifetime Phase span, -1 = none *)
-  w_timer : Simkit.Engine.handle option ref;
+  w_timer : Simkit.Engine.handle ref;
 }
 
 type t = {
@@ -82,7 +82,7 @@ let rec coord_commit_decided t c =
   hit t t.e.Edges.c_commit;
   c.phase <- Committing;
   Context.obs_phase t.ctx c.id "2pc.coord.decided";
-  Common.cancel_timer c.timer;
+  Common.cancel_timer t.ctx c.timer;
   t.ctx.Context.force
     [ Log_record.Committed { txn = c.id } ]
     ~on_durable:(fun () ->
@@ -113,7 +113,7 @@ let rec coord_commit_decided t c =
 and coord_abort_decided t c reason =
   c.phase <- Aborting;
   Context.obs_phase t.ctx c.id "2pc.coord.abort";
-  Common.cancel_timer c.timer;
+  Common.cancel_timer t.ctx c.timer;
   Common.undo t.ctx c.undo_list;
   c.undo_list <- [];
   trace t c.id ~kind:"txn.abort" reason;
@@ -132,7 +132,7 @@ and coord_abort_decided t c reason =
 
 and coord_finalize t c =
   hit t t.e.Edges.c_all_acked;
-  Common.cancel_timer c.timer;
+  Common.cancel_timer t.ctx c.timer;
   (* Checkpoint once the ENDED record itself is durable, so the log
      really drains (the record would otherwise outlive the GC). *)
   let id = c.id in
@@ -239,7 +239,7 @@ let submit t (txn : Txn.t) =
       acks = ISet.empty;
       locked_at = None;
       ospan = -1;
-      timer = ref None;
+      timer = ref Simkit.Engine.none;
     }
   in
   hit t t.e.Edges.c_submit;
@@ -376,7 +376,7 @@ let work_track t (id : Txn.id) updates ~name =
       wstate = W_locking;
       pending_decision = None;
       w_ospan = -1;
-      w_timer = ref None;
+      w_timer = ref Simkit.Engine.none;
     }
   in
   w.w_ospan <- Common.track t.ctx t.works id w ~name;
@@ -435,7 +435,7 @@ let rec work_force_prepare t w ~reply_with_updated =
 and apply_decision t w = function
   | `Commit ->
       hit t t.e.Edges.w_commit;
-      Common.cancel_timer w.w_timer;
+      Common.cancel_timer t.ctx w.w_timer;
       w.wstate <- W_finishing;
       if t.presume_commit then begin
         (* PrC/EP: the COMMITTED record is asynchronous and there is no
@@ -465,7 +465,7 @@ and apply_decision t w = function
             end)
   | `Abort ->
       hit t t.e.Edges.w_abort;
-      Common.cancel_timer w.w_timer;
+      Common.cancel_timer t.ctx w.w_timer;
       w.wstate <- W_finishing;
       Common.undo t.ctx w.w_undo;
       w.w_undo <- [];
@@ -490,7 +490,7 @@ let work_on_update_req t ~src txn updates piggyback_prepare =
     hit t t.e.Edges.w_fresh;
     let w = work_track t txn updates ~name:"2pc.worker" in
     trace t txn ~kind:"txn.start" t.worker_start;
-    Common.acquire_locks t.ctx ~txn ~oids:(Common.lock_oids_of_updates updates)
+    Common.acquire_locks t.ctx ~txn ~oids:(Mds.Update.lock_oids updates)
       ~on_granted:(fun () ->
         match w.pending_decision with
         | Some `Abort ->
@@ -528,7 +528,7 @@ let work_on_prepare t ~src txn =
       match w.wstate with
       | W_updated ->
           hit t t.e.Edges.w_prepare;
-          Common.cancel_timer w.w_timer;
+          Common.cancel_timer t.ctx w.w_timer;
           work_force_prepare t w ~reply_with_updated:false
       | W_prepared ->
           hit t t.e.Edges.w_prepare_dup;
@@ -611,7 +611,7 @@ let recover_coordinator t (img : Log_scan.image) =
         workers = img.participants;
         worker_updates = [];
         own_updates = img.updates;
-        own_lock_oids = Common.lock_oids_of_updates img.updates;
+        own_lock_oids = Mds.Update.lock_oids img.updates;
         phase;
         local_done = true;
         undo_list = [];
@@ -621,7 +621,7 @@ let recover_coordinator t (img : Log_scan.image) =
         acks = ISet.empty;
         locked_at = None;
         ospan = -1;
-        timer = ref None;
+        timer = ref Simkit.Engine.none;
       }
     in
     c.ospan <- Common.track t.ctx t.coords c.id c ~name:"2pc.coord.recover";
@@ -718,7 +718,7 @@ let rec recover_worker t (img : Log_scan.image) =
     let w = work_track t img.id img.updates ~name:"2pc.worker.recover" in
     trace t w.w_id ~kind:"txn.recover" "worker in doubt, asking coordinator";
     Common.acquire_locks t.ctx ~txn:w.w_id
-      ~oids:(Common.lock_oids_of_updates img.updates)
+      ~oids:(Mds.Update.lock_oids img.updates)
       ~on_granted:(fun () ->
         w.w_undo <- Common.replay t.ctx w.w_updates;
         w.wstate <- W_prepared;

@@ -7,9 +7,8 @@ type id = { origin : int;  (** coordinator's server slot *) seq : int }
 (** The cluster mints [seq] from one counter for every origin, reads
     included, starting at 0: two distinct transactions of one cluster
     never share a [seq], so [seq] alone is a key, and a dense one. A
-    server's hardened set is a bitset indexed by it. The pseudo-id
-    [{origin = owner; seq = 0}] of L1PC's owner-scoped recovery messages
-    ({!Wire.txn}) is only traced or sent, never hardened. *)
+    server's hardened set is a bitset indexed by it. L1PC's owner-scoped
+    recovery messages carry no id ({!Wire.txn}). *)
 
 type outcome =
   | Committed

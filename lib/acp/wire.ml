@@ -27,10 +27,6 @@ type t =
       items : (Txn.id * Mds.Update.t list) list;
     }
 
-(* Replica-recovery messages are owner-scoped, not transaction-scoped;
-   they borrow a synthetic id so [txn] stays total. *)
-let recovery_id owner = { Txn.origin = owner; seq = 0 }
-
 let txn = function
   | Update_req { txn; _ }
   | Updated { txn; _ }
@@ -50,7 +46,8 @@ let txn = function
   | Decide_ack { txn }
   | Rep_drop { txn } ->
       txn
-  | Recover_req { owner } | Recover_resp { owner; _ } -> recovery_id owner
+  | Recover_req _ | Recover_resp _ ->
+      invalid_arg "Wire.txn: a recovery message names no transaction"
 
 let is_baseline = function
   | Update_req _ | Updated _ | Vote_req _ | Vote _ -> true

@@ -56,10 +56,10 @@ type t =
     }
 
 val txn : t -> Txn.id
-(** Total. Owner-scoped recovery messages answer with a synthetic id
-    [{origin = owner; seq = 0}]. The cluster's first transaction may
-    carry the same id, so the synthetic one is only traced or routed,
-    never hardened or looked up ({!Txn.id}). *)
+(** The transaction a message belongs to.
+    @raise Invalid_argument on a recovery message ({!is_recovery}),
+    which is owner-scoped and names no transaction: callers book it to
+    none and route it by its shape. *)
 
 val is_baseline : t -> bool
 (** [Update_req]/[Updated] and [Vote_req]/[Vote] — traffic that exists

@@ -7,7 +7,7 @@ type pending = {
 
 type group = {
   mutable members : pending list;  (* newest first *)
-  mutable timer : Simkit.Engine.handle option;
+  mutable timer : Simkit.Engine.handle;  (* [Engine.none] until armed *)
 }
 
 type t = {
@@ -39,7 +39,7 @@ let flush_group t key =
   | None -> ()
   | Some g ->
       Hashtbl.remove t.groups key;
-      (match g.timer with Some h -> Simkit.Engine.cancel h | None -> ());
+      Simkit.Engine.cancel (Cluster.engine t.cluster) g.timer;
       let members = List.rev g.members in
       (match members with
       | [] -> ()
@@ -81,19 +81,18 @@ let submit t op ~on_done =
             match Hashtbl.find_opt t.groups key with
             | Some g -> g
             | None ->
-                let g = { members = []; timer = None } in
+                let g = { members = []; timer = Simkit.Engine.none } in
                 Hashtbl.replace t.groups key g;
                 g
           in
           g.members <- { plan; on_done } :: g.members;
           if List.length g.members >= t.max_batch then flush_group t key
-          else if g.timer = None then
-            g.timer <-
-              Some
-                (Simkit.Engine.schedule
-                   (Cluster.engine t.cluster)
-                   ~label:label_window ~after:t.window (fun () ->
-                     flush_group t key))
+          else
+            let engine = Cluster.engine t.cluster in
+            if not (Simkit.Engine.is_pending engine g.timer) then
+              g.timer <-
+                Simkit.Engine.schedule engine ~label:label_window
+                  ~after:t.window (fun () -> flush_group t key)
       | _, _ ->
           (* Deletes, renames, local and multi-worker plans go straight
              through. *)

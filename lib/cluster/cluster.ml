@@ -199,14 +199,17 @@ let create (config : Config.t) =
   in
   let ledger = Metrics.Ledger.create () in
   (* Heartbeats are background chatter, not transaction causality; every
-     protocol message becomes a transit span named after its wire label. *)
+     protocol message becomes a transit span named after its wire label,
+     booked to its transaction, or to none ([-1]) for a recovery
+     message. *)
   let span_of = function
     | Msg.Heartbeat -> None
     | Msg.Acp wire ->
-        Some
-          ( Acp.Wire.label wire,
-            Acp.Txn.owner_token (Acp.Wire.txn wire),
-            Acp.Wire.is_baseline wire )
+        let txn =
+          if Acp.Wire.is_recovery wire then -1
+          else Acp.Txn.owner_token (Acp.Wire.txn wire)
+        in
+        Some (Acp.Wire.label wire, txn, Acp.Wire.is_baseline wire)
   in
   let tag_of = function
     | Msg.Heartbeat -> Acp.Codec.tag_count

@@ -80,35 +80,35 @@ let peers t =
 (* ------------------------------------------------------------------ *)
 
 (* With a 1PC primary and a PrN fallback on the same server, route each
-   message to the engine that owns the transaction; unknown transactions
-   go by message shape (1PC traffic to the primary, 2PC traffic to the
+   message to the engine that owns the transaction. Unknown transactions
+   go by message shape: 1PC traffic to the primary, 2PC traffic to the
    fallback, whose unknown-transaction answers are the conservative
-   ones). *)
+   ones. So do recovery messages, which name no transaction. *)
+let by_shape p fb : Acp.Wire.t -> Acp.Protocol.instance = function
+  | Acp.Wire.Update_req { one_phase; _ } -> if one_phase then p else fb
+  | Acp.Wire.Ack_req _ -> p
+  | Acp.Wire.Prepare _ | Acp.Wire.Prepared _ | Acp.Wire.Commit _
+  | Acp.Wire.Abort _ | Acp.Wire.Decision _ | Acp.Wire.Decision_req _ ->
+      fb
+  | Acp.Wire.Updated _ | Acp.Wire.Ack _ -> p
+  | Acp.Wire.Vote_req _ | Acp.Wire.Vote _ | Acp.Wire.Rep_store _
+  | Acp.Wire.Rep_ack _ | Acp.Wire.Decide _ | Acp.Wire.Decide_ack _
+  | Acp.Wire.Rep_drop _ | Acp.Wire.Recover_req _ | Acp.Wire.Recover_resp _ ->
+      p
+
 let dispatch t ~src (wire : Acp.Wire.t) =
   match (t.primary, t.fallback) with
   | Some p, None -> p.Acp.Protocol.on_message ~src wire
   | Some p, Some fb ->
-      let id = Acp.Wire.txn wire in
-      if p.Acp.Protocol.owns id then p.Acp.Protocol.on_message ~src wire
-      else if fb.Acp.Protocol.owns id then
-        fb.Acp.Protocol.on_message ~src wire
-      else
-        let target =
-          match wire with
-          | Acp.Wire.Update_req { one_phase; _ } -> if one_phase then p else fb
-          | Acp.Wire.Ack_req _ -> p
-          | Acp.Wire.Prepare _ | Acp.Wire.Prepared _ | Acp.Wire.Commit _
-          | Acp.Wire.Abort _ | Acp.Wire.Decision _ | Acp.Wire.Decision_req _
-            ->
-              fb
-          | Acp.Wire.Updated _ | Acp.Wire.Ack _ -> p
-          | Acp.Wire.Vote_req _ | Acp.Wire.Vote _ | Acp.Wire.Rep_store _
-          | Acp.Wire.Rep_ack _ | Acp.Wire.Decide _ | Acp.Wire.Decide_ack _
-          | Acp.Wire.Rep_drop _ | Acp.Wire.Recover_req _
-          | Acp.Wire.Recover_resp _ ->
-              p
-        in
-        target.Acp.Protocol.on_message ~src wire
+      let target =
+        if Acp.Wire.is_recovery wire then by_shape p fb wire
+        else
+          let id = Acp.Wire.txn wire in
+          if p.Acp.Protocol.owns id then p
+          else if fb.Acp.Protocol.owns id then fb
+          else by_shape p fb wire
+      in
+      target.Acp.Protocol.on_message ~src wire
   | None, _ -> ()
 
 let handle_envelope t (env : Msg.t Netsim.Network.envelope) =

@@ -19,7 +19,7 @@ type waiter = {
   enqueued_at : Simkit.Time.t;
   on_grant : unit -> unit;
   on_timeout : unit -> unit;
-  mutable timer : Simkit.Engine.handle option;
+  mutable timer : Simkit.Engine.handle;  (* [Engine.none] without a timeout *)
   mutable live : bool;  (* false once granted, timed out or cancelled *)
   mutable span : int;  (* open Obs wait span, -1 when none *)
 }
@@ -131,7 +131,7 @@ let grant t oid e w =
   w.live <- false;
   Obs.Tracer.finish t.sink.spans ~time:(Simkit.Engine.now t.engine)
     w.span;
-  (match w.timer with Some h -> Simkit.Engine.cancel h | None -> ());
+  Simkit.Engine.cancel t.engine w.timer;
   set_holder e ~owner:w.owner ~mode:w.mode;
   record_grant t w;
   if Simkit.Trace.is_recording t.sink.trace then
@@ -174,7 +174,7 @@ let acquire t ~owner ~oid ~mode ?timeout ~on_grant
           enqueued_at = Simkit.Engine.now t.engine;
           on_grant;
           on_timeout;
-          timer = None;
+          timer = Simkit.Engine.none;
           live = true;
           span = -1;
         }
@@ -197,7 +197,7 @@ let acquire t ~owner ~oid ~mode ?timeout ~on_grant
         match timeout with
         | None -> ()
         | Some span ->
-            let h =
+            w.timer <-
               Simkit.Engine.schedule t.engine ~label:label_timeout
                 ~after:span (fun () ->
                   if w.live then begin
@@ -217,8 +217,6 @@ let acquire t ~owner ~oid ~mode ?timeout ~on_grant
                     prune t oid e;
                     w.on_timeout ()
                   end)
-            in
-            w.timer <- Some h
       end
 
 let cancel_waiters t e ~owner =
@@ -231,9 +229,7 @@ let cancel_waiters t e ~owner =
           Obs.Tracer.finish t.sink.spans
             ~time:(Simkit.Engine.now t.engine)
             w.span;
-          match w.timer with
-          | Some h -> Simkit.Engine.cancel h
-          | None -> ()
+          Simkit.Engine.cancel t.engine w.timer
         end)
       e.queue
 

@@ -50,8 +50,7 @@ let merge plans =
           in
           {
             server;
-            lock_oids =
-              List.sort_uniq Int.compare (List.map Update.target_oid us);
+            lock_oids = Update.lock_oids us;
             updates = us;
           }
         in

@@ -16,10 +16,6 @@ let pp_error ppf = function
 
 let create ~placement ~next_ino ~lookup = { placement; next_ino; lookup }
 
-let locks_of updates =
-  List.map Update.target_oid updates
-  |> List.sort_uniq Int.compare
-
 (* Group (server, update) pairs into plan sides, preserving update order
    within a server, with [coordinator_server] first. *)
 let assemble op ~new_ino ~coordinator_server pieces =
@@ -34,7 +30,7 @@ let assemble op ~new_ino ~coordinator_server pieces =
         (fun (s, u) -> if s = server then Some u else None)
         pieces
     in
-    { Plan.server; lock_oids = locks_of updates; updates }
+    { Plan.server; lock_oids = Update.lock_oids updates; updates }
   in
   let sides = List.map side servers in
   match sides with

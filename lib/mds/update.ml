@@ -28,4 +28,14 @@ let target_oid = function
       ino
   | Link { dir; _ } | Unlink { dir; _ } -> dir
 
+(* A side holds one or two updates in every plan the planner builds, so
+   those cases answer without building a list to sort. *)
+let lock_oids = function
+  | [] -> []
+  | [ u ] -> [ target_oid u ]
+  | [ a; b ] ->
+      let x = target_oid a and y = target_oid b in
+      if x < y then [ x; y ] else if y < x then [ y; x ] else [ x ]
+  | us -> List.sort_uniq Int.compare (List.map target_oid us)
+
 let equal (a : t) (b : t) = a = b

@@ -41,4 +41,8 @@ val target_oid : t -> ino
     For dentry updates this is the {e directory} (the paper's contended
     parent-directory lock), for inode updates the inode itself. *)
 
+val lock_oids : t list -> ino list
+(** The lock set of a list of updates: their {!target_oid}s, ascending
+    and without duplicates. *)
+
 val equal : t -> t -> bool

@@ -22,7 +22,7 @@ type t = {
   on_suspect : Address.t -> unit;
   on_alive : Address.t -> unit;
   mutable running : bool;
-  mutable sweep : Simkit.Engine.handle option;
+  mutable sweep : Simkit.Engine.handle;  (* [Engine.none] while stopped *)
   (* The sweep event's callback, built once with the detector: every
      sweep re-arms with this same closure. *)
   tick : unit -> unit;
@@ -45,9 +45,8 @@ let check_peer t now a =
 
 let arm t =
   t.sweep <-
-    Some
-      (Simkit.Engine.schedule t.engine ~label:label_sweep
-         ~after:t.sweep_interval t.tick)
+    Simkit.Engine.schedule t.engine ~label:label_sweep ~after:t.sweep_interval
+      t.tick
 
 (* One sweep, in peer order, then the next one armed — also when an
    [on_suspect] callback stopped the detector, whose next sweep then
@@ -89,7 +88,7 @@ let create ~engine ~timeout ?sweep_interval ~peers ~on_suspect
       on_suspect;
       on_alive;
       running = false;
-      sweep = None;
+      sweep = Simkit.Engine.none;
       tick = (fun () -> sweep_peers t);
     }
   in
@@ -104,8 +103,8 @@ let start t =
 let stop t =
   if t.running then begin
     t.running <- false;
-    (match t.sweep with Some h -> Simkit.Engine.cancel h | None -> ());
-    t.sweep <- None
+    Simkit.Engine.cancel t.engine t.sweep;
+    t.sweep <- Simkit.Engine.none
   end
 
 (* Addresses are equal exactly when their indices are, so [a] is the

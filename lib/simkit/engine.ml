@@ -1,25 +1,31 @@
+(* An event lives in a slot: an index into three per-engine arrays that
+   grow together. [meta] holds the slot's int fields at
+   [slot * stride + field], [callbacks] its callback and [labels] its
+   label. Pending events are grouped in runs. A run is a FIFO of events
+   for one instant, doubly linked through [f_next] and [f_prev]; only its
+   head sits in [q], an inline 4-ary min-heap of slots ordered by
+   (instant, seq). An event joins the run of [tail], the last event
+   enqueued, when that event is still queued and due at the same instant,
+   so a burst of same-instant events costs one heap entry, not one sift
+   per event. The heap is indexed: every head records its heap index, so
+   [cancel] removes an event at once and the queue holds live events
+   only. A batch — [count] same-instant events that call one callback —
+   is one slot that stays in its place until its last member is
+   dispatched. An event that leaves the queue frees its slot: the slot
+   drops the callback, its generation moves on, and it joins a LIFO free
+   list for the next enqueue. A handle is the slot and the generation it
+   was issued with, so it names nothing once its event has left. *)
 type t = {
   mutable clock : Time.t;
-  (* Pending events, grouped in runs. A run is a FIFO of events for one
-     instant, doubly linked through [next] and [prev]; only its head sits
-     in [q], an inline 4-ary min-heap ordered by (at, seq). An event joins
-     the run of [tail], the last event enqueued, when that event is still
-     queued and due at the same instant, so a burst of same-instant
-     events costs one heap entry, not one sift per event. The heap is
-     specialized here so the hot loop compares the two int fields
-     directly — no comparator closure, no [option] boxing on pop. It is
-     indexed: every head records its slot, so [cancel] removes an event
-     at once and the queue holds live events only. Slots at and beyond
-     [qlen] hold [vacant], and a handle's links are reset when it
-     leaves, so no dispatched or cancelled closure stays reachable from
-     the queue. A batch — [count] same-instant events that call one
-     callback — is one handle that stays in its place until its last
-     member is dispatched. *)
-  mutable q : handle array;
-  mutable qlen : int;  (* run heads in [q] *)
+  mutable meta : int array;
+  mutable callbacks : (unit -> unit) array;
+  mutable labels : Label.t array;
+  mutable free : int;  (* first free slot, or [nil] *)
+  mutable q : int array;  (* run heads, as slots *)
+  mutable qlen : int;
   (* The last event enqueued while it is queued. When it leaves, its
-     predecessor in its run takes over, or [vacant]. *)
-  mutable tail : handle;
+     predecessor in its run takes over, or [nil]. *)
+  mutable tail : int;
   mutable live : int;  (* queued events, run and batch members included *)
   mutable next_seq : int;
   mutable dispatched : int;
@@ -36,65 +42,60 @@ type t = {
   mutable live_hwm : int;
 }
 
-and handle = {
-  owner : t;
-  at : Time.t;
-  seq : int;
-  label : Label.t;
-  callback : unit -> unit;
-  (* Members not yet dispatched: 1 for a plain event, [count] for a
-     fresh batch. *)
-  mutable left : int;
-  (* Index of the handle in [owner.q] while it heads a run; [follower]
-     while it is queued behind another event of its run; [-1] once it
-     has been dispatched or cancelled. *)
-  mutable slot : int;
-  (* Neighbours in the run; [vacant] at either end and once the handle
-     has left the queue. *)
-  mutable next : handle;
-  mutable prev : handle;
-}
+type handle = int
 
 exception Event_failure of string * exn
 
+(* A slot's fields in [meta]. *)
+let stride = 7
+let f_at = 0 (* instant, ns *)
+let f_seq = 1 (* enqueue order, the tie-break *)
+let f_left = 2 (* members not yet dispatched: 1, or a batch's count *)
+
+(* Heap index while the event heads a run, [follower] while it is
+   queued behind another event of its run. *)
+let f_pos = 3
+
+(* Run successor while queued, next free slot while free; [nil] at
+   either end. *)
+let f_next = 4
+let f_prev = 5 (* run predecessor; [nil] for a head *)
+
+(* Bumped each time the slot is freed, so a handle issued before names
+   nothing after. *)
+let f_gen = 6
+let nil = -1
 let follower = -2
 
-(* Events order by (timestamp, sequence number): FIFO among equal
-   timestamps, hence full determinism. [seq] is unique, so this is a
-   strict total order and the pop sequence is independent of the heap's
-   internal layout — removing an event early cannot reorder the others.
-   Every enqueue moves [tail], so the seqs of a run are consecutive
-   apart from cancelled events and no other live event sorts between two
-   neighbours in a run: a head's successor can take over the head's heap
-   slot with no sift. The instants compare as the ints they are, so the
-   sifts' comparison inlines under any build profile. *)
-let[@inline] before a b =
-  let x = (a.at :> int) and y = (b.at :> int) in
-  x < y || (x = y && a.seq < b.seq)
+(* A handle is [slot lor (generation lsl slot_bits)]. A slot whose
+   generation would pass [max_gen] is retired, never reused, so no two
+   events of one engine share a handle; needing more than [max_slots]
+   slots raises instead. *)
+let slot_bits = 31
+let max_slots = 1 lsl slot_bits
+let max_gen = (1 lsl slot_bits) - 1
+let none = -1
+let initial_slots = 16
+let nop () = ()
 
-(* [vacant] fills every heap slot at or beyond [qlen], ends every run
-   and is the [tail] of an engine with nothing queued. It is never
-   queued and never handed out. Its owner [idle] never runs; [create]
-   copies it. *)
-let rec vacant =
-  {
-    owner = idle;
-    at = Time.zero;
-    seq = -1;
-    label = Label.event;
-    callback = (fun () -> ());
-    left = 0;
-    slot = -1;
-    next = vacant;
-    prev = vacant;
-  }
+(* Chain fresh slots [lo, hi) into a free list that ends at [nil]. *)
+let chain (meta : int array) lo hi =
+  for s = lo to hi - 1 do
+    meta.((s * stride) + f_next) <- (if s + 1 < hi then s + 1 else nil)
+  done
 
-and idle =
+let create () =
+  let meta = Array.make (initial_slots * stride) 0 in
+  chain meta 0 initial_slots;
   {
     clock = Time.zero;
-    q = [||];
+    meta;
+    callbacks = Array.make initial_slots nop;
+    labels = Array.make initial_slots Label.event;
+    free = 0;
+    q = Array.make initial_slots nil;
     qlen = 0;
-    tail = vacant;
+    tail = nil;
     live = 0;
     next_seq = 0;
     dispatched = 0;
@@ -105,8 +106,6 @@ and idle =
     after = ignore;
     live_hwm = 0;
   }
-
-let create () = { idle with clock = Time.zero }
 
 let now t = t.clock
 
@@ -123,131 +122,185 @@ let advance_clock t at =
   if t.clock_observed && Time.( > ) at t.clock then t.on_clock at;
   t.clock <- at
 
-(* Growth first promotes the queued handles with a minor collection, so
-   the blit copies old-to-old pointers. Without it, a cluster set-up
-   that grew the heap five times measured about 15% slower on a 2-core
-   x86-64 host. *)
-let ensure_capacity t =
-  if t.qlen = Array.length t.q then begin
-    if t.qlen > 0 then Gc.minor ();
-    let bigger = Array.make (max 256 (2 * t.qlen)) vacant in
-    Array.blit t.q 0 bigger 0 t.qlen;
-    t.q <- bigger
-  end
+(* Double the slots; called with the free list empty. The slots never
+   shrink: they stay sized to the peak of queued events. *)
+let grow t =
+  let n = Array.length t.callbacks in
+  if n >= max_slots then failwith "Engine: more than 2^31 events queued";
+  let n' = 2 * n in
+  let meta = Array.make (n' * stride) 0 in
+  Array.blit t.meta 0 meta 0 (n * stride);
+  chain meta n n';
+  let callbacks = Array.make n' nop in
+  Array.blit t.callbacks 0 callbacks 0 n;
+  let labels = Array.make n' Label.event in
+  Array.blit t.labels 0 labels 0 n;
+  let q = Array.make n' nil in
+  Array.blit t.q 0 q 0 t.qlen;
+  t.meta <- meta;
+  t.callbacks <- callbacks;
+  t.labels <- labels;
+  t.q <- q;
+  t.free <- n
 
-let[@inline] place q i h =
-  q.(i) <- h;
-  h.slot <- i
+(* Events order by (timestamp, sequence number): FIFO among equal
+   timestamps, hence full determinism. [seq] is unique, so this is a
+   strict total order and the pop sequence is independent of the heap's
+   internal layout — removing an event early cannot reorder the others.
+   Every enqueue moves [tail], so the seqs of a run are consecutive
+   apart from cancelled events and no other live event sorts between two
+   neighbours in a run: a head's successor can take over the head's heap
+   slot with no sift. [earlier m at seq s]: does key (at, seq) sort
+   before slot [s]? The annotations keep every comparison and array
+   access specialized to ints. *)
+let[@inline] earlier (m : int array) (at : int) (seq : int) s =
+  let b = s * stride in
+  let y = Array.unsafe_get m (b + f_at) in
+  at < y || (at = y && seq < Array.unsafe_get m (b + f_seq))
 
-(* Hole-based sifts: move elements into the hole and write [h] once,
-   instead of repeated swaps. [sift_up] fills hole [i] with [h] or one
-   of its ancestors; [sift_down] fills it with [h] or one of its
-   descendants within the first [n] slots. *)
-let sift_up q i h =
+let[@inline] before (m : int array) a b =
+  earlier m
+    (Array.unsafe_get m ((a * stride) + f_at))
+    (Array.unsafe_get m ((a * stride) + f_seq))
+    b
+
+let[@inline] place (q : int array) (m : int array) i s =
+  Array.unsafe_set q i s;
+  Array.unsafe_set m ((s * stride) + f_pos) i
+
+(* Hole-based sifts: move elements into the hole and write [s] once,
+   instead of repeated swaps. [sift_up] fills hole [i] with [s] or one
+   of its ancestors; [sift_down] fills it with [s] or one of its
+   descendants within the first [n] entries. Every index read here is
+   below [qlen] and every slot in [q] is below the capacity, hence the
+   unchecked accesses. *)
+let sift_up (q : int array) (m : int array) i s =
+  let at = Array.unsafe_get m ((s * stride) + f_at)
+  and seq = Array.unsafe_get m ((s * stride) + f_seq) in
   let i = ref i in
   let stop = ref false in
   while (not !stop) && !i > 0 do
     let parent = (!i - 1) lsr 2 in
-    let p = q.(parent) in
-    if before h p then begin
-      place q !i p;
+    let p = Array.unsafe_get q parent in
+    if earlier m at seq p then begin
+      place q m !i p;
       i := parent
     end
     else stop := true
   done;
-  place q !i h
+  place q m !i s
 
-let sift_down q n i h =
+let sift_down (q : int array) (m : int array) n i s =
+  let at = Array.unsafe_get m ((s * stride) + f_at)
+  and seq = Array.unsafe_get m ((s * stride) + f_seq) in
   let i = ref i in
   let stop = ref false in
   while not !stop do
     let child = (4 * !i) + 1 in
     if child >= n then stop := true
     else begin
-      let m = ref child in
+      let c = ref child in
+      let best = ref (Array.unsafe_get q child) in
       let hi = if child + 4 < n then child + 4 else n in
-      for c = child + 1 to hi - 1 do
-        if before q.(c) q.(!m) then m := c
+      for k = child + 1 to hi - 1 do
+        let x = Array.unsafe_get q k in
+        if before m x !best then begin
+          c := k;
+          best := x
+        end
       done;
-      if before q.(!m) h then begin
-        place q !i q.(!m);
-        i := !m
+      if earlier m at seq !best then stop := true
+      else begin
+        place q m !i !best;
+        i := !c
       end
-      else stop := true
     end
   done;
-  place q !i h
+  place q m !i s
 
-let heap_push t h =
-  ensure_capacity t;
+let heap_push t s =
   let i = t.qlen in
   t.qlen <- i + 1;
-  sift_up t.q i h
+  sift_up t.q t.meta i s
 
-(* Empty slot [i]: the last element moves into the hole and sifts
+(* Empty heap index [i]: the last entry moves into the hole and sifts
    whichever way restores the heap. *)
 let remove_at t i =
-  let q = t.q in
+  let q = t.q and m = t.meta in
   let n = t.qlen - 1 in
   t.qlen <- n;
   let last = q.(n) in
-  q.(n) <- vacant;
   if i < n then begin
-    if i > 0 && before last q.((i - 1) lsr 2) then sift_up q i last
-    else sift_down q n i last
+    if i > 0 && before m last q.((i - 1) lsr 2) then sift_up q m i last
+    else sift_down q m n i last
   end
 
-(* Take queued [h] off the queue. A head's successor inherits its heap
-   slot with no sift, a head without one leaves through [remove_at], and
-   a follower is unlinked in O(1). *)
-let unqueue t h =
-  let s = h.next in
-  if t.tail == h then t.tail <- h.prev;
-  if h.slot >= 0 then begin
-    if s == vacant then remove_at t h.slot
+(* Free slot [s] once its event has left the queue: drop the callback,
+   move the generation on and push the slot on the free list, unless
+   its generation is spent. *)
+let release t s =
+  let m = t.meta in
+  let b = s * stride in
+  t.callbacks.(s) <- nop;
+  let gen = m.(b + f_gen) + 1 in
+  m.(b + f_gen) <- gen;
+  if gen <= max_gen then begin
+    m.(b + f_next) <- t.free;
+    t.free <- s
+  end
+
+(* Take queued [s] off the queue and free it. A head's successor
+   inherits its heap index with no sift, a head without one leaves
+   through [remove_at], and a follower is unlinked in O(1). *)
+let unqueue t s =
+  let m = t.meta in
+  let b = s * stride in
+  let next = m.(b + f_next) and prev = m.(b + f_prev) in
+  if t.tail = s then t.tail <- prev;
+  let pos = m.(b + f_pos) in
+  if pos >= 0 then begin
+    if next = nil then remove_at t pos
     else begin
-      s.prev <- vacant;
-      h.next <- vacant;
-      place t.q h.slot s
+      m.((next * stride) + f_prev) <- nil;
+      place t.q m pos next
     end
   end
   else begin
-    let p = h.prev in
-    p.next <- s;
-    if s != vacant then begin
-      s.prev <- p;
-      h.next <- vacant
-    end;
-    h.prev <- vacant
+    m.((prev * stride) + f_next) <- next;
+    if next <> nil then m.((next * stride) + f_prev) <- prev
   end;
-  h.slot <- -1;
-  t.live <- t.live - h.left
+  t.live <- t.live - m.(b + f_left);
+  release t s
 
 let enqueue t ~at ~label ~count callback =
-  let h =
-    {
-      owner = t;
-      at;
-      seq = t.next_seq;
-      label;
-      callback;
-      left = count;
-      slot = follower;
-      next = vacant;
-      prev = vacant;
-    }
-  in
+  if t.free = nil then grow t;
+  let s = t.free in
+  let m = t.meta in
+  let b = s * stride in
+  let at = (at : Time.t :> int) in
+  t.free <- m.(b + f_next);
+  m.(b + f_at) <- at;
+  m.(b + f_seq) <- t.next_seq;
+  m.(b + f_left) <- count;
+  m.(b + f_next) <- nil;
+  t.callbacks.(s) <- callback;
+  (* A reused slot often carries the label it had: skip the barrier. *)
+  if t.labels.(s) != label then t.labels.(s) <- label;
   t.next_seq <- t.next_seq + 1;
   let tl = t.tail in
-  if tl.slot <> -1 && Time.equal tl.at at then begin
-    tl.next <- h;
-    h.prev <- tl
+  if tl <> nil && m.((tl * stride) + f_at) = at then begin
+    m.((tl * stride) + f_next) <- s;
+    m.(b + f_prev) <- tl;
+    m.(b + f_pos) <- follower
   end
-  else heap_push t h;
-  t.tail <- h;
+  else begin
+    m.(b + f_prev) <- nil;
+    heap_push t s
+  end;
+  t.tail <- s;
   t.live <- t.live + count;
   if t.live > t.live_hwm then t.live_hwm <- t.live;
-  h
+  s lor (m.(b + f_gen) lsl slot_bits)
 
 let schedule t ?(label = Label.event) ~after f =
   enqueue t ~at:(Time.add t.clock after) ~label ~count:1 f
@@ -266,73 +319,91 @@ let schedule_batch t ?(label = Label.event) ~at ~count f =
 let defer t ?(label = Label.deferred) f =
   enqueue t ~at:t.clock ~label ~count:1 f
 
-let cancel h = if h.slot <> -1 then unqueue h.owner h
+(* The queued slot [h] names, or [nil]: its generation must still be
+   the one [h] was issued with. *)
+let[@inline] slot_of t h =
+  let s = h land (max_slots - 1) in
+  if
+    s < Array.length t.callbacks
+    && t.meta.((s * stride) + f_gen) = h lsr slot_bits
+  then s
+  else nil
 
-let is_pending h = h.slot <> -1
+let cancel t h =
+  let s = slot_of t h in
+  if s <> nil then unqueue t s
+
+let is_pending t h = slot_of t h <> nil
 
 let pending t = t.live
 let dispatched t = t.dispatched
 let pending_high_water t = t.live_hwm
 let reset_pending_high_water t = t.live_hwm <- t.live
 
-(* Take the next member of the queue's head [h]: a batch with members
+(* Take the next member of the queue's head [s]: a batch with members
    behind this one keeps its place, anything else leaves the queue. *)
-let take t h =
-  if h.left > 1 then begin
-    h.left <- h.left - 1;
+let take t s =
+  let b = (s * stride) + f_left in
+  let left = t.meta.(b) in
+  if left > 1 then begin
+    t.meta.(b) <- left - 1;
     t.live <- t.live - 1
   end
-  else unqueue t h
+  else unqueue t s
 
-(* [h] has been taken, so a callback that cancels its own event is a
-   no-op, and one that cancels its own batch drops the members left. *)
-let dispatch t h =
-  advance_clock t h.at;
+(* Dispatch the next member of head [s]. It is taken before its callback
+   runs, so a callback that cancels its own event is a no-op, and one
+   that cancels its own batch drops the members left. *)
+let dispatch t s =
+  let at = Time.of_ns t.meta.((s * stride) + f_at) in
+  let label = t.labels.(s) and callback = t.callbacks.(s) in
+  take t s;
+  advance_clock t at;
   t.dispatched <- t.dispatched + 1;
   if t.dispatch_observed then begin
     (* [before] runs ahead of the callback, so on a crash the flight
        recorder's last entry is the event that was executing. *)
-    t.before h.at h.label;
-    (try h.callback ()
+    t.before at label;
+    (try callback ()
      with exn ->
-       t.after h.label;
-       raise (Event_failure (Label.name h.label, exn)));
-    t.after h.label
+       t.after label;
+       raise (Event_failure (Label.name label, exn)));
+    t.after label
   end
   else
-    try h.callback ()
-    with exn -> raise (Event_failure (Label.name h.label, exn))
+    try callback () with exn -> raise (Event_failure (Label.name label, exn))
 
 let step t =
   if t.qlen = 0 then false
   else begin
-    let h = t.q.(0) in
-    take t h;
-    dispatch t h;
+    dispatch t t.q.(0);
     true
   end
 
 type outcome = Drained | Reached_limit | Reached_until
 
+(* Dispatch until [budget] (negative: unbounded) runs out, the queue
+   drains or the next event lies beyond [stop]. A plain function, so a
+   run allocates no closure. *)
+let rec loop t budget stop =
+  if budget = 0 then Reached_limit
+  else if t.qlen = 0 then Drained
+  else
+    let s = t.q.(0) in
+    if t.meta.((s * stride) + f_at) > stop then Reached_until
+    else begin
+      dispatch t s;
+      loop t (if budget > 0 then budget - 1 else budget) stop
+    end
+
 let run ?until ?max_events t =
-  let budget = ref (match max_events with None -> -1 | Some n -> n) in
-  let rec loop () =
-    if !budget = 0 then Reached_limit
-    else if t.qlen = 0 then Drained
-    else
-      let h = t.q.(0) in
-      match until with
-      | Some stop when Time.( > ) h.at stop ->
-          advance_clock t stop;
-          Reached_until
-      | _ ->
-          take t h;
-          dispatch t h;
-          if !budget > 0 then decr budget;
-          loop ()
-  in
-  let outcome = loop () in
-  (match (outcome, until) with
-  | Drained, Some stop when Time.( < ) t.clock stop -> advance_clock t stop
-  | _ -> ());
-  outcome
+  let budget = match max_events with None -> -1 | Some n -> n in
+  match until with
+  | None -> loop t budget max_int
+  | Some stop ->
+      let outcome = loop t budget (stop : Time.t :> int) in
+      (match outcome with
+      | Reached_until -> advance_clock t stop
+      | Drained -> if Time.( < ) t.clock stop then advance_clock t stop
+      | Reached_limit -> ());
+      outcome

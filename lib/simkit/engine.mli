@@ -19,14 +19,31 @@
     callers in those costs only.
 
     A batch ({!schedule_batch}) goes further for a fan-out whose copies
-    share a callback: its members share one handle, so they cost one
-    allocation, yet each is still dispatched, counted and observed as an
-    event of its own. *)
+    share a callback: its members share one handle and one slot, yet each
+    is still dispatched, counted and observed as an event of its own.
+
+    Events live in slots of per-engine arrays, reused once their event
+    has left the queue, so scheduling allocates nothing beyond the
+    caller's callback. The slots grow to the peak of queued events and
+    never shrink. *)
 
 type t
 
-type handle
-(** A cancellable reference to a scheduled event. *)
+type handle [@@immediate]
+(** A cancellable reference to a scheduled event: the event's slot and
+    the slot's generation, packed in an int. A handle belongs to the
+    engine that issued it. Once its event has been dispatched or
+    cancelled it names nothing — {!cancel} ignores it and {!is_pending}
+    reads [false] — even after its slot holds another event, because a
+    slot's generation moves on each time it is freed. Slot indices take
+    31 bits and generations 31 more, of a 63-bit int. A slot freed
+    [2^31 - 1] times is retired, never reused, and an enqueue that would
+    need more than [2^31] slots raises [Failure]: no handle is issued
+    that could alias another. *)
+
+val none : handle
+(** A handle that names no event, for a timer slot with nothing armed:
+    {!cancel} ignores it and {!is_pending} reads [false]. *)
 
 exception Event_failure of string * exn
 (** [Event_failure (label, exn)]: the callback of the event labelled
@@ -74,16 +91,15 @@ val defer : t -> ?label:Label.t -> (unit -> unit) -> handle
 (** [defer t f] schedules [f] at the current instant, after all events
     already scheduled for this instant. Useful to break call cycles. *)
 
-val cancel : handle -> unit
+val cancel : t -> handle -> unit
 (** Cancel the event if it has not been dispatched yet — for a batch,
     every member not yet dispatched; otherwise a no-op. Idempotent.
-    The event leaves the queue at once, so the queue drops its
-    reference to the callback (the handle itself still holds it
-    while the caller keeps the handle). That costs O(1) for a run's
-    member, or for its head while it has followers, and O(log n) for
-    [n] runs otherwise. *)
+    The event leaves the queue at once and its slot drops the callback,
+    so nothing the callback reaches stays alive through the engine or
+    the handle. That costs O(1) for a run's member, or for its head
+    while it has followers, and O(log n) for [n] runs otherwise. *)
 
-val is_pending : handle -> bool
+val is_pending : t -> handle -> bool
 (** Whether the event is still scheduled (neither dispatched nor
     cancelled); for a batch, whether a member is. *)
 

@@ -492,7 +492,7 @@ module Open_loop = struct
     mutable resolution : resolution option;
     mutable resolved_at : Simkit.Time.t;
     mutable gen : int;  (* generation of the live attempt *)
-    timer : Simkit.Engine.handle option ref;
+    mutable timer : Simkit.Engine.handle;
   }
 
   type t = {
@@ -513,15 +513,12 @@ module Open_loop = struct
     mutable requests_rev : request list;
   }
 
-  let cancel_slot slot =
-    match !slot with
-    | Some h ->
-        Simkit.Engine.cancel h;
-        slot := None
-    | None -> ()
-
   let now t = Opc_cluster.Cluster.now t.cluster
   let engine t = Opc_cluster.Cluster.engine t.cluster
+
+  let cancel_timer t r =
+    Simkit.Engine.cancel (engine t) r.timer;
+    r.timer <- Simkit.Engine.none
 
   let resolve t r res =
     match r.resolution with
@@ -557,25 +554,24 @@ module Open_loop = struct
     r.attempts <- r.attempts + 1;
     t.total_attempts <- t.total_attempts + 1;
     let gen = r.gen in
-    cancel_slot r.timer;
-    r.timer :=
-      Some
-        (Simkit.Engine.schedule (engine t) ~label:label_attempt_timeout
-           ~after:t.spec.policy.attempt_timeout (fun () ->
-             r.timer := None;
-             if r.resolution = None && r.gen = gen then begin
-               (* The attempt is dead to the client; a late reply for it
-                  is ignored and the retry reuses the idempotency key. *)
-               r.gen <- r.gen + 1;
-               r.attempt_timeouts <- r.attempt_timeouts + 1;
-               t.timeouts <- t.timeouts + 1;
-               retry_or_give_up t r
-             end));
+    cancel_timer t r;
+    r.timer <-
+      Simkit.Engine.schedule (engine t) ~label:label_attempt_timeout
+        ~after:t.spec.policy.attempt_timeout (fun () ->
+          r.timer <- Simkit.Engine.none;
+          if r.resolution = None && r.gen = gen then begin
+            (* The attempt is dead to the client; a late reply for it
+               is ignored and the retry reuses the idempotency key. *)
+            r.gen <- r.gen + 1;
+            r.attempt_timeouts <- r.attempt_timeouts + 1;
+            t.timeouts <- t.timeouts + 1;
+            retry_or_give_up t r
+          end);
     Opc_cluster.Ingress.submit t.ingress ~key:r.req_key r.req_op
       ~on_reply:(fun reply ->
         if r.gen = gen && r.resolution = None then begin
           r.gen <- r.gen + 1;
-          cancel_slot r.timer;
+          cancel_timer t r;
           match reply with
           | Opc_cluster.Ingress.Busy ->
               r.busy_replies <- r.busy_replies + 1;
@@ -616,7 +612,7 @@ module Open_loop = struct
         resolution = None;
         resolved_at = Simkit.Time.zero;
         gen = 0;
-        timer = ref None;
+        timer = Simkit.Engine.none;
       }
     in
     t.requests_rev <- r :: t.requests_rev;

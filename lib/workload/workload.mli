@@ -221,7 +221,8 @@ module Open_loop : sig
     mutable resolution : resolution option;
     mutable resolved_at : Simkit.Time.t;
     mutable gen : int;  (** internal: live-attempt generation *)
-    timer : Simkit.Engine.handle option ref;
+    mutable timer : Simkit.Engine.handle;
+        (** internal: the attempt timeout, {!Simkit.Engine.none} if unarmed *)
   }
 
   type t

@@ -578,6 +578,27 @@ let test_invariants_detect_bad_nlink () =
   Alcotest.(check bool) "nlink mismatch reported" true
     (List.exists (fun v -> v.Invariant.rule = "nlink") vs)
 
+(* [Update.lock_oids] answers the empty, one- and two-update cases
+   without sorting. On lists of 0-6 updates of every kind over four
+   objects, so that targets repeat, it must equal the sort it replaced. *)
+let prop_lock_oids =
+  let update (kind, oid) =
+    match kind with
+    | 0 -> file oid
+    | 1 -> Update.Link { dir = oid; name = "n"; target = 9 }
+    | 2 -> Update.Unlink { dir = oid; name = "n" }
+    | 3 -> Update.Ref { ino = oid }
+    | 4 -> Update.Unref { ino = oid }
+    | _ -> Update.Touch { ino = oid }
+  in
+  QCheck2.Test.make ~name:"lock_oids = sorted distinct target oids"
+    ~count:500
+    QCheck2.Gen.(list_size (int_bound 6) (pair (int_bound 5) (int_bound 3)))
+    (fun specs ->
+      let us = List.map update specs in
+      Update.lock_oids us
+      = List.sort_uniq Int.compare (List.map Update.target_oid us))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -628,7 +649,8 @@ let () =
             test_planner_rename_spans_servers;
           Alcotest.test_case "rename overwrite" `Quick
             test_planner_rename_overwrite;
-        ] );
+        ]
+        @ qsuite [ prop_lock_oids ] );
       ( "invariants",
         [
           Alcotest.test_case "clean" `Quick test_invariants_clean;

@@ -503,7 +503,7 @@ module Reference_detector = struct
     on_suspect : Address.t -> unit;
     on_alive : Address.t -> unit;
     mutable running : bool;
-    mutable sweep : Engine.handle option;
+    mutable sweep : Engine.handle;
   }
 
   let create ~engine ~timeout ?sweep_interval ~peers ~on_suspect
@@ -533,7 +533,7 @@ module Reference_detector = struct
       on_suspect;
       on_alive;
       running = false;
-      sweep = None;
+      sweep = Engine.none;
     }
 
   let find t a =
@@ -548,14 +548,12 @@ module Reference_detector = struct
     end
 
   let rec arm t =
-    let h =
+    t.sweep <-
       Engine.schedule t.engine ~after:t.sweep_interval (fun () ->
           if t.running then begin
             List.iter (check_peer t (Engine.now t.engine)) t.peers;
             arm t
           end)
-    in
-    t.sweep <- Some h
 
   let start t =
     if not t.running then begin
@@ -566,8 +564,8 @@ module Reference_detector = struct
   let stop t =
     if t.running then begin
       t.running <- false;
-      Option.iter Engine.cancel t.sweep;
-      t.sweep <- None
+      Engine.cancel t.engine t.sweep;
+      t.sweep <- Engine.none
     end
 
   let heard_from t a =

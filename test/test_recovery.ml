@@ -851,6 +851,30 @@ let test_l1pc_fence_free_mttr () =
       | _ -> ())
     p.Experiment.journal
 
+(* Recovery messages are owner-scoped: their transit spans must be booked
+   to no transaction, never to a real one such as the cluster's first,
+   whose id [{origin = owner; seq = 0}] names no recovery. *)
+let test_l1pc_recovery_spans_name_no_txn () =
+  let config =
+    {
+      Experiment.timeline_config with
+      Opc_cluster.Config.record_spans = true;
+    }
+  in
+  let cluster, _ = Experiment.crash_run ~config Protocol.Lp1 in
+  let recovery = ref 0 in
+  Obs.Tracer.iter
+    (fun (s : Obs.Span.t) ->
+      if
+        s.Obs.Span.category = Obs.Span.Network
+        && (s.name = "recover_req" || s.name = "recover_resp")
+      then begin
+        incr recovery;
+        Alcotest.(check int) (s.name ^ " books no transaction") (-1) s.txn
+      end)
+    (Opc_cluster.Cluster.sink cluster).Obs.Sink.spans;
+  Alcotest.(check bool) "recovery traffic traced" true (!recovery > 0)
+
 (* Fuzz: recovery must never raise, whatever record soup the log
    contains — including shapes no run of this implementation would
    produce (a recovering server cannot afford to die on a surprising
@@ -971,6 +995,8 @@ let () =
             test_l1pc_recovery_short_quorum;
           Alcotest.test_case "cluster crash: fence segment exactly zero"
             `Quick test_l1pc_fence_free_mttr;
+          Alcotest.test_case "cluster crash: recovery spans name no txn"
+            `Quick test_l1pc_recovery_spans_name_no_txn;
         ] );
       ( "fuzz",
         List.map

@@ -245,10 +245,10 @@ let test_engine_cancel () =
   let e = Engine.create () in
   let fired = ref false in
   let h = Engine.schedule e ~after:(Time.span_us 1) (fun () -> fired := true) in
-  Alcotest.(check bool) "pending before" true (Engine.is_pending h);
-  Engine.cancel h;
-  Engine.cancel h;
-  Alcotest.(check bool) "pending after" false (Engine.is_pending h);
+  Alcotest.(check bool) "pending before" true (Engine.is_pending e h);
+  Engine.cancel e h;
+  Engine.cancel e h;
+  Alcotest.(check bool) "pending after" false (Engine.is_pending e h);
   Alcotest.(check int) "pending count" 0 (Engine.pending e);
   ignore (Engine.run e);
   Alcotest.(check bool) "never fired" false !fired
@@ -390,6 +390,10 @@ type engine_op =
   | Cancel_rank of int
       (** the [r]-th pending event in dispatch order: 0 is the root *)
   | Cancel_last  (** the pending event that dispatches last *)
+  | Cancel_stale of int
+      (** the [k]-th (mod count) handle of an event that was dispatched
+          or cancelled, its slot likely reused since: a no-op *)
+  | Cancel_none  (** [cancel Engine.none]: a no-op *)
   | Step
   | Run_until of int  (** [run ~until:(now + d)] *)
   | Run_max of int  (** [run ~max_events:k] *)
@@ -407,6 +411,8 @@ let engine_op_print = function
   | Cancel k -> Printf.sprintf "Cancel %d" k
   | Cancel_rank r -> Printf.sprintf "Cancel_rank %d" r
   | Cancel_last -> "Cancel_last"
+  | Cancel_stale k -> Printf.sprintf "Cancel_stale %d" k
+  | Cancel_none -> "Cancel_none"
   | Step -> "Step"
   | Run_until d -> Printf.sprintf "Run_until %d" d
   | Run_max k -> Printf.sprintf "Run_max %d" k
@@ -430,6 +436,8 @@ let engine_op_gen =
       (2, map (fun k -> Cancel k) small_nat);
       (2, map (fun r -> Cancel_rank r) (int_bound 10));
       (1, pure Cancel_last);
+      (2, map (fun k -> Cancel_stale k) small_nat);
+      (1, pure Cancel_none);
       (3, pure Step);
       (1, map (fun d -> Run_until d) delay);
       (1, map (fun k -> Run_max k) (int_bound 5));
@@ -440,7 +448,9 @@ let engine_op_gen =
    the engine's tie-break — and checks the dispatch log, [pending],
    [pending_high_water] and every handle's [is_pending] after each
    operation. Every member of a batch maps to the batch's handle, so
-   cancelling any of them drops every member still pending. *)
+   cancelling any of them drops every member still pending. Handles of
+   events that left the queue must stay dead after their slots are
+   reused, and [Engine.none] must never name an event. *)
 let engine_matches_model ops =
   let e = Engine.create () in
   let handles = Hashtbl.create 64 in
@@ -491,7 +501,7 @@ let engine_matches_model ops =
     let id = fresh_id () in
     let callback () =
       log := id :: !log;
-      Option.iter (fun k -> Engine.cancel (Hashtbl.find handles k)) target;
+      Option.iter (fun k -> Engine.cancel e (Hashtbl.find handles k)) target;
       if defers then defer_from id
     in
     Hashtbl.replace handles id (schedule callback);
@@ -514,7 +524,7 @@ let engine_matches_model ops =
       incr calls;
       log := (base + m) :: !log;
       if m = canceller then
-        Option.iter (fun k -> Engine.cancel (Hashtbl.find handles k)) target;
+        Option.iter (fun k -> Engine.cancel e (Hashtbl.find handles k)) target;
       if defers then defer_from (base + m)
     in
     let h = Engine.schedule_batch e ~at:(Time.of_ns at_ns) ~count:n callback in
@@ -526,7 +536,7 @@ let engine_matches_model ops =
     Option.iter (Hashtbl.replace targets (base + canceller)) target
   in
   let cancel_id id =
-    Engine.cancel (Hashtbl.find handles id);
+    Engine.cancel e (Hashtbl.find handles id);
     ref_remove id
   in
   let apply = function
@@ -551,6 +561,18 @@ let engine_matches_model ops =
         | None -> ())
     | Cancel_last -> (
         match List.rev !live with (_, id) :: _ -> cancel_id id | [] -> ())
+    | Cancel_stale k -> (
+        let dead =
+          List.filter
+            (fun i -> not (List.exists (fun (_, j) -> group j = group i) !live))
+            (List.init !created Fun.id)
+        in
+        match dead with
+        | [] -> ()
+        | _ ->
+            Engine.cancel e
+              (Hashtbl.find handles (List.nth dead (k mod List.length dead))))
+    | Cancel_none -> Engine.cancel e Engine.none
     | Step ->
         let stepped = Engine.step e in
         if stepped <> (!live <> []) then failwith "step disagrees";
@@ -574,11 +596,13 @@ let engine_matches_model ops =
         done
   in
   let pending_agrees () =
-    Hashtbl.fold
+    (not (Engine.is_pending e Engine.none))
+    && Hashtbl.fold
       (fun id h ok ->
         let g = group id in
         ok
-        && Engine.is_pending h = List.exists (fun (_, i) -> group i = g) !live)
+        && Engine.is_pending e h
+           = List.exists (fun (_, i) -> group i = g) !live)
       handles true
   in
   List.for_all
@@ -627,6 +651,11 @@ let test_engine_model_directed () =
       ( "callback cancels",
         fill @ [ Sched_canceller (0, 7); Sched_canceller (0, 0); Step; Step ] );
       ("ties", [ Sched 1; Sched 1; Sched_at 1; Cancel 1; Sched 1; Run_until 2 ]);
+      ( "dispatched handle, slot reused",
+        [ Sched_at 1; Step; Sched_at 1; Cancel_stale 0; Cancel 0; Step ] );
+      ( "cancelled handle, slot reused",
+        [ Sched_at 1; Cancel 0; Burst (2, 1); Cancel_stale 0; Cancel_none; Step ]
+      );
     ]
 
 (* The same for runs — events enqueued back to back for one instant,
@@ -700,13 +729,13 @@ let test_engine_batch_hooks () =
   Alcotest.(check (list int))
     "clock, before, after, dispatched after 4" [ 1; 4; 4; 4 ]
     [ !clocks; !before; !after; Engine.dispatched e ];
-  Alcotest.(check bool) "still pending" true (Engine.is_pending h);
+  Alcotest.(check bool) "still pending" true (Engine.is_pending e h);
   Alcotest.(check int) "members left" 2 (Engine.pending e);
   ignore (Engine.run e);
   Alcotest.(check (list int))
     "clock, before, after, dispatched after 6" [ 1; 6; 6; 6 ]
     [ !clocks; !before; !after; Engine.dispatched e ];
-  Alcotest.(check bool) "done" false (Engine.is_pending h)
+  Alcotest.(check bool) "done" false (Engine.is_pending e h)
 
 (* A later [observe] replaces the whole slot: hooks it omits stop being
    called, so a clock-only observer leaves dispatches unbracketed. *)
@@ -753,11 +782,11 @@ let test_engine_batch_failure () =
   | _ -> Alcotest.fail "expected Event_failure");
   Alcotest.(check int) "calls" 2 !calls;
   Alcotest.(check int) "rest queued" 2 (Engine.pending e);
-  Alcotest.(check bool) "pending" true (Engine.is_pending h);
+  Alcotest.(check bool) "pending" true (Engine.is_pending e h);
   Alcotest.(check bool) "drained" true (Engine.run e = Engine.Drained);
   Alcotest.(check int) "all members ran" 4 !calls;
   Alcotest.(check int) "dispatched" 4 (Engine.dispatched e);
-  Alcotest.(check bool) "done" false (Engine.is_pending h);
+  Alcotest.(check bool) "done" false (Engine.is_pending e h);
   Alcotest.check_raises "empty batch"
     (Invalid_argument "Engine.schedule_batch: count below 1") (fun () ->
       ignore (Engine.schedule_batch e ~at:(Engine.now e) ~count:0 ignore))
@@ -768,7 +797,7 @@ let test_engine_batch_failure () =
    instant, so they queue as one run; with every other one cancelled
    out of the middle of it, the survivors still dispatch in order. The
    caller keeps the handle of timer 1, the run's head once timer 0 is
-   gone, and it may keep only its own callback alive. *)
+   gone; a handle is an int, so it keeps nothing alive. *)
 let test_engine_cancel_releases () =
   let n = 10_000 in
   let e = Engine.create () in
@@ -783,7 +812,7 @@ let test_engine_cancel_releases () =
               ignore (Sys.opaque_identity block);
               log := i :: !log))
     in
-    Array.iteri (fun i h -> if not (keep i) then Engine.cancel h) hs;
+    Array.iteri (fun i h -> if not (keep i) then Engine.cancel e h) hs;
     hs.(1)
   in
   let reachable () =
@@ -791,7 +820,7 @@ let test_engine_cancel_releases () =
     List.filter (Weak.check weak) (List.init n Fun.id)
   in
   let held = schedule_and_cancel ~keep:(fun _ -> false) in
-  Alcotest.(check (list int)) "cancelled blocks reachable" [ 1 ] (reachable ());
+  Alcotest.(check (list int)) "cancelled blocks reachable" [] (reachable ());
   Alcotest.(check int) "pending" 0 (Engine.pending e);
   Alcotest.(check bool) "drained" true (Engine.run e = Engine.Drained);
   let odd i = i mod 2 = 1 in
@@ -801,8 +830,67 @@ let test_engine_cancel_releases () =
   Alcotest.(check int) "pending survivors" (n / 2) (Engine.pending e);
   Alcotest.(check bool) "drained again" true (Engine.run e = Engine.Drained);
   Alcotest.(check (list int)) "survivors in order" survivors (List.rev !log);
-  Alcotest.(check (list int)) "dispatched blocks reachable" [ 1 ] (reachable ());
+  Alcotest.(check (list int)) "dispatched blocks reachable" [] (reachable ());
   ignore (Sys.opaque_identity (held, held'))
+
+(* An event costs no allocation beyond its callback: once a warm-up has
+   grown the slots, each pattern below allocates no minor word at all,
+   callbacks being built before the count starts. *)
+let test_engine_allocates_nothing () =
+  let e = Engine.create () in
+  let calls = ref 0 in
+  let f () = incr calls in
+  let words pattern =
+    pattern ();
+    let w0 = Gc.minor_words () in
+    pattern ();
+    Gc.minor_words () -. w0
+  in
+  let schedule_and_run () =
+    for i = 1 to 10_000 do
+      ignore (Engine.schedule e ~after:(Time.span_ns (i land 1023)) f)
+    done;
+    ignore (Engine.run e)
+  in
+  let batch () =
+    ignore (Engine.schedule_batch e ~at:(Engine.now e) ~count:64 f);
+    ignore (Engine.run e)
+  in
+  let schedule_and_cancel () =
+    for i = 1 to 10_000 do
+      Engine.cancel e (Engine.schedule e ~after:(Time.span_ns i) f)
+    done
+  in
+  Alcotest.(check (float 0.)) "10,000 events" 0. (words schedule_and_run);
+  Alcotest.(check (float 0.)) "a batch of 64" 0. (words batch);
+  Alcotest.(check (float 0.)) "10,000 schedule/cancel pairs" 0.
+    (words schedule_and_cancel);
+  Alcotest.(check int) "calls" (2 * (10_000 + 64)) !calls
+
+(* Growth from a fresh engine's few slots: 100,000 events over 997
+   instants, so instants repeat and runs form, with every third one
+   cancelled, dispatch the survivors in (instant, enqueue) order. *)
+let test_engine_growth () =
+  let n = 100_000 in
+  let e = Engine.create () in
+  let log = ref [] in
+  let at i = i * 7919 mod 997 in
+  let hs =
+    Array.init n (fun i ->
+        Engine.schedule_at e ~at:(Time.of_ns (at i)) (fun () ->
+            log := i :: !log))
+  in
+  Array.iteri (fun i h -> if i mod 3 = 0 then Engine.cancel e h) hs;
+  Alcotest.(check int) "pending" (n - ((n + 2) / 3)) (Engine.pending e);
+  ignore (Engine.run e);
+  let expected =
+    List.init n Fun.id
+    |> List.filter (fun i -> i mod 3 <> 0)
+    |> List.stable_sort (fun i j -> compare (at i) (at j))
+  in
+  Alcotest.(check bool) "(instant, seq) order" true (List.rev !log = expected);
+  Alcotest.(check bool) "dead handles" false
+    (Array.exists (Engine.is_pending e) hs)
 
 (* ------------------------------------------------------------------ *)
 (* Trace                                                               *)
@@ -1181,6 +1269,9 @@ let () =
           Alcotest.test_case "batch failure" `Quick test_engine_batch_failure;
           Alcotest.test_case "cancel releases" `Quick
             test_engine_cancel_releases;
+          Alcotest.test_case "allocates nothing" `Quick
+            test_engine_allocates_nothing;
+          Alcotest.test_case "growth" `Quick test_engine_growth;
         ]
         @ qsuite
             [
