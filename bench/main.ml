@@ -567,79 +567,62 @@ let ablate_dirs () =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* A11 — group commit                                                  *)
+(* A11, A9 — A/B comparisons                                           *)
 (* ------------------------------------------------------------------ *)
+
+(* One row per protocol of an Experiment A/B comparison: both
+   throughputs, named [a] and [b] in the table and keyed
+   [<a_key>_ops_per_s] and [<b_key>_ops_per_s] in the JSON, and the
+   speedup of [b] over [a]; then [note]. *)
+let ab_table ~a:(a, a_key) ~b:(b, b_key) ~note rows =
+  let t =
+    Opc.Metrics.Table.create
+      ~columns:[ ""; a ^ " [ops/s]"; b ^ " [ops/s]"; "speedup" ]
+  in
+  let rows =
+    List.map
+      (fun (kind, x, y) ->
+        Opc.Metrics.Table.add_row t
+          [
+            Opc.Acp.Protocol.name kind;
+            Fmt.str "%.1f" x;
+            Fmt.str "%.1f" y;
+            Fmt.str "%.2fx" (y /. x);
+          ];
+        Json.Obj
+          [
+            ("protocol", Json.Str (Opc.Acp.Protocol.name kind));
+            (a_key ^ "_ops_per_s", Json.Float x);
+            (b_key ^ "_ops_per_s", Json.Float y);
+          ])
+      rows
+  in
+  Opc.Metrics.Table.print t;
+  Fmt.pr "%s@." note;
+  [ ("rows", Json.List rows) ]
 
 let group_commit () =
   section
     "A11: log-manager group commit — Figure-6 throughput without / with \
      coalesced forces";
-  let t =
-    Opc.Metrics.Table.create
-      ~columns:[ ""; "plain [ops/s]"; "group commit [ops/s]"; "speedup" ]
-  in
-  let rows =
-    List.map
-      (fun (kind, plain, grouped) ->
-        Opc.Metrics.Table.add_row t
-          [
-            Opc.Acp.Protocol.name kind;
-            Fmt.str "%.1f" plain;
-            Fmt.str "%.1f" grouped;
-            Fmt.str "%.2fx" (grouped /. plain);
-          ];
-        Json.Obj
-          [
-            ("protocol", Json.Str (Opc.Acp.Protocol.name kind));
-            ("plain_ops_per_s", Json.Float plain);
-            ("grouped_ops_per_s", Json.Float grouped);
-          ])
-      (Opc.Experiment.compare_group_commit ())
-  in
-  Opc.Metrics.Table.print t;
-  Fmt.pr
-    "(group commit coalesces concurrent forces into one transfer. Every \
-     protocol gains; 1PC gains most — its single lock-held force per \
-     transaction coalesces across the whole burst, while the 2PC \
-     family's voting round trips keep breaking the batchable windows)@.";
-  [ ("rows", Json.List rows) ]
-
-(* ------------------------------------------------------------------ *)
-(* A9 — shared vs independent devices                                  *)
-(* ------------------------------------------------------------------ *)
+  ab_table ~a:("plain", "plain") ~b:("group commit", "grouped")
+    ~note:
+      "(group commit coalesces concurrent forces into one transfer. Every \
+       protocol gains; 1PC gains most — its single lock-held force per \
+       transaction coalesces across the whole burst, while the 2PC \
+       family's voting round trips keep breaking the batchable windows)"
+    (Opc.Experiment.compare_group_commit ())
 
 let shared_disk () =
   section
     "A9: the shared-storage assumption — Figure-6 throughput, one shared \
      400 KB/s device vs one private device per server";
-  let t =
-    Opc.Metrics.Table.create
-      ~columns:[ ""; "shared [ops/s]"; "independent [ops/s]"; "speedup" ]
-  in
-  let rows =
-    List.map
-      (fun (kind, shared, independent) ->
-        Opc.Metrics.Table.add_row t
-          [
-            Opc.Acp.Protocol.name kind;
-            Fmt.str "%.1f" shared;
-            Fmt.str "%.1f" independent;
-            Fmt.str "%.2fx" (independent /. shared);
-          ];
-        Json.Obj
-          [
-            ("protocol", Json.Str (Opc.Acp.Protocol.name kind));
-            ("shared_ops_per_s", Json.Float shared);
-            ("independent_ops_per_s", Json.Float independent);
-          ])
-      (Opc.Experiment.compare_shared_vs_independent ())
-  in
-  Opc.Metrics.Table.print t;
-  Fmt.pr
-    "(client-visible rate of the 100-transaction burst; 1PC profits most \
-     because its only lock-held force gets a dedicated device, and its \
-     coordinator-side commits drain off the client path)@.";
-  [ ("rows", Json.List rows) ]
+  ab_table ~a:("shared", "shared") ~b:("independent", "independent")
+    ~note:
+      "(client-visible rate of the 100-transaction burst; 1PC profits most \
+       because its only lock-held force gets a dedicated device, and its \
+       coordinator-side commits drain off the client path)"
+    (Opc.Experiment.compare_shared_vs_independent ())
 
 (* ------------------------------------------------------------------ *)
 (* A5 — crash-point matrix                                             *)
@@ -1510,65 +1493,6 @@ let regression_check ~against ~tolerance () =
 (* A15 — overload: goodput curves across the capacity knee             *)
 (* ------------------------------------------------------------------ *)
 
-(* One fault-free open-loop point: [rate] requests/s for [duration_ms]
-   through the ingress front door. Same cluster shape and retry policy
-   as Chaos.Overload — the chaos campaign stresses fault schedules at
-   two rates, this sweep maps the whole goodput curve. *)
-let overload_point ~protocol ~seed ~rate ~duration_ms ~max_inflight
-    ~queue_capacity =
-  let config =
-    {
-      Opc.Config.default with
-      servers = 4;
-      protocol;
-      placement = Opc.Mds.Placement.Spread;
-      txn_timeout = Opc.Simkit.Time.span_ms 300;
-      heartbeat_interval = Opc.Simkit.Time.span_ms 20;
-      detector_timeout = Opc.Simkit.Time.span_ms 100;
-      restart_delay = Opc.Simkit.Time.span_ms 50;
-      auto_restart = true;
-      seed;
-    }
-  in
-  let cluster = Opc.Cluster.create config in
-  let root = Opc.Cluster.root cluster in
-  let dirs =
-    Array.init 4 (fun i ->
-        Opc.Cluster.add_directory cluster ~parent:root
-          ~name:(Printf.sprintf "d%d" i) ~server:i ())
-  in
-  let ingress = Opc.Ingress.create ~max_inflight ~queue_capacity cluster in
-  let spec =
-    {
-      Opc.Workload.Open_loop.arrival = Opc.Workload.Open_loop.Poisson;
-      rate_per_s = rate;
-      duration = Opc.Simkit.Time.span_ms duration_ms;
-      dirs;
-      zipf_s = 1.1;
-      policy = Opc.Chaos.Overload.policy;
-    }
-  in
-  let ol =
-    Opc.Workload.Open_loop.run cluster ingress spec
-      ~rng:(Opc.Simkit.Rng.create ~seed:(seed + 2_000_003))
-  in
-  let settled =
-    Opc.Workload.Open_loop.settle ~deadline:(Opc.Simkit.Time.span_s 120) ol
-  in
-  let violations =
-    Opc.Chaos.Oracle.check_open_loop cluster ~ingress ~open_loop:ol ~dirs
-      ~settled
-  in
-  let quantiles =
-    Opc.Metrics.Histogram.quantiles
-      (Opc.Workload.Open_loop.latency ol)
-      [ 0.50; 0.95; 0.99 ]
-  in
-  ( Opc.Workload.Open_loop.stats ol,
-    Opc.Ingress.stats ingress,
-    quantiles,
-    violations )
-
 (* Sweeps offered load across the knee twice: through the bounded
    ingress, where every protocol must degrade gracefully, and with both
    admission bounds lifted — the negative control, whose retry storm
@@ -1598,6 +1522,17 @@ let overload ~smoke () =
            name final peak (100.0 *. floor) viols)
   in
   let sweep ~max_inflight ~queue_capacity =
+    (* Fault-free runs of the overload campaign's cluster: the campaign
+       stresses fault schedules at two rates, this sweep maps the whole
+       goodput curve. *)
+    let spec =
+      {
+        Opc.Chaos.Overload.default_spec with
+        duration_ms;
+        max_inflight;
+        queue_capacity;
+      }
+    in
     Fmt.pr
       "@.(open-loop Poisson arrivals x Zipf(1.1) over 4 dirs, base %.0f \
        req/s, %d ms window; client policy: 500 ms patience, 60 ms backoff \
@@ -1619,15 +1554,12 @@ let overload ~smoke () =
             List.map
               (fun m ->
                 let rate = base_rate *. m in
-                let st, ing, quantiles, violations =
-                  overload_point ~protocol ~seed ~rate ~duration_ms
-                    ~max_inflight ~queue_capacity
+                let r : Opc.Chaos.Overload.run =
+                  Opc.Chaos.Overload.run spec ~protocol ~seed ~rate
+                    ~schedule:None
                 in
-                let p50, p95, p99 =
-                  match quantiles with
-                  | [ a; b; c ] -> (ms a, ms b, ms c)
-                  | _ -> (0.0, 0.0, 0.0)
-                in
+                let st = r.stats and ing = r.ingress in
+                let p50, p95, p99 = (ms r.p50, ms r.p95, ms r.p99) in
                 let open Opc.Workload.Open_loop in
                 let shed = ing.Opc.Ingress.shed in
                 let shed_rate =
@@ -1660,10 +1592,10 @@ let overload ~smoke () =
                       ("p50_ms", Json.Float p50);
                       ("p95_ms", Json.Float p95);
                       ("p99_ms", Json.Float p99);
-                      ("violations", Json.Int (List.length violations));
+                      ("violations", Json.Int (List.length r.violations));
                     ]
                 in
-                (json, st.goodput_per_s, List.length violations))
+                (json, st.goodput_per_s, List.length r.violations))
               multipliers
           in
           let goodputs = List.map (fun (_, g, _) -> g) points in

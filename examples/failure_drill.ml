@@ -20,15 +20,9 @@ open Opc
 
 let drill_config =
   {
-    Config.default with
+    Chaos.Runner.regime with
     servers = 2;
     protocol = Acp.Protocol.Opc;
-    placement = Mds.Placement.Spread;
-    txn_timeout = Simkit.Time.span_ms 300;
-    heartbeat_interval = Simkit.Time.span_ms 20;
-    detector_timeout = Simkit.Time.span_ms 100;
-    restart_delay = Simkit.Time.span_ms 50;
-    auto_restart = true;
     record_trace = true;
   }
 

@@ -27,23 +27,6 @@ let default_spec =
     with_faults = true;
   }
 
-(* Same cluster shape as {!Runner.config_of}: a short transaction
-   timeout so overload manifests inside the run, fast detection, auto
-   restart. *)
-let config_of spec ~protocol ~seed =
-  {
-    Opc_cluster.Config.default with
-    servers = spec.servers;
-    protocol;
-    placement = Mds.Placement.Spread;
-    txn_timeout = Simkit.Time.span_ms 300;
-    heartbeat_interval = Simkit.Time.span_ms 20;
-    detector_timeout = Simkit.Time.span_ms 100;
-    restart_delay = Simkit.Time.span_ms 50;
-    auto_restart = true;
-    seed;
-  }
-
 let policy =
   {
     Workload.Open_loop.attempt_timeout = Simkit.Time.span_ms 500;
@@ -52,11 +35,6 @@ let policy =
     jitter = 0.2;
     max_attempts = 4;
   }
-
-(* Independent of both the schedule stream (seed) and the closed-loop
-   chaos stream (seed + 1_000_003): editing any of those must not
-   perturb the open-loop arrival draws. *)
-let workload_rng seed = Simkit.Rng.create ~seed:(seed + 2_000_003)
 
 type run = {
   stats : Workload.Open_loop.stats;
@@ -78,15 +56,13 @@ type outcome = {
 
 let passed o = o.violations = []
 
-let run_one spec ~protocol ~seed ~rate ~schedule =
-  let config = config_of spec ~protocol ~seed in
-  let cluster = Opc_cluster.Cluster.create config in
-  let root = Opc_cluster.Cluster.root cluster in
+let run spec ~protocol ~seed ~rate ~schedule =
+  let cluster =
+    Opc_cluster.Cluster.create
+      { Runner.regime with servers = spec.servers; protocol; seed }
+  in
   let dirs =
-    Array.init spec.dir_count (fun i ->
-        Opc_cluster.Cluster.add_directory cluster ~parent:root
-          ~name:(Printf.sprintf "d%d" i)
-          ~server:(i mod spec.servers) ())
+    Runner.layout cluster ~servers:spec.servers ~dirs:spec.dir_count
   in
   let ingress =
     Opc_cluster.Ingress.create ~max_inflight:spec.max_inflight
@@ -103,31 +79,14 @@ let run_one spec ~protocol ~seed ~rate ~schedule =
     }
   in
   let ol =
-    Workload.Open_loop.run cluster ingress ol_spec ~rng:(workload_rng seed)
+    Workload.Open_loop.run cluster ingress ol_spec
+      ~rng:(Runner.open_loop_rng seed)
   in
   let violations =
     try
-      (match schedule with
-      | None -> ()
-      | Some s ->
-          let origin = Opc_cluster.Cluster.now cluster in
-          Opc_cluster.Fault.inject cluster
-            (Schedule.to_faults ~origin ~servers:spec.servers s);
-          let baseline = config.Opc_cluster.Config.network in
-          ignore
-            (Simkit.Engine.schedule_at
-               (Opc_cluster.Cluster.engine cluster)
-               ~label:(Simkit.Label.v Chaos "chaos.overload.cleanup")
-               ~at:
-                 (Simkit.Time.add origin
-                    (Simkit.Time.span_ms (spec.window_ms + 1)))
-               (fun () ->
-                 Opc_cluster.Cluster.heal cluster;
-                 Opc_cluster.Cluster.set_drop_probability cluster
-                   baseline.Netsim.Network.drop_probability;
-                 Opc_cluster.Cluster.set_duplicate_probability cluster
-                   baseline.Netsim.Network.duplicate_probability;
-                 Opc_cluster.Cluster.set_disk_slowdown cluster 1.0)));
+      Option.iter
+        (Runner.arm cluster ~servers:spec.servers ~window_ms:spec.window_ms)
+        schedule;
       let settled =
         Workload.Open_loop.settle
           ~deadline:(Simkit.Time.span_ms spec.settle_deadline_ms)
@@ -152,31 +111,25 @@ let run_one spec ~protocol ~seed ~rate ~schedule =
     violations;
   }
 
-let generate_schedule spec ~seed =
-  Schedule.generate
-    ~rng:(Simkit.Rng.create ~seed)
-    ~servers:spec.servers ~window_ms:spec.window_ms
-
 let execute ?schedule spec ~protocol ~seed =
   let schedule =
     match schedule with
     | Some s -> Some s
-    | None ->
-        if spec.with_faults then Some (generate_schedule spec ~seed) else None
+    | None when spec.with_faults ->
+        Some
+          (Schedule.generate
+             ~rng:(Simkit.Rng.create ~seed)
+             ~servers:spec.servers ~window_ms:spec.window_ms)
+    | None -> None
   in
-  (match schedule with
-  | Some s -> (
-      match Schedule.validate ~servers:spec.servers s with
-      | Ok () -> ()
-      | Error e -> invalid_arg ("Overload.execute: bad schedule: " ^ e))
-  | None -> ());
+  Option.iter (Runner.check_schedule ~servers:spec.servers) schedule;
   (* Reference: fault-free, below the knee — the goodput yardstick. *)
   let reference =
-    run_one spec ~protocol ~seed ~rate:spec.reference_rate ~schedule:None
+    run spec ~protocol ~seed ~rate:spec.reference_rate ~schedule:None
   in
   (* Storm: offered load far past the knee, faults riding along. *)
   let storm =
-    run_one spec ~protocol ~seed
+    run spec ~protocol ~seed
       ~rate:(spec.reference_rate *. spec.storm_multiplier)
       ~schedule
   in
@@ -220,14 +173,11 @@ type campaign = { spec : spec; outcomes : outcome list }
 
 let failures c = List.filter (fun o -> not (passed o)) c.outcomes
 
-let campaign ?(protocols = Acp.Protocol.all) ?(first_seed = 0) ~seeds spec =
-  let outcomes =
-    List.concat_map
-      (fun protocol ->
-        List.init seeds (fun i -> execute spec ~protocol ~seed:(first_seed + i)))
-      protocols
-  in
-  { spec; outcomes }
+let campaign ?protocols ?first_seed ~seeds spec =
+  {
+    spec;
+    outcomes = Runner.each_seed ?protocols ?first_seed ~seeds (execute spec);
+  }
 
 let table c =
   let t =

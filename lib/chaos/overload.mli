@@ -60,6 +60,22 @@ type outcome = {
 
 val passed : outcome -> bool
 
+val run :
+  spec ->
+  protocol:Acp.Protocol.kind ->
+  seed:int ->
+  rate:float ->
+  schedule:Schedule.t option ->
+  run
+(** One open-loop run: a {!Runner.regime} cluster with the spec's
+    servers, directories ({!Runner.layout}) and ingress bounds, offered
+    Poisson arrivals at [rate] requests/s for [duration_ms] over the
+    directories with Zipf(1.1) skew and {!policy} retries, drawn from
+    {!Runner.open_loop_rng}, with [schedule], if any, injected through
+    {!Runner.arm}; then settled and judged by {!Oracle.check_open_loop}.
+    Exceptions escaping the simulation are reported as
+    {!Oracle.Run_exception}. *)
+
 val execute :
   ?schedule:Schedule.t -> spec -> protocol:Acp.Protocol.kind -> seed:int ->
   outcome

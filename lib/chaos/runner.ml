@@ -53,17 +53,22 @@ type outcome = {
 
 let passed o = o.violations = []
 
-let config_of spec ~protocol ~seed =
+let regime =
   {
     Opc_cluster.Config.default with
-    servers = spec.servers;
-    protocol;
     placement = Mds.Placement.Spread;
     txn_timeout = Simkit.Time.span_ms 300;
     heartbeat_interval = Simkit.Time.span_ms 20;
     detector_timeout = Simkit.Time.span_ms 100;
     restart_delay = Simkit.Time.span_ms 50;
     auto_restart = true;
+  }
+
+let config_of spec ~protocol ~seed =
+  {
+    regime with
+    servers = spec.servers;
+    protocol;
     seed;
     (* Coverage is passive (no RNG draws, no engine events), so turning
        it on for every chaos run changes nothing about the runs while
@@ -71,16 +76,59 @@ let config_of spec ~protocol ~seed =
     record_coverage = true;
   }
 
+let layout cluster ~servers ~dirs =
+  let root = Opc_cluster.Cluster.root cluster in
+  Array.init dirs (fun i ->
+      Opc_cluster.Cluster.add_directory cluster ~parent:root
+        ~name:(Printf.sprintf "d%d" i)
+        ~server:(i mod servers) ())
+
 (* Workload draws must not depend on how many draws schedule generation
    consumed, or replaying an edited schedule would perturb the workload
-   and break bit-identical replay. Hence an independently derived
-   stream, not a split of the schedule RNG. *)
-let workload_rng seed = Simkit.Rng.create ~seed:(seed + 1_000_003)
+   and break bit-identical replay. Hence independently derived streams,
+   not splits of the schedule RNG. *)
+let closed_loop_rng seed = Simkit.Rng.create ~seed:(seed + 1_000_003)
+let open_loop_rng seed = Simkit.Rng.create ~seed:(seed + 2_000_003)
 
 let generate_schedule spec ~seed =
   Schedule.generate
     ~rng:(Simkit.Rng.create ~seed)
     ~servers:spec.servers ~window_ms:spec.window_ms
+
+let check_schedule ~servers schedule =
+  match Schedule.validate ~servers schedule with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Runner.check_schedule: " ^ e)
+
+let label_cleanup = Simkit.Label.v Chaos "chaos.cleanup"
+
+let arm ?observe cluster ~servers ~window_ms schedule =
+  let origin = Opc_cluster.Cluster.now cluster in
+  Opc_cluster.Fault.inject ?observe cluster
+    (Schedule.to_faults ~origin ~servers schedule);
+  (* Once the window closes, restore a fault-free environment so a
+     failure to quiesce afterwards is a genuine liveness bug, not a
+     schedule that never stopped hurting. *)
+  let baseline = (Opc_cluster.Cluster.config cluster).network in
+  ignore
+    (Simkit.Engine.schedule_at
+       (Opc_cluster.Cluster.engine cluster)
+       ~label:label_cleanup
+       ~at:(Simkit.Time.add origin (Simkit.Time.span_ms (window_ms + 1)))
+       (fun () ->
+         Opc_cluster.Cluster.heal cluster;
+         Opc_cluster.Cluster.set_drop_probability cluster
+           baseline.Netsim.Network.drop_probability;
+         Opc_cluster.Cluster.set_duplicate_probability cluster
+           baseline.Netsim.Network.duplicate_probability;
+         Opc_cluster.Cluster.set_disk_slowdown cluster 1.0;
+         Opc_cluster.Cluster.set_fencing_available cluster true))
+
+let each_seed ?(protocols = Acp.Protocol.all) ?(first_seed = 0) ~seeds run =
+  List.concat_map
+    (fun protocol ->
+      List.init seeds (fun i -> run ~protocol ~seed:(first_seed + i)))
+    protocols
 
 let meter_stats cluster =
   let m = (Opc_cluster.Cluster.sink cluster).meter in
@@ -108,21 +156,13 @@ let run ?schedule spec ~(config : Opc_cluster.Config.t) ~seed =
   let schedule =
     match schedule with Some s -> s | None -> generate_schedule spec ~seed
   in
-  (match Schedule.validate ~servers:spec.servers schedule with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Runner.execute: bad schedule: " ^ e));
+  check_schedule ~servers:spec.servers schedule;
   let cluster = Opc_cluster.Cluster.create config in
-  let root = Opc_cluster.Cluster.root cluster in
-  let dirs =
-    Array.init spec.dir_count (fun i ->
-        Opc_cluster.Cluster.add_directory cluster ~parent:root
-          ~name:(Printf.sprintf "d%d" i)
-          ~server:(i mod spec.servers) ())
-  in
+  let dirs = layout cluster ~servers:spec.servers ~dirs:spec.dir_count in
   let workload =
     Workload.closed_loop cluster ~dirs ~clients:spec.clients
       ~ops_per_client:spec.ops_per_client ~mix:chaos_mix
-      ~rng:(workload_rng seed) ()
+      ~rng:(closed_loop_rng seed) ()
   in
   let origin = Opc_cluster.Cluster.now cluster in
   (* Fault-phase attribution: at the instant a fault fires, the
@@ -144,26 +184,8 @@ let run ?schedule spec ~(config : Opc_cluster.Config.t) ~seed =
   in
   let violations =
     try
-      Opc_cluster.Fault.inject ~observe cluster
-        (Schedule.to_faults ~origin ~servers:spec.servers schedule);
-      (* Once the window closes, restore a fault-free environment so a
-         failure to quiesce afterwards is a genuine liveness bug, not a
-         schedule that never stopped hurting. *)
-      let baseline = config.Opc_cluster.Config.network in
-      ignore
-        (Simkit.Engine.schedule_at
-           (Opc_cluster.Cluster.engine cluster)
-           ~label:(Simkit.Label.v Chaos "chaos.cleanup")
-           ~at:(Simkit.Time.add origin
-                  (Simkit.Time.span_ms (spec.window_ms + 1)))
-           (fun () ->
-             Opc_cluster.Cluster.heal cluster;
-             Opc_cluster.Cluster.set_drop_probability cluster
-               baseline.Netsim.Network.drop_probability;
-             Opc_cluster.Cluster.set_duplicate_probability cluster
-               baseline.Netsim.Network.duplicate_probability;
-             Opc_cluster.Cluster.set_disk_slowdown cluster 1.0;
-             Opc_cluster.Cluster.set_fencing_available cluster true));
+      arm ~observe cluster ~servers:spec.servers ~window_ms:spec.window_ms
+        schedule;
       Opc_cluster.Cluster.run_for cluster
         (Simkit.Time.span_ms (spec.window_ms + 200));
       let settled =
@@ -217,15 +239,8 @@ type campaign = { spec : spec; outcomes : outcome list }
 
 let failures c = List.filter (fun o -> not (passed o)) c.outcomes
 
-let campaign ?(protocols = Acp.Protocol.all) ?(first_seed = 0) ~seeds spec =
-  let outcomes =
-    List.concat_map
-      (fun protocol ->
-        List.init seeds (fun i ->
-            execute spec ~protocol ~seed:(first_seed + i)))
-      protocols
-  in
-  { spec; outcomes }
+let campaign ?protocols ?first_seed ~seeds spec =
+  { spec; outcomes = each_seed ?protocols ?first_seed ~seeds (execute spec) }
 
 let table c =
   let t =

@@ -84,9 +84,8 @@ val execute :
 
 val config_of :
   spec -> protocol:Acp.Protocol.kind -> seed:int -> Opc_cluster.Config.t
-(** The cluster config {!execute} derives from [(spec, protocol, seed)]
-    — chaos timeouts, spread placement, auto-restart, coverage
-    recording on. *)
+(** The cluster config {!execute} derives from [(spec, protocol, seed)]:
+    {!regime} with coverage recording on. *)
 
 val execute_config :
   ?schedule:Schedule.t ->
@@ -100,6 +99,59 @@ val execute_config :
     override fields so [servers], [protocol] and [seed] stay consistent
     with the [spec] and [seed] given here. *)
 
+(** {1 The run harness}
+
+    What every fault-injecting run shares. {!execute} and {!Overload}
+    use all of it; [Experiment]'s crash runs use the regime, the layout
+    and the closed-loop stream. *)
+
+val regime : Opc_cluster.Config.t
+(** The failure regime: {!Opc_cluster.Config.default} with [Spread]
+    placement, a 300 ms transaction timeout, 20 ms heartbeats, a 100 ms
+    failure detector and auto-restart 50 ms after a crash, so detection,
+    recovery and overload all show inside a run of a few hundred
+    milliseconds. *)
+
+val layout :
+  Opc_cluster.Cluster.t -> servers:int -> dirs:int -> Mds.Update.ino array
+(** Add the workload directories [d0 .. d(dirs-1)] under the root,
+    [d<i>] on server [i mod servers]. *)
+
+val closed_loop_rng : int -> Simkit.Rng.t
+(** The closed-loop workload stream of seed [seed], drawn from
+    [seed + 1_000_003]: independent of the schedule stream ([seed]), so
+    editing a schedule never perturbs the operations. *)
+
+val open_loop_rng : int -> Simkit.Rng.t
+(** The open-loop arrival stream of seed [seed], drawn from
+    [seed + 2_000_003]: independent of both streams above. *)
+
+val check_schedule : servers:int -> Schedule.t -> unit
+(** @raise Invalid_argument if the schedule fails {!Schedule.validate}. *)
+
+val arm :
+  ?observe:(index:int -> Opc_cluster.Fault.event -> unit) ->
+  Opc_cluster.Cluster.t ->
+  servers:int ->
+  window_ms:int ->
+  Schedule.t ->
+  unit
+(** Inject the schedule from the cluster's current instant (its origin),
+    and 1 ms after [window_ms] restore a fault-free environment: heal
+    every partition, reset the drop and duplicate probabilities to the
+    cluster's configured network, undo disk slowdowns and make fencing
+    available again. [observe] is {!Opc_cluster.Fault.inject}'s. The
+    restore event's label is interned once, at module initialisation. *)
+
+val each_seed :
+  ?protocols:Acp.Protocol.kind list ->
+  ?first_seed:int ->
+  seeds:int ->
+  (protocol:Acp.Protocol.kind -> seed:int -> 'a) ->
+  'a list
+(** The campaign loop: [seeds] runs per protocol (default: all five),
+    seeded [first_seed] (default 0) onwards, protocol by protocol. *)
+
 (** {1 Campaigns} *)
 
 type campaign = { spec : spec; outcomes : outcome list }
@@ -110,9 +162,8 @@ val campaign :
   seeds:int ->
   spec ->
   campaign
-(** [seeds] runs per protocol (default: all five), seeded
-    [first_seed .. first_seed + seeds - 1] — the same seeds, hence the
-    same schedules and workloads, for every protocol. *)
+(** {!execute} over {!each_seed}: the same seeds, hence the same
+    schedules and workloads, for every protocol. *)
 
 val failures : campaign -> outcome list
 

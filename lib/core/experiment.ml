@@ -27,31 +27,45 @@ let fig6_config =
     record_trace = false;
   }
 
-let run_fig6_point ?(config = fig6_config) ?(count = 100) protocol =
-  let config = { config with Opc_cluster.Config.protocol } in
-  let cluster = Opc_cluster.Cluster.create config in
-  let dir =
-    Opc_cluster.Cluster.add_directory cluster
-      ~parent:(Opc_cluster.Cluster.root cluster)
-      ~name:"data" ~server:0 ()
-  in
-  let wl = Workload.storm cluster ~dir ~count () in
-  (match Opc_cluster.Cluster.settle ~deadline:(Simkit.Time.span_s 3600) cluster with
+(* Settle [cluster] or fail with a message that names the [run]. *)
+let settle ?deadline run cluster =
+  match Opc_cluster.Cluster.settle ?deadline cluster with
   | Opc_cluster.Cluster.Quiescent -> ()
   | Opc_cluster.Cluster.Deadline_exceeded ->
-      failwith "fig6: cluster did not settle before the deadline"
-  | Opc_cluster.Cluster.Stuck -> failwith "fig6: cluster is stuck");
-  let stats = Workload.stats wl in
+      failwith (run ^ ": cluster did not settle before the deadline")
+  | Opc_cluster.Cluster.Stuck -> failwith (run ^ ": cluster is stuck")
+
+(* A cluster under [config] running [protocol], with the §IV workload
+   directory "data" on server 0. *)
+let data_cluster config protocol =
+  let cluster =
+    Opc_cluster.Cluster.create { config with Opc_cluster.Config.protocol }
+  in
+  ( cluster,
+    Opc_cluster.Cluster.add_directory cluster
+      ~parent:(Opc_cluster.Cluster.root cluster)
+      ~name:"data" ~server:0 () )
+
+let fig6_point cluster protocol ~throughput ~committed ~aborted =
   {
     protocol;
-    throughput = Workload.throughput_per_s stats;
-    committed = stats.Workload.committed;
-    aborted = stats.Workload.aborted;
+    throughput;
+    committed;
+    aborted;
     mean_latency =
       Metrics.Histogram.mean (Opc_cluster.Cluster.latency_committed cluster);
     mean_lock_hold =
       Metrics.Histogram.mean (Opc_cluster.Cluster.lock_hold cluster);
   }
+
+let run_fig6_point ?(config = fig6_config) ?(count = 100) protocol =
+  let cluster, dir = data_cluster config protocol in
+  let wl = Workload.storm cluster ~dir ~count () in
+  settle ~deadline:(Simkit.Time.span_s 3600) "fig6" cluster;
+  let stats = Workload.stats wl in
+  fig6_point cluster protocol
+    ~throughput:(Workload.throughput_per_s stats)
+    ~committed:stats.Workload.committed ~aborted:stats.Workload.aborted
 
 let run_fig6 ?config ?count () =
   List.map (fun k -> run_fig6_point ?config ?count k) Acp.Protocol.all
@@ -63,39 +77,20 @@ type measured_costs = {
   acp_messages_per_txn : float;
 }
 
-let run_table1_measured ?(config = fig6_config) ?(count = 20) protocol =
-  let config = { config with Opc_cluster.Config.protocol } in
-  let cluster = Opc_cluster.Cluster.create config in
-  let dir =
-    Opc_cluster.Cluster.add_directory cluster
-      ~parent:(Opc_cluster.Cluster.root cluster)
-      ~name:"data" ~server:0 ()
-  in
-  (* Warm-up: one transaction outside the measurement window. *)
-  Opc_cluster.Cluster.submit cluster
-    (Mds.Op.create_file ~parent:dir ~name:"warmup")
-    ~on_done:(fun _ -> ());
-  (match Opc_cluster.Cluster.settle cluster with
-  | Opc_cluster.Cluster.Quiescent -> ()
-  | _ -> failwith "table1: warm-up did not settle");
+(* The ledger's write and message counters per transaction, over
+   [count] transactions run one at a time after one warm-up outside the
+   window: [txn i ~k] submits transaction [i] (-1 for the warm-up) and
+   calls [k] on the expected outcome, which submits the next one. One
+   at a time, so per-transaction division is exact. *)
+let measure_costs run cluster ~count protocol txn =
+  txn (-1) ~k:ignore;
+  settle (run ^ " warm-up") cluster;
   let before =
     Metrics.Ledger.snapshot (Opc_cluster.Cluster.ledger cluster)
   in
-  (* One at a time, so per-transaction division is exact. *)
-  let rec one i =
-    if i < count then
-      Opc_cluster.Cluster.submit cluster
-        (Mds.Op.create_file ~parent:dir ~name:(Printf.sprintf "t1_%d" i))
-        ~on_done:(fun outcome ->
-          match outcome with
-          | Acp.Txn.Committed -> one (i + 1)
-          | Acp.Txn.Aborted reason ->
-              failwith ("table1: unexpected abort: " ^ reason))
-  in
+  let rec one i = if i < count then txn i ~k:(fun () -> one (i + 1)) in
   one 0;
-  (match Opc_cluster.Cluster.settle cluster with
-  | Opc_cluster.Cluster.Quiescent -> ()
-  | _ -> failwith "table1: run did not settle");
+  settle run cluster;
   let diff =
     Metrics.Ledger.diff ~after:(Opc_cluster.Cluster.ledger cluster) ~before
   in
@@ -108,6 +103,17 @@ let run_table1_measured ?(config = fig6_config) ?(count = 20) protocol =
     acp_messages_per_txn = per "msg.acp";
   }
 
+let run_table1_measured ?(config = fig6_config) ?(count = 20) protocol =
+  let cluster, dir = data_cluster config protocol in
+  measure_costs "table1" cluster ~count protocol (fun i ~k ->
+      let name = if i < 0 then "warmup" else Printf.sprintf "t1_%d" i in
+      Opc_cluster.Cluster.submit cluster
+        (Mds.Op.create_file ~parent:dir ~name)
+        ~on_done:(function
+          | Acp.Txn.Committed -> k ()
+          | Acp.Txn.Aborted reason ->
+              failwith ("table1: unexpected abort: " ^ reason)))
+
 type breakdown_point = {
   kind : Acp.Protocol.kind;
   summary : Obs.Breakdown.summary;
@@ -115,22 +121,16 @@ type breakdown_point = {
 }
 
 let run_breakdown ?(config = fig6_config) ?(count = 20) protocol =
-  let config =
-    { config with Opc_cluster.Config.protocol; record_spans = true }
-  in
-  let cluster = Opc_cluster.Cluster.create config in
-  let dir =
-    Opc_cluster.Cluster.add_directory cluster
-      ~parent:(Opc_cluster.Cluster.root cluster)
-      ~name:"data" ~server:0 ()
+  let cluster, dir =
+    data_cluster
+      { config with Opc_cluster.Config.record_spans = true }
+      protocol
   in
   (* Warm-up: one transaction outside the measurement window. *)
   Opc_cluster.Cluster.submit cluster
     (Mds.Op.create_file ~parent:dir ~name:"warmup")
     ~on_done:(fun _ -> ());
-  (match Opc_cluster.Cluster.settle cluster with
-  | Opc_cluster.Cluster.Quiescent -> ()
-  | _ -> failwith "breakdown: warm-up did not settle");
+  settle "breakdown warm-up" cluster;
   let since = Opc_cluster.Cluster.now cluster in
   (* Fully isolated transactions: settle (not just reply) between
      submissions, so no trailing work of one transaction — post-reply
@@ -146,9 +146,7 @@ let run_breakdown ?(config = fig6_config) ?(count = 20) protocol =
         | Acp.Txn.Committed -> ()
         | Acp.Txn.Aborted reason ->
             failwith ("breakdown: unexpected abort: " ^ reason));
-    match Opc_cluster.Cluster.settle cluster with
-    | Opc_cluster.Cluster.Quiescent -> ()
-    | _ -> failwith "breakdown: run did not settle"
+    settle "breakdown" cluster
   done;
   let tracer = (Opc_cluster.Cluster.sink cluster).spans in
   let paths = Obs.Breakdown.paths ~since tracer in
@@ -160,13 +158,7 @@ let run_breakdown ?(config = fig6_config) ?(count = 20) protocol =
    children — so the abort happens inside the protocol, where Table-I
    style accounting applies. *)
 let run_abort_measured ?(config = fig6_config) ?(count = 20) protocol =
-  let config = { config with Opc_cluster.Config.protocol } in
-  let cluster = Opc_cluster.Cluster.create config in
-  let root = Opc_cluster.Cluster.root cluster in
-  let dir =
-    Opc_cluster.Cluster.add_directory cluster ~parent:root ~name:"data"
-      ~server:0 ()
-  in
+  let cluster, dir = data_cluster config protocol in
   let sub =
     Opc_cluster.Cluster.add_directory cluster ~parent:dir ~name:"sub"
       ~server:1 ()
@@ -174,155 +166,118 @@ let run_abort_measured ?(config = fig6_config) ?(count = 20) protocol =
   let _child =
     Opc_cluster.Cluster.add_directory cluster ~parent:sub ~name:"child" ()
   in
-  let delete_sub ~k =
-    Opc_cluster.Cluster.submit cluster
-      (Mds.Op.delete ~parent:dir ~name:"sub")
-      ~on_done:(fun outcome ->
-        match outcome with
-        | Acp.Txn.Aborted _ -> k ()
-        | Acp.Txn.Committed -> failwith "abort experiment: unexpected commit")
-  in
-  (* Warm-up outside the measurement window. *)
-  delete_sub ~k:(fun () -> ());
-  (match Opc_cluster.Cluster.settle cluster with
-  | Opc_cluster.Cluster.Quiescent -> ()
-  | _ -> failwith "abort run: warm-up did not settle");
-  let before =
-    Metrics.Ledger.snapshot (Opc_cluster.Cluster.ledger cluster)
-  in
-  let rec one i = if i < count then delete_sub ~k:(fun () -> one (i + 1)) in
-  one 0;
-  (match Opc_cluster.Cluster.settle cluster with
-  | Opc_cluster.Cluster.Quiescent -> ()
-  | _ -> failwith "abort run: did not settle");
-  let diff =
-    Metrics.Ledger.diff ~after:(Opc_cluster.Cluster.ledger cluster) ~before
-  in
-  let get k = match List.assoc_opt k diff with Some v -> v | None -> 0 in
-  let per k = float_of_int (get k) /. float_of_int count in
-  {
-    kind = protocol;
-    sync_writes_per_txn = per "log.sync";
-    async_writes_per_txn = per "log.async";
-    acp_messages_per_txn = per "msg.acp";
-  }
+  measure_costs "abort run" cluster ~count protocol (fun _ ~k ->
+      Opc_cluster.Cluster.submit cluster
+        (Mds.Op.delete ~parent:dir ~name:"sub")
+        ~on_done:(function
+          | Acp.Txn.Aborted _ -> k ()
+          | Acp.Txn.Committed ->
+              failwith "abort experiment: unexpected commit"))
 
 type sweep_point = { x : float; series : (Acp.Protocol.kind * float) list }
 
-let sweep ~xs ~config_of ?(count = 100) () =
+(* One point per value of [xs], at [x v], with [point v kind] for every
+   protocol. *)
+let sweep xs ~x point =
   List.map
-    (fun x ->
-      let series =
-        List.map
-          (fun kind ->
-            let p = run_fig6_point ~config:(config_of x) ~count kind in
-            (kind, p.throughput))
-          Acp.Protocol.all
-      in
-      { x; series })
+    (fun v ->
+      {
+        x = x v;
+        series = List.map (fun kind -> (kind, point v kind)) Acp.Protocol.all;
+      })
     xs
+
+let fig6_throughput ?config ?count kind =
+  (run_fig6_point ?config ?count kind).throughput
+
+let with_san f =
+  {
+    fig6_config with
+    Opc_cluster.Config.san = f fig6_config.Opc_cluster.Config.san;
+  }
+
+let independent_devices =
+  with_san (fun san -> { san with Storage.San.shared_device = false })
 
 let sweep_disk_bandwidth
     ?(bandwidths = [ 100; 200; 400; 800; 1600; 3200; 6400 ]) ?count () =
-  let config_of kbps =
-    {
-      fig6_config with
-      Opc_cluster.Config.san =
-        {
-          fig6_config.Opc_cluster.Config.san with
-          Storage.San.disk =
-            {
-              fig6_config.Opc_cluster.Config.san.Storage.San.disk with
-              Storage.Disk.bandwidth_bytes_per_s = kbps * 1000;
-            };
-        };
-    }
-  in
-  sweep
-    ~xs:(List.map float_of_int bandwidths)
-    ~config_of:(fun x -> config_of (int_of_float x))
-    ?count ()
+  sweep bandwidths ~x:float_of_int (fun kbps ->
+      fig6_throughput ?count
+        ~config:
+          (with_san (fun san ->
+               {
+                 san with
+                 Storage.San.disk =
+                   {
+                     san.Storage.San.disk with
+                     Storage.Disk.bandwidth_bytes_per_s = kbps * 1000;
+                   };
+               })))
 
 let sweep_network_latency
     ?(latencies_us = [ 10; 50; 100; 500; 1000; 5000; 10000 ]) ?count () =
-  let config_of us =
-    {
-      fig6_config with
-      Opc_cluster.Config.network =
-        {
-          fig6_config.Opc_cluster.Config.network with
-          Netsim.Network.latency = Simkit.Time.span_us us;
-        };
-    }
-  in
-  sweep
-    ~xs:(List.map float_of_int latencies_us)
-    ~config_of:(fun x -> config_of (int_of_float x))
-    ?count ()
+  sweep latencies_us ~x:float_of_int (fun us ->
+      fig6_throughput ?count
+        ~config:
+          {
+            fig6_config with
+            Opc_cluster.Config.network =
+              {
+                fig6_config.Opc_cluster.Config.network with
+                Netsim.Network.latency = Simkit.Time.span_us us;
+              };
+          })
 
 let sweep_concurrency ?(counts = [ 1; 2; 4; 8; 16; 32; 64; 128; 256; 512 ])
     () =
-  List.map
-    (fun count ->
-      let series =
-        List.map
-          (fun kind ->
-            let p = run_fig6_point ~config:fig6_config ~count kind in
-            (kind, p.throughput))
-          Acp.Protocol.all
-      in
-      { x = float_of_int count; series })
-    counts
+  sweep counts ~x:float_of_int (fun count kind -> fig6_throughput ~count kind)
 
 let sweep_colocation ?(probabilities = [ 0.0; 0.25; 0.5; 0.75; 0.9; 1.0 ])
     ?count () =
-  let config_of p =
-    { fig6_config with Opc_cluster.Config.placement = Mds.Placement.Colocate p }
-  in
-  sweep ~xs:probabilities ~config_of ?count ()
+  sweep probabilities ~x:Fun.id (fun p ->
+      fig6_throughput ?count
+        ~config:
+          {
+            fig6_config with
+            Opc_cluster.Config.placement = Mds.Placement.Colocate p;
+          })
 
-let run_batched_point ?(config = fig6_config) ?(count = 100) ~batch protocol =
-  let config = { config with Opc_cluster.Config.protocol } in
-  let cluster = Opc_cluster.Cluster.create config in
-  let dir =
-    Opc_cluster.Cluster.add_directory cluster
-      ~parent:(Opc_cluster.Cluster.root cluster)
-      ~name:"data" ~server:0 ()
-  in
-  let batcher =
-    Opc_cluster.Batching.create cluster ~window:(Simkit.Time.span_ms 1)
-      ~max_batch:batch
-  in
+(* The Figure-6 burst: [count] CREATEs submitted at once, the [i]-th
+   through [submit i], then [flush ()], then settled. Returns the
+   committed and aborted counts and the committed rate from the first
+   submission to the last reply. *)
+let burst run cluster ~count ~submit ~flush =
   let committed = ref 0 and aborted = ref 0 in
   let first = Opc_cluster.Cluster.now cluster in
   let last = ref first in
   for i = 0 to count - 1 do
-    Opc_cluster.Batching.submit batcher
-      (Mds.Op.create_file ~parent:dir ~name:(Printf.sprintf "b%d" i))
-      ~on_done:(fun outcome ->
+    submit i ~on_done:(fun outcome ->
         last := Opc_cluster.Cluster.now cluster;
         match outcome with
         | Acp.Txn.Committed -> incr committed
         | Acp.Txn.Aborted _ -> incr aborted)
   done;
-  Opc_cluster.Batching.flush_all batcher;
-  (match
-     Opc_cluster.Cluster.settle ~deadline:(Simkit.Time.span_s 3600) cluster
-   with
-  | Opc_cluster.Cluster.Quiescent -> ()
-  | _ -> failwith "batched storm did not settle");
+  flush ();
+  settle ~deadline:(Simkit.Time.span_s 3600) run cluster;
   let span = Simkit.Time.span_to_float_s (Simkit.Time.diff !last first) in
-  {
-    protocol;
-    throughput =
-      (if span > 0.0 then float_of_int !committed /. span else 0.0);
-    committed = !committed;
-    aborted = !aborted;
-    mean_latency =
-      Metrics.Histogram.mean (Opc_cluster.Cluster.latency_committed cluster);
-    mean_lock_hold =
-      Metrics.Histogram.mean (Opc_cluster.Cluster.lock_hold cluster);
-  }
+  ( !committed,
+    !aborted,
+    if span > 0.0 then float_of_int !committed /. span else 0.0 )
+
+let run_batched_point ?(config = fig6_config) ?(count = 100) ~batch protocol =
+  let cluster, dir = data_cluster config protocol in
+  let batcher =
+    Opc_cluster.Batching.create cluster ~window:(Simkit.Time.span_ms 1)
+      ~max_batch:batch
+  in
+  let committed, aborted, throughput =
+    burst "batched storm" cluster ~count
+      ~submit:(fun i ->
+        Opc_cluster.Batching.submit batcher
+          (Mds.Op.create_file ~parent:dir ~name:(Printf.sprintf "b%d" i)))
+      ~flush:(fun () -> Opc_cluster.Batching.flush_all batcher)
+  in
+  fig6_point cluster protocol ~throughput ~committed ~aborted
 
 let run_multi_dir_point ~config ~count ~dirs:dir_count protocol =
   let config = { config with Opc_cluster.Config.protocol } in
@@ -335,85 +290,43 @@ let run_multi_dir_point ~config ~count ~dirs:dir_count protocol =
           ~server:(i mod config.Opc_cluster.Config.servers)
           ())
   in
-  let committed = ref 0 in
-  let first = Opc_cluster.Cluster.now cluster in
-  let last = ref first in
-  for i = 0 to count - 1 do
-    Opc_cluster.Cluster.submit cluster
-      (Mds.Op.create_file
-         ~parent:dirs.(i mod dir_count)
-         ~name:(Printf.sprintf "f%d" i))
-      ~on_done:(fun outcome ->
-        last := Opc_cluster.Cluster.now cluster;
-        match outcome with
-        | Acp.Txn.Committed -> incr committed
-        | Acp.Txn.Aborted _ -> ())
-  done;
-  (match
-     Opc_cluster.Cluster.settle ~deadline:(Simkit.Time.span_s 3600) cluster
-   with
-  | Opc_cluster.Cluster.Quiescent -> ()
-  | _ -> failwith "multi-dir storm did not settle");
-  let span = Simkit.Time.span_to_float_s (Simkit.Time.diff !last first) in
-  if span > 0.0 then float_of_int !committed /. span else 0.0
+  let _, _, throughput =
+    burst "multi-dir storm" cluster ~count
+      ~submit:(fun i ->
+        Opc_cluster.Cluster.submit cluster
+          (Mds.Op.create_file
+             ~parent:dirs.(i mod dir_count)
+             ~name:(Printf.sprintf "f%d" i)))
+      ~flush:ignore
+  in
+  throughput
 
 let sweep_directories ?(dir_counts = [ 1; 2; 4 ]) ?(count = 100)
     ?(independent_disks = false) () =
   let config =
-    if independent_disks then
-      {
-        fig6_config with
-        Opc_cluster.Config.san =
-          {
-            fig6_config.Opc_cluster.Config.san with
-            Storage.San.shared_device = false;
-          };
-      }
-    else fig6_config
+    if independent_disks then independent_devices else fig6_config
   in
-  List.map
-    (fun dirs ->
-      let series =
-        List.map
-          (fun kind -> (kind, run_multi_dir_point ~config ~count ~dirs kind))
-          Acp.Protocol.all
-      in
-      { x = float_of_int dirs; series })
-    dir_counts
+  sweep dir_counts ~x:float_of_int (fun dirs ->
+      run_multi_dir_point ~config ~count ~dirs)
 
-let compare_group_commit ?(count = 100) () =
-  let grouped_config =
-    {
-      fig6_config with
-      Opc_cluster.Config.san =
-        { fig6_config.Opc_cluster.Config.san with Storage.San.group_commit = true };
-    }
-  in
+let sweep_batching ?(batch_sizes = [ 1; 2; 4; 8; 16; 32 ]) ?(count = 100) () =
+  sweep batch_sizes ~x:float_of_int (fun batch kind ->
+      (run_batched_point ~count ~batch kind).throughput)
+
+(* Figure-6 throughput per protocol under {!fig6_config} and under [b]. *)
+let compare_with b ?count () =
   List.map
     (fun kind ->
-      let plain = (run_fig6_point ~count kind).throughput in
-      let grouped =
-        (run_fig6_point ~config:grouped_config ~count kind).throughput
-      in
-      (kind, plain, grouped))
+      ( kind,
+        fig6_throughput ?count kind,
+        fig6_throughput ~config:b ?count kind ))
     Acp.Protocol.all
 
-let compare_shared_vs_independent ?(count = 100) () =
-  let independent_config =
-    {
-      fig6_config with
-      Opc_cluster.Config.san =
-        { fig6_config.Opc_cluster.Config.san with Storage.San.shared_device = false };
-    }
-  in
-  List.map
-    (fun kind ->
-      let shared = (run_fig6_point ~count kind).throughput in
-      let independent =
-        (run_fig6_point ~config:independent_config ~count kind).throughput
-      in
-      (kind, shared, independent))
-    Acp.Protocol.all
+let compare_group_commit =
+  compare_with
+    (with_san (fun san -> { san with Storage.San.group_commit = true }))
+
+let compare_shared_vs_independent = compare_with independent_devices
 
 (* ------------------------------------------------------------------ *)
 (* Scale campaign                                                      *)
@@ -434,19 +347,14 @@ type scale_point = {
   profile : Obs.Prof.report option;
 }
 
+(* One log device per server: the sharded-store regime where
+   coordinator count is the scaling axis, not a single spindle. *)
 let scale_config ~servers ~seed =
   {
-    fig6_config with
+    independent_devices with
     Opc_cluster.Config.servers;
     seed;
     txn_timeout = Simkit.Time.span_s 60;
-    (* One log device per server: the sharded-store regime where
-       coordinator count is the scaling axis, not a single spindle. *)
-    san =
-      {
-        fig6_config.Opc_cluster.Config.san with
-        Storage.San.shared_device = false;
-      };
   }
 
 let run_scale_point ?config ?(clients_per_server = 2) ~servers ~txns ~seed
@@ -483,13 +391,7 @@ let run_scale_point ?config ?(clients_per_server = 2) ~servers ~txns ~seed
     Workload.closed_loop cluster ~dirs ~clients ~ops_per_client ~mix
       ~zipf_s:0.0 ~rng ()
   in
-  (match
-     Opc_cluster.Cluster.settle ~deadline:(Simkit.Time.span_s 86_400) cluster
-   with
-  | Opc_cluster.Cluster.Quiescent -> ()
-  | Opc_cluster.Cluster.Deadline_exceeded ->
-      failwith "scale: cluster did not settle before the deadline"
-  | Opc_cluster.Cluster.Stuck -> failwith "scale: cluster is stuck");
+  settle ~deadline:(Simkit.Time.span_s 86_400) "scale" cluster;
   let stats = Workload.stats wl in
   let sim_elapsed =
     Simkit.Time.diff stats.Workload.last_reply stats.Workload.first_submit
@@ -521,19 +423,6 @@ let run_scale_point ?config ?(clients_per_server = 2) ~servers ~txns ~seed
        else None);
   }
 
-let sweep_batching ?(batch_sizes = [ 1; 2; 4; 8; 16; 32 ]) ?(count = 100) () =
-  List.map
-    (fun batch ->
-      let series =
-        List.map
-          (fun kind ->
-            let p = run_batched_point ~count ~batch kind in
-            (kind, p.throughput))
-          Acp.Protocol.all
-      in
-      { x = float_of_int batch; series })
-    batch_sizes
-
 (* ------------------------------------------------------------------ *)
 (* Recovery timeline                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -551,12 +440,7 @@ type timeline_point = {
 
 let timeline_config =
   {
-    fig6_config with
-    Opc_cluster.Config.txn_timeout = Simkit.Time.span_ms 300;
-    heartbeat_interval = Simkit.Time.span_ms 20;
-    detector_timeout = Simkit.Time.span_ms 100;
-    restart_delay = Simkit.Time.span_ms 50;
-    auto_restart = true;
+    Chaos.Runner.regime with
     record_journal = true;
     sample_period = Some (Simkit.Time.span_ms 5);
   }
@@ -565,19 +449,14 @@ let crash_run ?(config = timeline_config) ?(seed = 1) ?(crash_server = 1)
     ?(crash_at_ms = 100) ?(before_crash = fun _ _ -> ()) protocol =
   let config = { config with Opc_cluster.Config.protocol; seed } in
   let cluster = Opc_cluster.Cluster.create config in
-  let root = Opc_cluster.Cluster.root cluster in
   let servers = config.Opc_cluster.Config.servers in
-  let dirs =
-    Array.init servers (fun i ->
-        Opc_cluster.Cluster.add_directory cluster ~parent:root
-          ~name:(Printf.sprintf "d%d" i) ~server:i ())
-  in
-  (* Same stream derivation as the chaos runner, so a timeline run with
-     the chaos defaults reproduces a chaos run's workload exactly. *)
+  let dirs = Chaos.Runner.layout cluster ~servers ~dirs:servers in
+  (* Same stream as the chaos runner, so a timeline run with the chaos
+     defaults reproduces a chaos run's workload exactly. *)
   ignore
     (Workload.closed_loop cluster ~dirs ~clients:6 ~ops_per_client:15
        ~mix:Chaos.Runner.chaos_mix
-       ~rng:(Simkit.Rng.create ~seed:(seed + 1_000_003))
+       ~rng:(Chaos.Runner.closed_loop_rng seed)
        ());
   let crash_time =
     Simkit.Time.add
@@ -588,18 +467,9 @@ let crash_run ?(config = timeline_config) ?(seed = 1) ?(crash_server = 1)
   Opc_cluster.Fault.inject cluster
     [ Opc_cluster.Fault.Crash { server = crash_server; at = crash_time } ];
   Opc_cluster.Cluster.run_for cluster (Simkit.Time.span_ms 600);
-  let fail what =
-    failwith
-      (Printf.sprintf "crash run %s seed %d: %s" (Acp.Protocol.name protocol)
-         seed what)
-  in
-  (match
-     Opc_cluster.Cluster.settle ~deadline:(Simkit.Time.span_s 120) cluster
-   with
-  | Opc_cluster.Cluster.Quiescent -> ()
-  | Opc_cluster.Cluster.Deadline_exceeded ->
-      fail "cluster did not settle before the deadline"
-  | Opc_cluster.Cluster.Stuck -> fail "cluster is stuck");
+  settle ~deadline:(Simkit.Time.span_s 120)
+    (Printf.sprintf "crash run %s seed %d" (Acp.Protocol.name protocol) seed)
+    cluster;
   (cluster, crash_time)
 
 let run_timeline ?config ?seed ?(crash_server = 1) ?crash_at_ms protocol =
@@ -627,19 +497,10 @@ let run_timeline ?config ?seed ?(crash_server = 1) ?crash_at_ms protocol =
 let fault_grid_ms = List.init 31 (fun i -> 2 * i)
 
 let run_fault_cell ~protocol ~server ms =
-  let config =
-    {
-      Opc_cluster.Config.default with
-      servers = 2;
-      protocol;
-      placement = Mds.Placement.Spread;
-      txn_timeout = Simkit.Time.span_ms 300;
-      heartbeat_interval = Simkit.Time.span_ms 20;
-      detector_timeout = Simkit.Time.span_ms 100;
-      restart_delay = Simkit.Time.span_ms 50;
-    }
+  let cluster =
+    Opc_cluster.Cluster.create
+      { Chaos.Runner.regime with servers = 2; protocol }
   in
-  let cluster = Opc_cluster.Cluster.create config in
   let dir =
     Opc_cluster.Cluster.add_directory cluster
       ~parent:(Opc_cluster.Cluster.root cluster)
@@ -651,9 +512,7 @@ let run_fault_cell ~protocol ~server ms =
     ~on_done:(fun o -> outcome := Some o);
   Opc_cluster.Fault.crash_at cluster ~server
     ~at:(Simkit.Time.of_ns (ms * 1_000_000));
-  (match Opc_cluster.Cluster.settle cluster with
-  | Opc_cluster.Cluster.Quiescent -> ()
-  | _ -> failwith "faults: did not settle");
+  settle "faults" cluster;
   (match Opc_cluster.Cluster.check_invariants cluster with
   | [] -> ()
   | _ -> failwith "faults: invariant violation");

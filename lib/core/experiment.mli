@@ -200,10 +200,11 @@ type timeline_point = {
 }
 
 val timeline_config : Opc_cluster.Config.t
-(** {!fig6_config} with the chaos harness's failure-handling parameters
-    (300 ms transaction timeout, 20 ms heartbeats, 100 ms detector,
-    50 ms restart delay, auto-restart), the lifecycle journal on, and a
-    5 ms gauge sampling cadence. *)
+(** {!Chaos.Runner.regime} (four servers on the §IV network and devices
+    of {!fig6_config}, with the chaos harness's 300 ms transaction
+    timeout, 20 ms heartbeats, 100 ms detector and auto-restart after
+    50 ms), the lifecycle journal on, and a 5 ms gauge sampling
+    cadence. *)
 
 val crash_run :
   ?config:Opc_cluster.Config.t ->
@@ -216,8 +217,9 @@ val crash_run :
 (** The one crash run behind {!run_timeline} and {!Drill.run_one}. Under
     [config] (default {!timeline_config}) with [protocol] and [seed]
     applied, drive the chaos workload (6 clients x 15 operations of
-    {!Chaos.Runner.chaos_mix}, stream seeded exactly as the chaos runner
-    seeds it) while [crash_server] (default 1) crashes [crash_at_ms]
+    {!Chaos.Runner.chaos_mix} over one {!Chaos.Runner.layout} directory
+    per server, drawn from {!Chaos.Runner.closed_loop_rng} as in a chaos
+    run) while [crash_server] (default 1) crashes [crash_at_ms]
     (default 100) after the workload starts, then run the 600 ms fault
     window out and settle. [before_crash cluster at] (default: nothing)
     runs before the crash at [at] is injected, so an event it schedules

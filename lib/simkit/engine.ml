@@ -403,7 +403,7 @@ let run ?until ?max_events t =
   | Some stop ->
       let outcome = loop t budget (stop : Time.t :> int) in
       (match outcome with
-      | Reached_until -> advance_clock t stop
-      | Drained -> if Time.( < ) t.clock stop then advance_clock t stop
+      | Reached_until | Drained ->
+          if Time.( < ) t.clock stop then advance_clock t stop
       | Reached_limit -> ());
       outcome

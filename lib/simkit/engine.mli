@@ -112,7 +112,9 @@ val run : ?until:Time.t -> ?max_events:int -> t -> outcome
 (** Run events in order. With [until], stops (without dispatching) when the
     next event's timestamp exceeds [until] and advances the clock to
     [until]. With [max_events], stops after that many dispatches. A stopped
-    engine can be [run] again to continue. *)
+    engine can be [run] again to continue. The clock never moves
+    backwards: an [until] before {!now} dispatches nothing and leaves the
+    clock where it is. *)
 
 val step : t -> bool
 (** Dispatch exactly one event. [false] if the queue was empty. *)

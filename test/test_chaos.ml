@@ -15,6 +15,24 @@ let small_spec =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Global state                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Every label a chaos run schedules under is interned when its module
+   initialises, so runs leave the process-global intern table as they
+   found it and seeds can run side by side. This case runs first in the
+   binary, so no earlier run has interned a label on a run's behalf. *)
+let test_runs_intern_no_label () =
+  let before = Simkit.Label.count () in
+  ignore
+    (Chaos.Runner.execute small_spec ~protocol:Acp.Protocol.Opc ~seed:1);
+  ignore
+    (Chaos.Overload.execute Chaos.Overload.default_spec
+       ~protocol:Acp.Protocol.Opc ~seed:1);
+  Alcotest.(check int) "labels after one chaos and one overload run" before
+    (Simkit.Label.count ())
+
+(* ------------------------------------------------------------------ *)
 (* Schedule generation and validation                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -399,6 +417,11 @@ let test_chaos_outcome_coverage () =
 let () =
   Alcotest.run "chaos"
     [
+      ( "global state",
+        [
+          Alcotest.test_case "a run interns no label" `Quick
+            test_runs_intern_no_label;
+        ] );
       ( "schedule",
         [
           Alcotest.test_case "generated schedules validate" `Quick

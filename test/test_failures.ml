@@ -15,18 +15,7 @@ open Opc
 let pname = Acp.Protocol.name
 
 let failure_config protocol =
-  {
-    Config.default with
-    servers = 2;
-    protocol;
-    placement = Mds.Placement.Spread;
-    txn_timeout = Simkit.Time.span_ms 300;
-    heartbeat_interval = Simkit.Time.span_ms 20;
-    detector_timeout = Simkit.Time.span_ms 100;
-    restart_delay = Simkit.Time.span_ms 50;
-    auto_restart = true;
-    seed = 3;
-  }
+  { Chaos.Runner.regime with servers = 2; protocol; seed = 3 }
 
 type run_result = {
   outcome : Acp.Txn.outcome;

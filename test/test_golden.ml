@@ -465,6 +465,298 @@ let test_scale_point_all_enabled () =
       Alcotest.(check int) "profiled dispatches (all on)" p.events
         r.Obs.Prof.total_dispatches
 
+(* ------------------------------------------------------------------ *)
+(* Runner pins                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The runners behind the bench ablations, the abort accounting, the
+   crash matrix, the recovery timeline, the drills and the overload
+   pairs, pinned at sizes small enough for tier-1 but large enough that
+   every runner's code path runs. Each case renders its result as lines
+   and compares them whole, so a moved digit names its row. *)
+
+let f4 = Printf.sprintf "%.4f"
+let ns s = string_of_int (Simkit.Time.span_to_ns s)
+let check_lines what expected got =
+  Alcotest.(check (list string)) what expected got
+
+let sweep_lines points =
+  List.map
+    (fun (p : Experiment.sweep_point) ->
+      String.concat " "
+        (Printf.sprintf "%g:" p.x
+        :: List.map (fun (k, v) -> pname k ^ "=" ^ f4 v) p.series))
+    points
+
+let pair_lines rows =
+  List.map (fun (k, a, b) -> String.concat " " [ pname k; f4 a; f4 b ]) rows
+
+let sweep_golden =
+  [
+    ( "disk bandwidth",
+      (fun () ->
+        sweep_lines
+          (Experiment.sweep_disk_bandwidth ~bandwidths:[ 200; 1600 ] ~count:20
+             ())),
+      [
+        "200: PrN=8.1990 PrC=9.8453 EP=9.8545 1PC=12.6810 L1PC=2487.5622";
+        "1600: PrN=65.1806 PrC=77.7182 EP=78.2904 1PC=101.3582 L1PC=2487.5622";
+      ] );
+    ( "network latency",
+      (fun () ->
+        sweep_lines
+          (Experiment.sweep_network_latency ~latencies_us:[ 100; 5000 ]
+             ~count:20 ())),
+      [
+        "100: PrN=16.3832 PrC=19.6529 EP=19.6893 1PC=25.3588 L1PC=2487.5622";
+        "5000: PrN=15.0539 PrC=16.5459 EP=17.9569 1PC=25.0476 L1PC=49.9950";
+      ] );
+    ( "concurrency",
+      (fun () ->
+        sweep_lines (Experiment.sweep_concurrency ~counts:[ 1; 8 ] ())),
+      [
+        "1: PrN=19.3420 PrC=24.2360 EP=24.3540 1PC=48.3512 L1PC=2487.5622";
+        "8: PrN=16.5879 PrC=19.9571 EP=19.9917 1PC=26.9215 L1PC=2487.5622";
+      ] );
+    ( "colocation",
+      (fun () ->
+        sweep_lines
+          (Experiment.sweep_colocation ~probabilities:[ 0.0; 0.5 ] ~count:20
+             ())),
+      [
+        "0: PrN=20.7368 PrC=24.6284 EP=24.6766 1PC=31.4866 L1PC=349.4060";
+        "0.5: PrN=33.0369 PrC=38.1706 EP=38.2358 1PC=47.6005 L1PC=158.5791";
+      ] );
+    ( "batching",
+      (fun () ->
+        sweep_lines
+          (Experiment.sweep_batching ~batch_sizes:[ 1; 4 ] ~count:20 ())),
+      [
+        "1: PrN=16.3832 PrC=19.6529 EP=19.6893 1PC=25.3588 L1PC=2487.5622";
+        "4: PrN=55.6793 PrC=67.1006 EP=67.2097 1PC=92.9195 L1PC=8196.7213";
+      ] );
+    ( "directories, shared device",
+      (fun () ->
+        sweep_lines
+          (Experiment.sweep_directories ~dir_counts:[ 1; 2 ] ~count:20 ())),
+      [
+        "1: PrN=16.3832 PrC=19.6529 EP=19.6893 1PC=25.3588 L1PC=2487.5622";
+        "2: PrN=16.5505 PrC=19.9298 EP=19.9298 1PC=26.3901 L1PC=4975.1244";
+      ] );
+    ( "directories, independent devices",
+      (fun () ->
+        sweep_lines
+          (Experiment.sweep_directories ~dir_counts:[ 1; 2 ] ~count:20
+             ~independent_disks:true ())),
+      [
+        "1: PrN=24.2949 PrC=32.1534 EP=32.3510 1PC=91.2909 L1PC=2487.5622";
+        "2: PrN=45.2564 PrC=52.4954 EP=52.6474 1PC=72.2596 L1PC=4975.1244";
+      ] );
+    ( "group commit",
+      (fun () -> pair_lines (Experiment.compare_group_commit ~count:20 ())),
+      [
+        "PrN 16.3832 23.9969";
+        "PrC 19.6529 24.3013";
+        "EP 19.6893 24.3570";
+        "1PC 25.3588 60.6645";
+        "L1PC 2487.5622 2487.5622";
+      ] );
+    ( "shared vs independent devices",
+      (fun () ->
+        pair_lines (Experiment.compare_shared_vs_independent ~count:20 ())),
+      [
+        "PrN 16.3832 24.2949";
+        "PrC 19.6529 32.1534";
+        "EP 19.6893 32.3510";
+        "1PC 25.3588 91.2909";
+        "L1PC 2487.5622 2487.5622";
+      ] );
+  ]
+
+let sweep_cases =
+  List.map
+    (fun (name, run, expected) ->
+      Alcotest.test_case name `Quick (fun () ->
+          check_lines name expected (run ())))
+    sweep_golden
+
+(* Per transaction, printed %.2f as `bench aborts` does. *)
+let test_abort_measured () =
+  check_lines "abort accounting"
+    [
+      "PrN sync=2.00 async=1.00 msgs=2.00";
+      "PrC sync=2.00 async=1.00 msgs=2.00";
+      "EP sync=3.00 async=1.00 msgs=2.00";
+      "1PC sync=2.00 async=0.00 msgs=0.00";
+      "L1PC sync=0.00 async=0.00 msgs=0.00";
+    ]
+    (List.map
+       (fun kind ->
+         let c = Experiment.run_abort_measured kind in
+         Printf.sprintf "%s sync=%.2f async=%.2f msgs=%.2f" (pname kind)
+           c.sync_writes_per_txn c.async_writes_per_txn c.acp_messages_per_txn)
+       Acp.Protocol.all)
+
+let test_batched_point () =
+  check_lines "batched point (20 CREATEs, batches of 4)"
+    [
+      "PrN 55.6793 committed=20 aborted=0 latency=230950000 hold=56420000";
+      "PrC 67.1006 committed=20 aborted=0 latency=195160000 hold=47970000";
+      "EP 67.2097 committed=20 aborted=0 latency=194918500 hold=47889333";
+      "1PC 92.9195 committed=20 aborted=0 latency=140130000 hold=34166666";
+      "L1PC 8196.7213 committed=20 aborted=0 latency=1425000 hold=406666";
+    ]
+    (List.map
+       (fun kind ->
+         let p = Experiment.run_batched_point ~count:20 ~batch:4 kind in
+         Printf.sprintf "%s %s committed=%d aborted=%d latency=%s hold=%s"
+           (pname kind) (f4 p.throughput) p.committed p.aborted
+           (ns p.mean_latency) (ns p.mean_lock_hold))
+       Acp.Protocol.all)
+
+let test_fault_matrix () =
+  check_lines "crash-point letters"
+    [
+      "PrN 0 AAAAAACCCCCCCCCCCCCCCCCCCCCCCCC";
+      "PrN 1 AAAAAAAAAAAAAAAACCCCCCCCCCCCCCC";
+      "PrC 0 AAAAAACCCCCCCCCCCCCCCCCCCCCCCCC";
+      "PrC 1 AAAAAAAAAAAAAAAACCCCCCCCCCCCCCC";
+      "EP 0 AAAAAACCCCCCCCCCCCCCCCCCCCCCCCC";
+      "EP 1 AAAAAAAAAAAAAAAACCCCCCCCCCCCCCC";
+      "1PC 0 CCCCCCCCCCCCCCCCCCCCCCCCCCCCCCC";
+      "1PC 1 CCCCCCCCCCCCCCCCCCCCCCCCCCCCCCC";
+      "L1PC 0 ACCCCCCCCCCCCCCCCCCCCCCCCCCCCCC";
+      "L1PC 1 CCCCCCCCCCCCCCCCCCCCCCCCCCCCCCC";
+    ]
+    (List.map
+       (fun (kind, server, cells) ->
+         Printf.sprintf "%s %d %s" (pname kind) server cells)
+       (Experiment.run_fault_matrix ()))
+
+let window_line (w : Obs.Mttr.window) =
+  Printf.sprintf "mds%d start=%d detect=%s fence=%s scan=%s resolve=%s" w.node
+    (Simkit.Time.to_ns w.start) (ns w.detect) (ns w.fence) (ns w.scan)
+    (ns w.resolve)
+
+let test_timeline () =
+  let t = Experiment.run_timeline Acp.Protocol.Opc in
+  check_lines "1PC timeline"
+    [
+      "committed=80 aborted=2 crash=100000000";
+      "mds1 start=100000000 detect=0 fence=0 scan=104800000 resolve=0";
+    ]
+    (Printf.sprintf "committed=%d aborted=%d crash=%d" t.committed t.aborted
+       (Simkit.Time.to_ns t.crash_time)
+    :: List.map window_line t.windows)
+
+(* Segments as p50/p99 in ns. *)
+let test_drill_campaign () =
+  let seg name (g : Drill.segment) =
+    Printf.sprintf "%s=%d/%d" name g.p50_ns g.p99_ns
+  in
+  check_lines "drill campaigns (seeds 1-2)"
+    [
+      "PrN windows=2 detect=100000000/100000000 fence=0/0 \
+       scan=223381000/250560000 resolve=0/0 total=323381000/350560000 \
+       dfs_p99=350560000";
+      "PrC windows=2 detect=100000000/100000000 fence=0/0 \
+       scan=210240000/223382000 resolve=0/0 total=310240000/323382000 \
+       dfs_p99=323382000";
+      "EP windows=2 detect=100000000/100000000 fence=0/0 \
+       scan=210240000/212742000 resolve=0/0 total=310240000/312742000 \
+       dfs_p99=312742000";
+      "1PC windows=2 detect=100000000/100000000 fence=0/10000000 \
+       scan=200240000/240320000 resolve=0/0 total=310240000/340320000 \
+       dfs_p99=340320000";
+      "L1PC windows=2 detect=100000000/100000000 fence=0/0 \
+       scan=200000000/210240000 resolve=200000/200000 \
+       total=300200000/310440000 dfs_p99=310240000";
+    ]
+    (List.map
+       (fun kind ->
+         let s = Drill.campaign ~seeds:2 kind in
+         String.concat " "
+           [
+             pname kind;
+             Printf.sprintf "windows=%d" s.windows;
+             seg "detect" s.detect;
+             seg "fence" s.fence;
+             seg "scan" s.scan;
+             seg "resolve" s.resolve;
+             seg "total" s.total;
+             Printf.sprintf "dfs_p99=%d" s.dfs_p99_ns;
+           ])
+       Acp.Protocol.all)
+
+let overload_run_line (r : Chaos.Overload.run) =
+  let s = r.stats in
+  Printf.sprintf
+    "offered=%d resolved=%d committed=%d aborted=%d gave_up=%d busy=%d \
+     timeouts=%d attempts=%d good=%s amp=%s shed=%d p50=%s p95=%s p99=%s \
+     violations=%d"
+    s.offered s.resolved s.committed s.aborted s.gave_up s.busy_replies
+    s.attempt_timeouts s.attempts (f4 s.goodput_per_s)
+    (f4 s.retry_amplification) r.ingress.Ingress.shed (ns r.p50) (ns r.p95)
+    (ns r.p99) (List.length r.violations)
+
+let test_overload_pairs () =
+  check_lines "overload pairs (seed 3)"
+    [
+      "PrN reference offered=56 resolved=56 committed=43 aborted=13 \
+       gave_up=0 busy=0 timeouts=32 attempts=88 good=71.6667 amp=1.5714 \
+       shed=0 p50=565207629 p95=663866115 p99=681543101 violations=0";
+      "PrN storm offered=380 resolved=380 committed=70 aborted=43 \
+       gave_up=267 busy=1068 timeouts=159 attempts=1340 good=116.6667 \
+       amp=3.5263 shed=1068 p50=982794499 p95=1374151741 p99=1419317803 \
+       violations=0";
+      "PrN violations=0";
+      "PrC reference offered=57 resolved=57 committed=48 aborted=9 \
+       gave_up=0 busy=0 timeouts=0 attempts=57 good=80.0000 amp=1.0000 \
+       shed=0 p50=304529015 p95=459166115 p99=476839512 violations=0";
+      "PrC storm offered=383 resolved=383 committed=82 aborted=33 \
+       gave_up=268 busy=1063 timeouts=149 attempts=1327 good=136.6667 \
+       amp=3.4648 shed=1063 p50=853596119 p95=1047562038 p99=1202671940 \
+       violations=0";
+      "PrC violations=0";
+      "EP reference offered=57 resolved=57 committed=48 aborted=9 gave_up=0 \
+       busy=0 timeouts=1 attempts=58 good=80.0000 amp=1.0175 shed=0 \
+       p50=323385929 p95=467822199 p99=562961726 violations=0";
+      "EP storm offered=390 resolved=390 committed=82 aborted=35 \
+       gave_up=273 busy=1090 timeouts=151 attempts=1358 good=136.6667 \
+       amp=3.4821 shed=1090 p50=897325483 p95=1189038937 p99=1201124960 \
+       violations=0";
+      "EP violations=0";
+      "1PC reference offered=57 resolved=57 committed=48 aborted=9 \
+       gave_up=0 busy=0 timeouts=29 attempts=86 good=80.0000 amp=1.5088 \
+       shed=0 p50=448782718 p95=570228471 p99=587102503 violations=0";
+      "1PC storm offered=309 resolved=309 committed=80 aborted=26 \
+       gave_up=203 busy=813 timeouts=168 attempts=1087 good=133.3333 \
+       amp=3.5178 shed=813 p50=1218959299 p95=1478926460 p99=1514979778 \
+       violations=0";
+      "1PC violations=0";
+      "L1PC reference offered=57 resolved=57 committed=57 aborted=0 \
+       gave_up=0 busy=0 timeouts=0 attempts=57 good=95.0000 amp=1.0000 \
+       shed=0 p50=402000 p95=455382 p99=710368 violations=0";
+      "L1PC storm offered=367 resolved=367 committed=275 aborted=41 \
+       gave_up=51 busy=686 timeouts=59 attempts=1061 good=458.3333 \
+       amp=2.8910 shed=686 p50=421839158 p95=578981206 p99=590286748 \
+       violations=0";
+      "L1PC violations=0";
+    ]
+    (List.concat_map
+       (fun kind ->
+         let o =
+           Chaos.Overload.execute Chaos.Overload.default_spec ~protocol:kind
+             ~seed:3
+         in
+         [
+           pname kind ^ " reference " ^ overload_run_line o.reference;
+           pname kind ^ " storm " ^ overload_run_line o.storm;
+           Printf.sprintf "%s violations=%d" (pname kind)
+             (List.length o.violations);
+         ])
+       Acp.Protocol.all)
+
 let () =
   Alcotest.run "golden"
     [
@@ -493,6 +785,18 @@ let () =
           Alcotest.test_case "scale point (8 servers, all collectors enabled)"
             `Quick test_scale_point_all_enabled;
         ] );
+      ( "runners",
+        sweep_cases
+        @ [
+            Alcotest.test_case "abort accounting" `Quick test_abort_measured;
+            Alcotest.test_case "batched point" `Quick test_batched_point;
+            Alcotest.test_case "crash-point matrix" `Quick test_fault_matrix;
+            Alcotest.test_case "1PC recovery timeline" `Quick test_timeline;
+            Alcotest.test_case "drill campaigns (2 seeds)" `Quick
+              test_drill_campaign;
+            Alcotest.test_case "overload pairs (seed 3)" `Quick
+              test_overload_pairs;
+          ] );
       ( "chaos",
         [ Alcotest.test_case "seeds 1-5 verdicts" `Slow test_chaos ] );
     ]

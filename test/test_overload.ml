@@ -10,17 +10,7 @@
 open Opc
 
 let config ?(servers = 2) ~protocol () =
-  {
-    Config.default with
-    servers;
-    protocol;
-    placement = Mds.Placement.Spread;
-    txn_timeout = Simkit.Time.span_ms 300;
-    heartbeat_interval = Simkit.Time.span_ms 20;
-    detector_timeout = Simkit.Time.span_ms 100;
-    restart_delay = Simkit.Time.span_ms 50;
-    auto_restart = true;
-  }
+  { Chaos.Runner.regime with servers; protocol }
 
 let make ?servers ?(max_inflight = 2) ?(queue_capacity = 1)
     ?(protocol = Acp.Protocol.Opc) () =

@@ -266,6 +266,24 @@ let test_engine_until () =
   ignore (Engine.run e);
   Alcotest.(check (list int)) "rest ran" [ 1; 10 ] (List.rev !fired)
 
+(* An [until] already in the past leaves the clock alone, so an event
+   scheduled afterwards can never fire before one already dispatched. *)
+let test_engine_until_past () =
+  let e = Engine.create () in
+  ignore (Engine.schedule e ~after:(Time.span_ns 100) (fun () -> ()));
+  ignore (Engine.run e);
+  ignore (Engine.schedule e ~after:(Time.span_ns 100) (fun () -> ()));
+  let outcome = Engine.run ~until:(Time.of_ns 50) e in
+  Alcotest.(check bool) "reached until" true (outcome = Engine.Reached_until);
+  Alcotest.check time "clock stays" (Time.of_ns 100) (Engine.now e);
+  let fired_at = ref None in
+  ignore
+    (Engine.schedule e ~after:Time.zero_span (fun () ->
+         fired_at := Some (Engine.now e)));
+  ignore (Engine.run ~until:(Time.of_ns 150) e);
+  Alcotest.(check (option time)) "fires at now" (Some (Time.of_ns 100))
+    !fired_at
+
 let test_engine_nested_schedule () =
   let e = Engine.create () in
   let log = ref [] in
@@ -1253,6 +1271,7 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_engine_fifo_ties;
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
           Alcotest.test_case "until" `Quick test_engine_until;
+          Alcotest.test_case "until in the past" `Quick test_engine_until_past;
           Alcotest.test_case "nested" `Quick test_engine_nested_schedule;
           Alcotest.test_case "defer" `Quick test_engine_defer;
           Alcotest.test_case "max events" `Quick test_engine_max_events;
